@@ -1,15 +1,18 @@
 """ULA ensemble engine with counter-addressed noise streams.
 
 Every standard normal consumed by the sampler is indexed by
-(seed, purpose, step, chain, coordinate) through the Philox counter, so
-results are independent of chunking and worker count, replayable from the
-seed alone, and two ensembles built on the same seed consume identical noise,
+(seed, purpose, step, chain, coordinate) through the Philox counter: within
+one (seed, purpose, step) slot, normal k = chain*d + coordinate is word k % 4
+of counter block k // 4, so every generated word is used. Results are
+therefore independent of chunking and worker count, replayable from the seed
+alone, and two ensembles built on the same seed consume identical noise,
 which is exactly the synchronous coupling the contraction experiments need.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,6 +33,7 @@ __all__ = [
     "Ensemble",
     "TraceRow",
     "CoupledTrace",
+    "check_seed",
     "init_ensemble",
     "step",
     "run",
@@ -41,7 +45,9 @@ THREADS_ENV = "LANGEVIN_KL_THREADS"
 
 _PURPOSE_INIT = 0
 _PURPOSE_STEP = 1
-_MASK64 = (1 << 64) - 1
+# fewest normals a worker thread must draw per step; below this a thread's
+# start-up costs more than it saves, so smaller ensembles step serially
+_MIN_NORMALS_PER_WORKER = 65_536
 
 
 class DivergedError(RuntimeError):
@@ -90,17 +96,35 @@ class Ensemble:
         return self.states.shape[1]
 
 
-def _normals(seed: int, purpose: int, step: int, lo: int, hi: int, d: int) -> np.ndarray:
-    """Standard normals for chains [lo, hi) at one (purpose, step) slot.
+def check_seed(seed) -> int:
+    """The seed as an int, or ValueError unless it is an integer in [0, 2**64), a Philox key."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+    return seed
 
-    Chain i owns the 128-bit counter blocks [i*bpc, (i+1)*bpc) of the slot, so
-    any contiguous chunk reads exactly the words a full serial pass would.
+
+def _normals(seed: int, purpose: int, step: int, lo: int, out: np.ndarray) -> None:
+    """Write the standard normals of chains [lo, lo + len(out)) into out, shape (chains, d).
+
+    Normal k = chain*d + coord of the (seed, purpose, step) slot is word k % 4
+    of Philox block k // 4. A chunk starts at the block holding its first
+    normal and skips the words before it, so any chunking reads exactly the
+    words a serial pass reads.
     """
-    bpc = (d + 3) // 4
-    bg = Philox(key=[seed & _MASK64, 0], counter=[lo * bpc, 0, step, purpose])
-    raw = bg.random_raw((hi - lo) * bpc * 4).reshape(hi - lo, bpc * 4)[:, :d]
-    u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
-    return ndtri(u)
+    if not out.flags.c_contiguous:
+        raise ValueError("normals are written into C-contiguous rows only")
+    flat = out.reshape(-1)  # a view of out
+    k0 = lo * out.shape[1]
+    skip = k0 % 4
+    key = np.array([seed, 0], dtype=np.uint64)
+    bg = Philox(key=key, counter=[k0 // 4, 0, step, purpose])
+    raw = bg.random_raw(skip + flat.size)[skip:]
+    raw >>= np.uint64(11)
+    # (raw >> 11) * 2^-53 + 2^-54 lies strictly inside (0, 1), so ndtri stays finite
+    np.multiply(raw, 2.0**-53, out=flat)
+    flat += 2.0**-54
+    ndtri(flat, out=flat)
 
 
 def _workers(explicit=None) -> int:
@@ -112,8 +136,9 @@ def _workers(explicit=None) -> int:
         return 1
 
 
-def _chunks(n: int, workers: int) -> list[tuple[int, int]]:
-    w = max(1, min(workers, n))
+def _chunks(n: int, d: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous chain ranges, one per worker, each with enough normals to pay for its thread."""
+    w = max(1, min(workers, n, n * d // _MIN_NORMALS_PER_WORKER))
     if w == 1:
         return [(0, n)]
     edges = np.linspace(0, n, w + 1).astype(int)
@@ -124,18 +149,21 @@ def init_ensemble(p: Potential, init, n: int, seed: int) -> Ensemble:
     """Draw n independent chains from the chosen initial law.
 
     init is GAUSSIAN_1_OVER_M for N(0, I/m) (requires m > 0), a GaussianInit,
-    or a PointInit. Draws come from the (chain, step 0) init stream.
+    or a PointInit. Draws come from the (chain, step 0) init stream. seed is
+    an integer in [0, 2**64).
     """
     if n < 1:
         raise ValueError(f"need at least one chain, got {n}")
+    seed = check_seed(seed)
     if isinstance(init, str) and init == GAUSSIAN_1_OVER_M:
         if not p.m > 0:
             raise ValueError(
                 "gaussian_1_over_m needs m > 0; for a weakly convex target pass an explicit "
                 "GaussianInit or PointInit"
             )
-        xi = _normals(seed, _PURPOSE_INIT, 0, 0, n, p.d)
-        states = xi / math.sqrt(p.m)
+        states = np.empty((n, p.d))
+        _normals(seed, _PURPOSE_INIT, 0, 0, states)
+        states /= math.sqrt(p.m)
     elif isinstance(init, GaussianInit):
         mean = np.atleast_1d(np.asarray(init.mean, dtype=float))
         var = np.atleast_1d(np.asarray(init.cov_diag, dtype=float))
@@ -143,8 +171,10 @@ def init_ensemble(p: Potential, init, n: int, seed: int) -> Ensemble:
             raise ValueError(f"init dimensions {mean.size}/{var.size} do not match d={p.d}")
         if not np.all(var > 0):
             raise ValueError("init variances must be positive")
-        xi = _normals(seed, _PURPOSE_INIT, 0, 0, n, p.d)
-        states = mean + np.sqrt(var) * xi
+        states = np.empty((n, p.d))
+        _normals(seed, _PURPOSE_INIT, 0, 0, states)
+        states *= np.sqrt(var)
+        states += mean
     elif isinstance(init, PointInit):
         x = np.atleast_1d(np.asarray(init.x, dtype=float))
         if x.size != p.d:
@@ -152,14 +182,19 @@ def init_ensemble(p: Potential, init, n: int, seed: int) -> Ensemble:
         states = np.tile(x, (n, 1))
     else:
         raise TypeError(f"unsupported init spec {init!r}")
-    return Ensemble(states, 0, 0.0, int(seed), p)
+    return Ensemble(states, 0, 0.0, seed, p)
 
 
 def _step_chunk(e: Ensemble, h: float, lo: int, hi: int, out: np.ndarray) -> None:
     x = e.states[lo:hi]
-    xi = _normals(e.seed, _PURPOSE_STEP, e.step_index, lo, hi, e.d)
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
-        out[lo:hi] = x - h * grad_u(e.potential, x) + math.sqrt(2.0 * h) * xi
+    xi = out[lo:hi]
+    _normals(e.seed, _PURPOSE_STEP, e.step_index, lo, xi)
+    xi *= math.sqrt(2.0 * h)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught in step
+        # a custom grad_fn may return its input, so the drift gets its own array
+        drift = h * grad_u(e.potential, x)
+        np.subtract(x, drift, out=drift)
+        xi += drift
 
 
 def step(e: Ensemble, h: float, workers: int | None = None) -> Ensemble:
@@ -171,8 +206,8 @@ def step(e: Ensemble, h: float, workers: int | None = None) -> Ensemble:
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     n = e.n_chains
-    out = np.empty_like(e.states)
-    bounds = _chunks(n, _workers(workers))
+    out = np.empty_like(e.states, order="C")
+    bounds = _chunks(n, e.d, _workers(workers))
     if len(bounds) == 1:
         _step_chunk(e, h, 0, n, out)
     else:
@@ -180,9 +215,9 @@ def step(e: Ensemble, h: float, workers: int | None = None) -> Ensemble:
             futures = [pool.submit(_step_chunk, e, h, lo, hi, out) for lo, hi in bounds]
             for f in futures:
                 f.result()
-    finite = np.isfinite(out).all(axis=1)
-    if not finite.all():
-        raise DivergedError(int(np.flatnonzero(~finite)[0]), e.step_index)
+    if not np.isfinite(out).all():
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))[0]
+        raise DivergedError(int(bad), e.step_index)
     return Ensemble(out, e.step_index + 1, float(h), e.seed, e.potential)
 
 

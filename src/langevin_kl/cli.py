@@ -26,6 +26,7 @@ from .chain import (
     GaussianInit,
     PointInit,
     TraceRow,
+    check_seed,
     coupled_run,
     init_ensemble,
     step,
@@ -252,6 +253,10 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("run.n_chains must be >= 2")
     if cfg.record_every < 1:
         raise ConfigError("run.record_every must be >= 1")
+    try:
+        check_seed(cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(f"run.{exc}") from exc
     return cfg
 
 
@@ -347,6 +352,12 @@ def _execute_inner(cfg, pot, init, out_dir, written):
             raise ConfigError("the gaussian oracle supports quadratic potentials only")
         law = _init_law(init, pot)
         gauss_target = target_law(A)
+
+    if isinstance(init, str) and not pot.m > 0:
+        raise ConfigError(
+            f"the default {GAUSSIAN_1_OVER_M} init needs m > 0 and {pot.kind} has m = {pot.m}; "
+            "set an explicit [init] (kind = gaussian or point)"
+        )
 
     grid = None
     grid_target = None
@@ -809,6 +820,11 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    try:
+        check_seed(args.seed)
+    except ValueError as exc:
+        print(f"error: --{exc}", file=sys.stderr)
+        return 2
     checks = SUITES[args.suite](args.seed)
     failed = False
     for name, margin in checks:

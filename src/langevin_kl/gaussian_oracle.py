@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "GaussianLaw",
@@ -204,6 +203,8 @@ def tv_gaussian_1d(p: GaussianLaw, q: GaussianLaw) -> float:
     The sign changes of p - q solve a quadratic in x; they are passed to the
     integrator as breakpoints, keeping the absolute error well below 1e-8.
     """
+    from scipy.integrate import quad  # imported on first use: runs that never integrate skip loading it
+
     if p.d != 1 or q.d != 1:
         raise ValueError("total variation evaluation supports d = 1 only")
     mp, vp = float(p.mean[0]), float(p.cov[0, 0])

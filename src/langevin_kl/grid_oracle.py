@@ -10,6 +10,7 @@ potentials (Huber in particular) the Gaussian oracle cannot represent.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,16 +110,21 @@ def _normalized(x_min: float, x_max: float, n: int, raw: np.ndarray) -> GridDens
     return GridDensity(x_min, x_max, n, raw / total, renorm_drift=1.0 - total)
 
 
+def _split(z: np.ndarray, x_min: float, x_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left bracketing cell center j of each position z and its weight fraction f on j + 1."""
+    dx = (x_max - x_min) / n
+    pos = (z - x_min) / dx - 0.5
+    j = np.clip(np.floor(pos).astype(int), 0, n - 2)
+    return j, np.clip(pos - j, 0.0, 1.0)
+
+
 def _deposit(z: np.ndarray, w: np.ndarray, x_min: float, x_max: float, n: int) -> np.ndarray:
     """Conservative linear split of weights w at positions z onto cell centers.
 
     Each weight divides between the two centers bracketing its position, so
     total mass and the first moment are preserved exactly.
     """
-    dx = (x_max - x_min) / n
-    pos = (z - x_min) / dx - 0.5
-    j = np.clip(np.floor(pos).astype(int), 0, n - 2)
-    f = np.clip(pos - j, 0.0, 1.0)
+    j, f = _split(z, x_min, x_max, n)
     out = np.bincount(j, weights=w * (1.0 - f), minlength=n)
     out += np.bincount(j + 1, weights=w * f, minlength=n)
     return out
@@ -175,24 +181,37 @@ def discretize_law(init, x_min: float, x_max: float, n: int) -> GridDensity:
     raise TypeError(f"unsupported init spec {init!r}")
 
 
-def ula_step_grid(p: GridDensity, pot: Potential, h: float) -> GridDensity:
-    """One ULA step as a Markov kernel on the grid.
+@dataclass(frozen=True)
+class _StepOperator:
+    """The parts of one grid ULA step that depend only on (grid, potential, h)."""
 
-    Mass is pushed through T(x) = x - h U'(x) by conservative linear cell
-    splitting, then convolved with the step's N(0, 2h) noise binned over cells
-    and truncated at 8 standard deviations. T must be monotone on the grid,
-    which h <= 1/L guarantees.
-    """
-    if pot.d != 1:
-        raise ValueError(f"grid oracle is 1-D only, potential has d={pot.d}")
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
+    pot: Potential  # held so that the memo's id(pot) key cannot be reused
+    j: np.ndarray  # left cell of each center's image under the drift map
+    j1: np.ndarray
+    f: np.ndarray  # fraction of each center's mass moved to cell j + 1
+    g: np.ndarray  # 1 - f
+    kern: np.ndarray  # N(0, 2h) noise binned over cells
+
+
+# the few most recent operators; a step reuses its operator, and a search over
+# stepsizes (estimate_h_prime) moves on to the next one
+_STEP_MEMO: dict[tuple, _StepOperator] = {}
+_STEP_MEMO_SIZE = 8
+_STEP_MEMO_LOCK = threading.Lock()
+
+
+def _step_operator(p: GridDensity, pot: Potential, h: float) -> _StepOperator:
+    """The memoised operator of ula_step_grid on p's grid for (pot, h)."""
+    key = (p.x_min, p.x_max, p.n, id(pot), h)
+    op = _STEP_MEMO.get(key)
+    if op is not None:
+        return op
     c = p.centers
     z = c - h * grad_u(pot, c[:, None]).ravel()
     scale = max(1.0, float(np.abs(z).max()))
     if np.any(np.diff(z) < -1e-12 * scale):
         raise ValueError(f"drift map not monotone on the grid; need h <= 1/L = {1.0 / pot.L}")
-    pushed = _deposit(z, p.mass, p.x_min, p.x_max, p.n)
+    j, f = _split(z, p.x_min, p.x_max, p.n)
 
     sd = math.sqrt(2.0 * h)
     half = math.ceil(8.0 * sd / p.dx)
@@ -201,7 +220,32 @@ def ula_step_grid(p: GridDensity, pot: Potential, h: float) -> GridDensity:
     offs = np.arange(-half, half + 1) * p.dx
     kern = ndtr((offs + 0.5 * p.dx) / sd) - ndtr((offs - 0.5 * p.dx) / sd)
     kern /= kern.sum()
-    mixed = np.convolve(pushed, kern, mode="same")
+    op = _StepOperator(pot, j, j + 1, f, 1.0 - f, kern)
+    with _STEP_MEMO_LOCK:
+        _STEP_MEMO.pop(key, None)
+        if len(_STEP_MEMO) >= _STEP_MEMO_SIZE:
+            del _STEP_MEMO[next(iter(_STEP_MEMO))]  # evict the oldest operator
+        _STEP_MEMO[key] = op
+    return op
+
+
+def ula_step_grid(p: GridDensity, pot: Potential, h: float) -> GridDensity:
+    """One ULA step as a Markov kernel on the grid.
+
+    Mass is pushed through T(x) = x - h U'(x) by conservative linear cell
+    splitting, then convolved with the step's N(0, 2h) noise binned over cells
+    and truncated at 8 standard deviations. T must be monotone on the grid,
+    which h <= 1/L guarantees. Everything but the mass is computed once per
+    (grid, potential, h) and reused by later steps.
+    """
+    if pot.d != 1:
+        raise ValueError(f"grid oracle is 1-D only, potential has d={pot.d}")
+    if not h > 0:
+        raise ValueError(f"step size must be positive, got {h}")
+    op = _step_operator(p, pot, float(h))
+    pushed = np.bincount(op.j, weights=p.mass * op.g, minlength=p.n)
+    pushed += np.bincount(op.j1, weights=p.mass * op.f, minlength=p.n)
+    mixed = np.convolve(pushed, op.kern, mode="same")
     return _normalized(p.x_min, p.x_max, p.n, mixed)
 
 

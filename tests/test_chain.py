@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from numpy.random import Philox
+from scipy.special import ndtri
 
 import langevin_kl.chain as chain_mod
 from langevin_kl.chain import (
@@ -49,7 +52,7 @@ def test_init_gaussian_explicit_moments():
 def test_step_drift_only_with_forced_zero_noise(monkeypatch):
     pot = quadratic_diagonal([1.0])
     e = init_ensemble(pot, PointInit(np.array([1.0])), 1, seed=0)
-    monkeypatch.setattr(chain_mod, "_normals", lambda *a: np.zeros((a[4] - a[3], a[5])))
+    monkeypatch.setattr(chain_mod, "_normals", lambda seed, purpose, step, lo, out: out.fill(0.0))
     out = step(e, 0.5)
     assert out.states[0, 0] == 0.5
 
@@ -90,19 +93,79 @@ def test_replay_is_bit_exact():
     assert np.array_equal(take(5), take(5))
 
 
-def test_parallel_and_serial_agree_bit_exactly():
+def test_parallel_and_serial_agree_bit_exactly(monkeypatch):
+    # every ensemble here is below the serial threshold; let each worker take a chunk
+    monkeypatch.setattr(chain_mod, "_MIN_NORMALS_PER_WORKER", 1)
     pot = quadratic_diagonal([1.0, 2.0])
     e = init_ensemble(pot, GAUSSIAN_1_OVER_M, 5000, seed=9)
     serial = step(e, 0.02, workers=1)
     for w in (2, 3, 7):
         assert np.array_equal(serial.states, step(e, 0.02, workers=w).states)
-    # multi-block noise layout (d > 4) must chunk identically too
-    pot5 = quadratic_diagonal([1.0, 1.0, 2.0, 2.0, 3.0])
-    e5 = init_ensemble(pot5, GAUSSIAN_1_OVER_M, 3000, seed=17)
-    assert np.array_equal(step(e5, 0.02, workers=1).states, step(e5, 0.02, workers=4).states)
+    # chunks whose first normal sits inside a 4-word Philox block, n*d not a multiple of 4
+    for diag in ([1.0], [1.0, 2.0], [1.0, 1.5, 2.0], [1.0, 1.0, 2.0, 2.0, 3.0]):
+        pot_d = quadratic_diagonal(diag)
+        e_d = init_ensemble(pot_d, GAUSSIAN_1_OVER_M, 999, seed=17)
+        assert e_d.states.size % 4 != 0
+        serial = step(e_d, 0.02, workers=1)
+        for w in (2, 3, 7):
+            assert any(lo * pot_d.d % 4 for lo, _ in chain_mod._chunks(999, pot_d.d, w))
+            assert np.array_equal(serial.states, step(e_d, 0.02, workers=w).states)
+
+
+def test_small_ensembles_step_serially():
+    per = chain_mod._MIN_NORMALS_PER_WORKER
+    assert chain_mod._chunks(20_000, 2, 2) == [(0, 20_000)]
+    assert chain_mod._chunks(per, 2, 4) == [(0, per // 2), (per // 2, per)]
+    assert len(chain_mod._chunks(10 * per, 1, 7)) == 7
+
+
+def test_normals_follow_the_flat_counter_layout():
+    # normal k of a slot is word k % 4 of Philox block k // 4, whatever the chunk start
+    seed, step_index = 2024, 3
+    words = Philox(key=np.array([seed, 0], dtype=np.uint64), counter=[0, 0, step_index, 1]).random_raw(60)
+    expected = ndtri((words >> np.uint64(11)) * 2.0**-53 + 2.0**-54)
+    for d in (1, 2, 3, 5):
+        for lo in (0, 1, 3):
+            out = np.empty((12 // d, d))
+            chain_mod._normals(seed, 1, step_index, lo, out)
+            assert np.array_equal(out.ravel(), expected[lo * d : lo * d + out.size])
+
+
+# The first normals of the (seed 7, step purpose, step 0) slot. A change here
+# changes every chain trajectory: record it in CHANGES.md and the version.
+PINNED_NORMALS = [
+    0.9642330218869046,
+    -0.37544192414676675,
+    -1.3677451595258556,
+    -0.014956299987362011,
+    0.5645243563367279,
+]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_normal_stream_is_pinned(d):
+    out = np.empty((5, d))
+    chain_mod._normals(7, 1, 0, 0, out)
+    assert out.ravel()[:5].tolist() == PINNED_NORMALS
+
+
+def test_seed_range():
+    pot = quadratic_diagonal([1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no integer-cast warning at either end
+        low = init_ensemble(pot, GAUSSIAN_1_OVER_M, 4, seed=0)
+        high = init_ensemble(pot, GAUSSIAN_1_OVER_M, 4, seed=2**64 - 1)
+        stepped = step(high, 0.1)
+    assert high.seed == 2**64 - 1
+    assert not np.array_equal(low.states, high.states)
+    assert np.all(np.isfinite(stepped.states))
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            init_ensemble(pot, GAUSSIAN_1_OVER_M, 4, seed=bad)
 
 
 def test_threads_env_only_affects_speed(monkeypatch):
+    monkeypatch.setattr(chain_mod, "_MIN_NORMALS_PER_WORKER", 1)
     pot = quadratic_diagonal([1.0, 2.0])
     e = init_ensemble(pot, GAUSSIAN_1_OVER_M, 4096, seed=11)
     base = step(e, 0.01).states

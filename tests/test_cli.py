@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -275,3 +278,47 @@ def test_verify_unknown_suite_lists_choices(capsys):
         main(["verify", "nosuchsuite"])
     assert exc.value.code == 2
     assert "inequalities" in capsys.readouterr().err
+
+
+def test_run_huber_grid_default_init_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "huber_grid.ini"
+    cfg.write_text(
+        "[run]\nregime = weak\nepsilon = 0.2\nout_dir = " + str(tmp_path / "o") + "\n"
+        "[potential]\nkind = huber\ndelta = 1.0\n[oracles]\ngrid = true\n"
+        "[weak]\nc1 = 0.6\nc2 = 1.5\nh_prime = inf\nkl0 = 0.13\n"
+    )
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "explicit [init]" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_run_seed_outside_philox_key_range_is_config_error(tmp_path, capsys, seed):
+    cfg = tmp_path / "seed.ini"
+    cfg.write_text(STRONG_INI.format(out=tmp_path / "out").replace("seed = 7", f"seed = {seed}"))
+    assert main(["run", str(cfg)]) == 2
+    assert "[0, 2**64)" in capsys.readouterr().err
+    assert main(["verify", "contraction", "--seed", str(seed)]) == 2
+    assert "[0, 2**64)" in capsys.readouterr().err
+
+
+def test_run_accepts_both_ends_of_the_seed_range(tmp_path, capsys):
+    chains = []
+    for seed in (0, 2**64 - 1):
+        cfg = tmp_path / f"seed{seed}.ini"
+        out = tmp_path / f"out{seed}"
+        text = STRONG_INI.format(out=out).replace("seed = 7", f"seed = {seed}")
+        cfg.write_text(text.replace("n_chains = 2000", "n_chains = 200"))
+        assert main(["run", str(cfg)]) == 0
+        assert json.loads((out / "report.json").read_text())["seed"] == seed
+        chains.append((out / "chain.csv").read_bytes())
+    assert chains[0] != chains[1]
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    code = "import sys, langevin_kl.cli; print('scipy.integrate' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

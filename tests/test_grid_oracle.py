@@ -106,6 +106,38 @@ def test_ula_step_grid_monotonicity_guard():
         ula_step_grid(p, pot, 3.0)
 
 
+def test_ula_step_grid_memo_is_bit_exact_and_keyed_per_operator():
+    from scipy.special import ndtr
+
+    import langevin_kl.grid_oracle as grid_mod
+    from langevin_kl.potentials import grad_u
+
+    def fresh_step(p, pot, h):  # the step with nothing reused
+        c = p.centers
+        pos = (c - h * grad_u(pot, c[:, None]).ravel() - p.x_min) / p.dx - 0.5
+        j = np.clip(np.floor(pos).astype(int), 0, p.n - 2)
+        f = np.clip(pos - j, 0.0, 1.0)
+        pushed = np.bincount(j, weights=p.mass * (1.0 - f), minlength=p.n)
+        pushed += np.bincount(j + 1, weights=p.mass * f, minlength=p.n)
+        sd = math.sqrt(2.0 * h)
+        offs = np.arange(-math.ceil(8.0 * sd / p.dx), math.ceil(8.0 * sd / p.dx) + 1) * p.dx
+        kern = ndtr((offs + 0.5 * p.dx) / sd) - ndtr((offs - 0.5 * p.dx) / sd)
+        mixed = np.convolve(pushed, kern / kern.sum(), mode="same")
+        return mixed / mixed.sum()
+
+    p = discretize_gaussian(0.5, 2.0, -12.0, 12.0, 1024)
+    hub, other = huber(1.0), huber(0.5)
+    for pot, h in [(hub, 0.1), (other, 0.1), (hub, 0.05), (hub, 0.1)]:
+        q = p
+        for _ in range(3):
+            expected = fresh_step(q, pot, h)
+            q = ula_step_grid(q, pot, h)
+            assert np.array_equal(q.mass, expected)
+    for i in range(2 * grid_mod._STEP_MEMO_SIZE):
+        ula_step_grid(p, hub, 0.01 + 0.001 * i)
+    assert len(grid_mod._STEP_MEMO) == grid_mod._STEP_MEMO_SIZE
+
+
 def test_mass_conservation_per_step():
     pot = quadratic_diagonal([1.0])
     p = discretize_gaussian(0.0, 1.0, -8.0, 8.0, 4096)
