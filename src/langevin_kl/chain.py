@@ -21,6 +21,7 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
+from .metrics import se_of_mean
 from .planner import StepPlan
 from .potentials import Potential, grad_u
 
@@ -231,13 +232,11 @@ class TraceRow:
 
 def _trace_row(e: Ensemble) -> TraceRow:
     s = np.sum(e.states * e.states, axis=1)
-    n = s.size
-    se = float(s.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return TraceRow(
         step=e.step_index,
         second_moment=float(s.mean()),
         mean_norm=float(np.linalg.norm(e.states.mean(axis=0))),
-        second_moment_se=se,
+        second_moment_se=se_of_mean(s) if s.size > 1 else 0.0,
     )
 
 
@@ -260,18 +259,10 @@ def run(
     return cur, rows
 
 
-def trace_csv(rows: list[TraceRow], coupled_rms=None) -> str:
-    """Serialize trace rows to CSV, with an optional coupled-distance column.
-
-    coupled_rms, when given, is a sequence aligned with rows by position.
-    """
-    has_coupled = coupled_rms is not None
-    lines = ["step,second_moment,mean_norm" + (",coupled_rms" if has_coupled else "")]
-    for i, r in enumerate(rows):
-        line = f"{r.step},{r.second_moment!r},{r.mean_norm!r}"
-        if has_coupled:
-            line += f",{float(coupled_rms[i])!r}"
-        lines.append(line)
+def trace_csv(rows: list[TraceRow]) -> str:
+    """Serialize trace rows to CSV: step,second_moment,mean_norm."""
+    lines = ["step,second_moment,mean_norm"]
+    lines += [f"{r.step},{r.second_moment!r},{r.mean_norm!r}" for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -291,8 +282,7 @@ def _coupled_stats(ea: Ensemble, eb: Ensemble) -> tuple[float, float]:
     d2 = np.sum((ea.states - eb.states) ** 2, axis=1)
     m = float(d2.mean())
     r = math.sqrt(m)
-    n = d2.size
-    se = float(d2.std(ddof=1) / math.sqrt(n) / (2.0 * r)) if n > 1 and r > 0 else 0.0
+    se = se_of_mean(d2) / (2.0 * r) if d2.size > 1 and r > 0 else 0.0
     return r, se
 
 

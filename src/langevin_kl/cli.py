@@ -29,6 +29,7 @@ from .chain import (
     check_seed,
     coupled_run,
     init_ensemble,
+    run as run_chain,
     step,
     trace_csv,
 )
@@ -36,6 +37,7 @@ from .gaussian_oracle import (
     GaussianLaw,
     exact_flow_law,
     fisher_info_relative,
+    gaussian_1d,
     kl_gaussian,
     stationary_law,
     target_law,
@@ -57,6 +59,7 @@ from .grid_oracle import (
 from .metrics import summarize, z_scores_vs_oracle
 from .planner import (
     PlanningError,
+    StepPlan,
     WeakPlanInputs,
     kl_init_bound,
     plan_halving,
@@ -192,7 +195,7 @@ def load_config(path: str) -> RunConfig:
         elif kind == "quadratic-full":
             params["matrix"] = _matrix(pot.get("matrix"))
         elif kind == "huber":
-            params["delta"] = pot.getfloat("delta")
+            params["delta"] = float(pot["delta"])
             params["dim"] = pot.getint("dim", fallback=1)
         else:
             raise ConfigError(f"unknown potential kind {kind!r}")
@@ -206,7 +209,6 @@ def load_config(path: str) -> RunConfig:
             init_params["x"] = _floats(init.get("x"))
         elif init_kind != GAUSSIAN_1_OVER_M:
             raise ConfigError(f"unknown init kind {init_kind!r}")
-        oracles = cp["oracles"] if cp.has_section("oracles") else {}
         weak = dict(cp["weak"]) if cp.has_section("weak") else {}
         cfg = RunConfig(
             regime=regime,
@@ -219,28 +221,14 @@ def load_config(path: str) -> RunConfig:
             potential_params=params,
             init_kind=init_kind,
             init_params=init_params,
-            gaussian_oracle=(
-                oracles.getboolean("gaussian", fallback=False)
-                if hasattr(oracles, "getboolean")
-                else False
-            ),
-            grid_oracle=(
-                oracles.getboolean("grid", fallback=False)
-                if hasattr(oracles, "getboolean")
-                else False
-            ),
-            grid_x_min=oracles.getfloat("grid_x_min", fallback=None)
-            if hasattr(oracles, "getfloat")
-            else None,
-            grid_x_max=oracles.getfloat("grid_x_max", fallback=None)
-            if hasattr(oracles, "getfloat")
-            else None,
-            grid_n=oracles.getint("grid_n", fallback=4096) if hasattr(oracles, "getint") else 4096,
+            gaussian_oracle=cp.getboolean("oracles", "gaussian", fallback=False),
+            grid_oracle=cp.getboolean("oracles", "grid", fallback=False),
+            grid_x_min=cp.getfloat("oracles", "grid_x_min", fallback=None),
+            grid_x_max=cp.getfloat("oracles", "grid_x_max", fallback=None),
+            grid_n=cp.getint("oracles", "grid_n", fallback=4096),
             grid_max_steps=run.getint("grid_max_steps", fallback=100_000),
             weak=weak,
-            halving_kl0=cp["halving"].getfloat("kl0", fallback=None)
-            if cp.has_section("halving")
-            else None,
+            halving_kl0=cp.getfloat("halving", "kl0", fallback=None),
             raw={s: dict(cp[s]) for s in cp.sections()},
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -271,16 +259,6 @@ def _build_init(cfg: RunConfig):
     return PointInit(x=np.asarray(cfg.init_params["x"], dtype=float))
 
 
-def _init_law(init, pot) -> GaussianLaw:
-    if isinstance(init, str) and init == GAUSSIAN_1_OVER_M:
-        if not pot.m > 0:
-            raise ConfigError("gaussian_1_over_m init needs m > 0")
-        return GaussianLaw(np.zeros(pot.d), np.eye(pot.d) / pot.m)
-    if isinstance(init, GaussianInit):
-        return GaussianLaw(np.asarray(init.mean, dtype=float), np.diag(np.asarray(init.cov_diag, dtype=float)))
-    raise ConfigError("the gaussian oracle needs a gaussian init (point laws are degenerate)")
-
-
 def _weak_value(weak: dict, key: str):
     v = weak.get(key, "estimate").strip()
     if v == "estimate":
@@ -293,6 +271,24 @@ def _weak_value(weak: dict, key: str):
 # ---------------------------------------------------------------------------
 # run execution
 
+# the claim each run verdict checks, by verdict name
+_CLAIMS = {
+    "kl_init_bound": "KL(N(0, I/m), p*) <= d*L/m",
+    "strong_kl_final": "final KL(p_k, p*) <= epsilon under the planned schedule",
+    "halving_kl_final": "final KL(p_k, p*) <= epsilon under the planned schedule",
+    "halving_stage_targets": "KL <= kl0/2^(j+1) at the end of every halving stage",
+    "tv_target": "TV(p_k, p*) <= sqrt(epsilon)",
+    "w2_target": "W2(p_k, p*) <= sqrt(2*epsilon/m)",
+    "second_moment_bound": "law second moment <= 4d/m at every step",
+    "second_moment_bound_empirical": "ensemble second moment <= 4d/m + 5 SE at every recorded step",
+    "w2_stationary_contraction": "W2(p_k, pi_h) is non-increasing in k",
+    "sampler_matches_oracle": "final ensemble moments within 5 SE of the exact law",
+    "weak_kl_final": "final grid KL(p_k, p*) <= epsilon",
+    "grid_kl_final": "final grid KL(p_k, p*) <= epsilon",
+    "kl_decreasing": "grid KL to p* decreases along the recorded run",
+    "weak_second_moment_bound": "grid second moment <= 4*(C1^2 + C2^2) along the run",
+}
+
 
 @dataclass
 class Verdict:
@@ -302,8 +298,8 @@ class Verdict:
     passed: bool
 
 
-def _verdict(name: str, claim: str, margin: float, tol: float = MARGIN_TOL) -> Verdict:
-    return Verdict(name=name, claim=claim, margin=float(margin), passed=bool(margin >= tol))
+def _verdict(name: str, margin: float, tol: float = MARGIN_TOL) -> Verdict:
+    return Verdict(name=name, claim=_CLAIMS[name], margin=float(margin), passed=bool(margin >= tol))
 
 
 def _fmt_row(values) -> str:
@@ -321,317 +317,276 @@ def _json_safe(obj):
     return obj
 
 
-def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
-    pot = construct_potential(cfg.potential_kind, **cfg.potential_params)
-    init = _build_init(cfg)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
-        report, ok = _execute_inner(cfg, pot, init, out_dir, written)
-    except BaseException:
-        for f in written:
-            f.unlink(missing_ok=True)
-        raise
-    return report, ok
+def _empirical_margin(bound: float, rows) -> float:
+    """Worst of bound + 5 SE - ensemble second moment over trace rows."""
+    return min(bound + 5.0 * r.second_moment_se - r.second_moment for r in rows)
 
 
-def _execute_inner(cfg, pot, init, out_dir, written):
-    resolved: dict = {}
-    verdicts: list[Verdict] = []
+# A tracker follows one exact oracle law alongside the chain: it holds the
+# law, its worst per-step margins and its recorded rows, and judges its own
+# claims at the end. The oracles never read the chain, so between two record
+# points the chain takes its n steps and then each tracker advances n steps;
+# every object runs the same sequence of operations as in lockstep.
 
-    A = None
-    law = None
-    gauss_target = None
-    if cfg.gaussian_oracle:
+
+class _GaussianTracker:
+    """Exact law on a quadratic target: rows of KL, W2, Fisher and second moment.
+
+    Per step it keeps the worst margin of the second moment against 4d/m and
+    of W2 contraction towards pi_h.
+    """
+
+    csv = ("gaussian_csv", "gaussian.csv", "step,kl,w2,fisher,second_moment")
+
+    def __init__(self, pot, init):
         if pot.kind == "quadratic-diagonal":
-            A = np.diag(pot.diag)
+            self.A = np.diag(pot.diag)
         elif pot.kind == "quadratic-full":
-            A = pot.matrix
+            self.A = pot.matrix
         else:
             raise ConfigError("the gaussian oracle supports quadratic potentials only")
-        law = _init_law(init, pot)
-        gauss_target = target_law(A)
+        if isinstance(init, str):
+            self.law = GaussianLaw(np.zeros(pot.d), np.eye(pot.d) / pot.m)
+        elif isinstance(init, GaussianInit):
+            self.law = GaussianLaw(init.mean, init.cov_diag)  # a 1-D cov is read as a diagonal
+        else:
+            raise ConfigError("the gaussian oracle needs a gaussian init (point laws are degenerate)")
+        self.pot = pot
+        self.init = init
+        self.target = target_law(self.A)
+        self.bound = 4.0 * pot.d / pot.m
+        self.h = None
+        self.sm_worst = math.inf  # margin vs 4d/m along the law trajectory
+        self.w2_worst = math.inf  # most negative allowed increase of W2 to pi_h
+        self.rows = []
 
-    if isinstance(init, str) and not pot.m > 0:
-        raise ConfigError(
-            f"the default {GAUSSIAN_1_OVER_M} init needs m > 0 and {pot.kind} has m = {pot.m}; "
-            "set an explicit [init] (kind = gaussian or point)"
-        )
+    def advance(self, h: float, steps: int) -> None:
+        if h != self.h:  # a new stage contracts towards the pi_h of its stepsize
+            self.h = h
+            self.pi_h = stationary_law(self.A, h)
+            self.w2_prev = w2_gaussian(self.law, self.pi_h)
+        for _ in range(steps):
+            self.law = ula_step_law(self.law, self.A, h)
+            self.sm_worst = min(self.sm_worst, self.bound - self.law.second_moment)
+            w2_now = w2_gaussian(self.law, self.pi_h)
+            self.w2_worst = min(self.w2_worst, self.w2_prev - w2_now)
+            self.w2_prev = w2_now
 
-    grid = None
-    grid_target = None
-    gx = None
-    if cfg.grid_oracle:
-        if pot.d != 1:
-            raise ConfigError("the grid oracle supports d = 1 only")
-        lo, hi, n = default_grid(pot)
-        gx = (
-            cfg.grid_x_min if cfg.grid_x_min is not None else lo,
-            cfg.grid_x_max if cfg.grid_x_max is not None else hi,
-            cfg.grid_n or n,
-        )
-        grid_target = target_density_grid(pot, *gx)
-        grid_init = init if not isinstance(init, str) else GaussianInit(
-            mean=np.zeros(1), cov_diag=np.full(1, 1.0 / pot.m)
-        )
-        grid = discretize_law(grid_init, *gx)
-
-    # resolve plans
-    if cfg.regime == "strong":
-        plans = [plan_strong(pot.m, pot.L, pot.d, cfg.epsilon)]
-    elif cfg.regime == "halving":
-        kl0 = cfg.halving_kl0 if cfg.halving_kl0 is not None else kl_init_bound(pot.m, pot.L, pot.d)
-        resolved["halving_kl0"] = kl0
-        plans = plan_halving(pot.m, pot.L, pot.d, cfg.epsilon, kl0)
-    else:
-        if grid is None:
-            need = [k for k in ("c1", "c2", "h_prime", "kl0") if _weak_value(cfg.weak, k) == "estimate"]
-            if need:
-                raise ConfigError(f"weak inputs {need} say 'estimate' but the grid oracle is off")
-        c1 = _weak_value(cfg.weak, "c1")
-        if c1 == "estimate":
-            c1 = w2_grid_1d(grid, grid_target)
-        c2 = _weak_value(cfg.weak, "c2")
-        if c2 == "estimate":
-            c2 = math.sqrt(second_moment_grid(grid_target))
-        kl0 = _weak_value(cfg.weak, "kl0")
-        if kl0 == "estimate":
-            kl0 = kl_grid(grid, grid_target)
-        h_prime = _weak_value(cfg.weak, "h_prime")
-        if h_prime == "estimate":
-            h_prime = estimate_h_prime(pot, c1, *gx)
-        resolved.update({"c1": c1, "c2": c2, "h_prime": h_prime, "kl0": kl0})
-        plans = [plan_weak(WeakPlanInputs(c1=c1, c2=c2, h_prime=h_prime, kl0=kl0), pot.L, pot.d, cfg.epsilon)]
-
-    ens = init_ensemble(pot, init, cfg.n_chains, cfg.seed)
-    bound_4dm = 4.0 * pot.d / pot.m if pot.m > 0 else math.inf
-
-    chain_rows = []
-    gauss_rows = []
-    grid_rows = []
-    stage_kls = []
-
-    def record(step_idx: int):
-        s = summarize(ens)
-        chain_rows.append(
-            TraceRow(
-                step=step_idx,
-                second_moment=s.second_moment,
-                mean_norm=float(np.linalg.norm(s.mean)),
-                second_moment_se=s.second_moment_se,
-            )
-        )
-        if law is not None:
-            sm = float(np.trace(law.cov) + law.mean @ law.mean)
-            gauss_rows.append(
-                (
-                    step_idx,
-                    kl_gaussian(law, gauss_target),
-                    w2_gaussian(law, gauss_target),
-                    fisher_info_relative(law, A),
-                    sm,
-                )
-            )
-        if grid is not None:
-            grid_rows.append(
-                (
-                    step_idx,
-                    kl_grid(grid, grid_target),
-                    tv_grid(grid, grid_target),
-                    w2_grid_1d(grid, grid_target),
-                    second_moment_grid(grid),
-                )
-            )
-
-    record(0)
-    if law is not None and isinstance(init, str) and pot.m > 0:
-        kl0_exact = kl_gaussian(law, gauss_target)
-        verdicts.append(
-            _verdict(
-                "kl_init_bound",
-                "KL(N(0, I/m), p*) <= d*L/m",
-                kl_init_bound(pot.m, pot.L, pot.d) - kl0_exact,
+    def row(self, step_idx: int) -> None:
+        law, tgt = self.law, self.target
+        self.rows.append(
+            (
+                step_idx,
+                kl_gaussian(law, tgt),
+                w2_gaussian(law, tgt),
+                fisher_info_relative(law, self.A),
+                law.second_moment,
             )
         )
 
-    oracle_sm_worst = math.inf  # margin vs 4d/m along the law trajectory
-    w2_contract_worst = math.inf  # most negative allowed increase of W2 to pi_h
-    global_step = 0
-    # with the grid oracle in lockstep the whole run is capped at grid_max_steps
-    budget = cfg.grid_max_steps if grid is not None else None
-    for plan in plans:
-        k_eff = plan.k if budget is None else min(plan.k, budget - global_step)
-        if k_eff <= 0:
-            resolved["steps_capped_at"] = budget
-            break
-        if k_eff < plan.k:
-            resolved["steps_capped_at"] = budget
-        pi_h = stationary_law(A, plan.h) if law is not None else None
-        w2_prev = w2_gaussian(law, pi_h) if law is not None else None
-        for i in range(k_eff):
-            ens = step(ens, plan.h)
-            if law is not None:
-                law = ula_step_law(law, A, plan.h)
-                sm = float(np.trace(law.cov) + law.mean @ law.mean)
-                oracle_sm_worst = min(oracle_sm_worst, bound_4dm - sm)
-                w2_now = w2_gaussian(law, pi_h)
-                w2_contract_worst = min(w2_contract_worst, w2_prev - w2_now)
-                w2_prev = w2_now
-            if grid is not None:
-                grid = ula_step_grid(grid, pot, plan.h)
-            global_step += 1
-            if global_step % cfg.record_every == 0 or i == k_eff - 1:
-                record(global_step)
-        if law is not None:
-            stage_kls.append((plan.epsilon, kl_gaussian(law, gauss_target)))
-
-    # verdicts
-    if law is not None:
-        kl_final = kl_gaussian(law, gauss_target)
-        target_eps = plans[-1].epsilon if plans else cfg.epsilon
+    def verdicts(self, cfg, plans, resolved, stages, chain_rows, ens) -> list[Verdict]:
+        pot = self.pot
+        _, kl_final, w2_final, _, _ = self.rows[-1]  # the last row is taken at the final law
+        eps = plans[-1].epsilon if plans else cfg.epsilon
+        verdicts = []
+        if isinstance(self.init, str):
+            verdicts.append(_verdict("kl_init_bound", kl_init_bound(pot.m, pot.L, pot.d) - self.rows[0][1]))
         name = "strong_kl_final" if cfg.regime != "halving" else "halving_kl_final"
-        verdicts.append(
-            _verdict(name, "final KL(p_k, p*) <= epsilon under the planned schedule", target_eps - kl_final)
-        )
-        if cfg.regime == "halving" and stage_kls:
-            verdicts.append(
-                _verdict(
-                    "halving_stage_targets",
-                    "KL <= kl0/2^(j+1) at the end of every halving stage",
-                    min(eps_j - kl_j for eps_j, kl_j in stage_kls),
-                )
-            )
+        verdicts.append(_verdict(name, eps - kl_final))
+        if cfg.regime == "halving" and stages:
+            kl_at = {r[0]: r[1] for r in self.rows}
+            verdicts.append(_verdict("halving_stage_targets", min(e - kl_at[s] for e, s in stages)))
         if pot.d == 1:
-            verdicts.append(
-                _verdict(
-                    "tv_target",
-                    "TV(p_k, p*) <= sqrt(epsilon)",
-                    math.sqrt(target_eps) - tv_gaussian_1d(law, gauss_target),
-                )
-            )
-        if pot.m > 0:
-            verdicts.append(
-                _verdict(
-                    "w2_target",
-                    "W2(p_k, p*) <= sqrt(2*epsilon/m)",
-                    math.sqrt(2.0 * target_eps / pot.m) - w2_gaussian(law, gauss_target),
-                )
-            )
-            verdicts.append(
-                _verdict(
-                    "second_moment_bound",
-                    "law second moment <= 4d/m at every step",
-                    oracle_sm_worst,
-                )
-            )
-            emp_margin = min(
-                bound_4dm + 5.0 * r.second_moment_se - r.second_moment for r in chain_rows
-            )
-            verdicts.append(
-                _verdict(
-                    "second_moment_bound_empirical",
-                    "ensemble second moment <= 4d/m + 5 SE at every recorded step",
-                    emp_margin,
-                )
-            )
-        verdicts.append(
-            _verdict(
-                "w2_stationary_contraction",
-                "W2(p_k, pi_h) is non-increasing in k",
-                w2_contract_worst,
-                tol=-1e-12,
-            )
-        )
-        zs = z_scores_vs_oracle(summarize(ens), law)
+            verdicts.append(_verdict("tv_target", math.sqrt(eps) - tv_gaussian_1d(self.law, self.target)))
+        zs = z_scores_vs_oracle(summarize(ens), self.law)
         zmax = max(
             float(np.max(np.abs(zs["mean"]))),
             float(np.max(np.abs(zs["cov"]))),
             abs(zs["second_moment"]),
         )
-        verdicts.append(
-            _verdict(
-                "sampler_matches_oracle",
-                "final ensemble moments within 5 SE of the exact law",
-                5.0 - zmax,
-            )
+        return verdicts + [
+            _verdict("w2_target", math.sqrt(2.0 * eps / pot.m) - w2_final),
+            _verdict("second_moment_bound", self.sm_worst),
+            _verdict("second_moment_bound_empirical", _empirical_margin(self.bound, chain_rows)),
+            _verdict("w2_stationary_contraction", self.w2_worst, tol=-1e-12),
+            _verdict("sampler_matches_oracle", 5.0 - zmax),
+        ]
+
+
+class _GridTracker:
+    """Cell masses of the law of a 1-D chain: rows of KL, TV, W2 and second moment."""
+
+    csv = ("grid_csv", "grid.csv", "step,kl,tv,w2,second_moment")
+
+    def __init__(self, cfg, pot, init):
+        if pot.d != 1:
+            raise ConfigError("the grid oracle supports d = 1 only")
+        lo, hi, n = default_grid(pot)
+        self.box = (
+            cfg.grid_x_min if cfg.grid_x_min is not None else lo,
+            cfg.grid_x_max if cfg.grid_x_max is not None else hi,
+            cfg.grid_n or n,
+        )
+        self.target = target_density_grid(pot, *self.box)
+        if isinstance(init, str):
+            init = GaussianInit(mean=np.zeros(1), cov_diag=np.full(1, 1.0 / pot.m))
+        self.p = discretize_law(init, *self.box)
+        self.pot = pot
+        self.rows = []
+
+    def advance(self, h: float, steps: int) -> None:
+        for _ in range(steps):
+            self.p = ula_step_grid(self.p, self.pot, h)
+
+    def row(self, step_idx: int) -> None:
+        p, tgt = self.p, self.target
+        self.rows.append(
+            (step_idx, kl_grid(p, tgt), tv_grid(p, tgt), w2_grid_1d(p, tgt), second_moment_grid(p))
         )
 
-    if grid is not None:
-        kls = [r[1] for r in grid_rows]
-        verdicts.append(
-            _verdict(
-                "weak_kl_final" if cfg.regime == "weak" else "grid_kl_final",
-                "final grid KL(p_k, p*) <= epsilon",
-                cfg.epsilon - kls[-1],
-            )
-        )
+    def verdicts(self, cfg, plans, resolved, stages, chain_rows, ens) -> list[Verdict]:
+        kls = [r[1] for r in self.rows]
         diffs = np.diff(kls)
-        verdicts.append(
-            _verdict(
-                "kl_decreasing",
-                "grid KL to p* decreases along the recorded run",
-                float(-diffs.max()) if diffs.size else 0.0,
-                tol=-1e-12,
-            )
-        )
+        verdicts = [
+            _verdict("weak_kl_final" if cfg.regime == "weak" else "grid_kl_final", cfg.epsilon - kls[-1]),
+            _verdict("kl_decreasing", float(-diffs.max()) if diffs.size else 0.0, tol=-1e-12),
+        ]
         if cfg.regime == "weak":
             c1, c2 = resolved["c1"], resolved["c2"]
             cap = 4.0 * (c1 * c1 + c2 * c2)
-            verdicts.append(
-                _verdict(
-                    "weak_second_moment_bound",
-                    "grid second moment <= 4*(C1^2 + C2^2) along the run",
-                    min(cap - r[4] for r in grid_rows),
-                )
+            verdicts.append(_verdict("weak_second_moment_bound", min(cap - r[4] for r in self.rows)))
+        return verdicts
+
+
+def _resolve_plans(cfg: RunConfig, pot, grid: _GridTracker | None, resolved: dict) -> list:
+    """The run's stage plans; inputs the program chose go into resolved."""
+    if cfg.regime == "strong":
+        return [plan_strong(pot.m, pot.L, pot.d, cfg.epsilon)]
+    if cfg.regime == "halving":
+        kl0 = cfg.halving_kl0 if cfg.halving_kl0 is not None else kl_init_bound(pot.m, pot.L, pot.d)
+        resolved["halving_kl0"] = kl0
+        return plan_halving(pot.m, pot.L, pot.d, cfg.epsilon, kl0)
+    if grid is None:
+        need = [k for k in ("c1", "c2", "h_prime", "kl0") if _weak_value(cfg.weak, k) == "estimate"]
+        if need:
+            raise ConfigError(f"weak inputs {need} say 'estimate' but the grid oracle is off")
+    c1 = _weak_value(cfg.weak, "c1")
+    if c1 == "estimate":
+        c1 = w2_grid_1d(grid.p, grid.target)
+    c2 = _weak_value(cfg.weak, "c2")
+    if c2 == "estimate":
+        c2 = math.sqrt(second_moment_grid(grid.target))
+    kl0 = _weak_value(cfg.weak, "kl0")
+    if kl0 == "estimate":
+        kl0 = kl_grid(grid.p, grid.target)
+    h_prime = _weak_value(cfg.weak, "h_prime")
+    if h_prime == "estimate":
+        h_prime = estimate_h_prime(pot, c1, *grid.box)
+    resolved.update({"c1": c1, "c2": c2, "h_prime": h_prime, "kl0": kl0})
+    return [plan_weak(WeakPlanInputs(c1=c1, c2=c2, h_prime=h_prime, kl0=kl0), pot.L, pot.d, cfg.epsilon)]
+
+
+def _chain_row(ens) -> TraceRow:
+    s = summarize(ens)
+    return TraceRow(
+        step=ens.step_index,
+        second_moment=s.second_moment,
+        mean_norm=float(np.linalg.norm(s.mean)),
+        second_moment_se=s.second_moment_se,
+    )
+
+
+def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
+    """Plan, set up the trackers, step to every record point, judge, write."""
+    try:
+        # values the grammar lets through but the library rejects (a negative
+        # Huber delta, an init of the wrong length, a grid of 4 cells) are config errors
+        pot = construct_potential(cfg.potential_kind, **cfg.potential_params)
+        init = _build_init(cfg)
+        trackers = [_GaussianTracker(pot, init)] if cfg.gaussian_oracle else []
+        if isinstance(init, str) and not pot.m > 0:
+            raise ConfigError(
+                f"the default {GAUSSIAN_1_OVER_M} init needs m > 0 and {pot.kind} has m = {pot.m}; "
+                "set an explicit [init] (kind = gaussian or point)"
             )
+        ens = init_ensemble(pot, init, cfg.n_chains, cfg.seed)
+        grid = _GridTracker(cfg, pot, init) if cfg.grid_oracle else None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    resolved: dict = {}
+    plans = _resolve_plans(cfg, pot, grid, resolved)
+    if grid is not None:
+        trackers.append(grid)
 
-    # persist
-    def write_csv(name: str, header: str, rows, cols) -> str:
-        path = out_dir / name
-        with path.open("w") as fh:
-            fh.write(header + "\n")
-            for r in rows:
-                fh.write(_fmt_row([r[i] for i in cols]) + "\n")
+    chain_rows = [_chain_row(ens)]
+    for t in trackers:
+        t.row(0)
+    stages = []  # (epsilon, last step) of every stage that ran
+    done = 0
+    # with the grid oracle in lockstep the whole run is capped at grid_max_steps
+    budget = cfg.grid_max_steps if cfg.grid_oracle else None
+    for plan in plans:
+        k = plan.k if budget is None else min(plan.k, budget - done)
+        if k < plan.k:
+            resolved["steps_capped_at"] = budget
+        if k <= 0:
+            break
+        end = done + k
+        while done < end:
+            # up to the next multiple of record_every, or to the end of the stage
+            n = min(end, (done // cfg.record_every + 1) * cfg.record_every) - done
+            for _ in range(n):
+                ens = step(ens, plan.h)
+            for t in trackers:
+                t.advance(plan.h, n)
+            done += n
+            chain_rows.append(_chain_row(ens))
+            for t in trackers:
+                t.row(done)
+        stages.append((plan.epsilon, done))
+
+    verdicts = [v for t in trackers for v in t.verdicts(cfg, plans, resolved, stages, chain_rows, ens)]
+
+    written: list[Path] = []
+    try:
+        chain_path = out_dir / "chain.csv"
+        chain_path.write_text(trace_csv(chain_rows))
+        written.append(chain_path)
+        outputs = {"chain_csv": str(chain_path)}
+        for t in trackers:
+            key, name, header = t.csv
+            path = out_dir / name
+            with path.open("w") as fh:
+                fh.write(header + "\n")
+                for r in t.rows:
+                    fh.write(_fmt_row(r) + "\n")
+            written.append(path)
+            outputs[key] = str(path)
+        report = {
+            "version": __version__,
+            "seed": cfg.seed,
+            "config": cfg.raw,
+            "potential": {"kind": pot.kind, "m": pot.m, "L": pot.L, "d": pot.d},
+            "plan": [_plan_dict(p) for p in plans],
+            "resolved": resolved,
+            "verdicts": [vars(v) for v in verdicts],
+            "outputs": outputs,
+        }
+        path = out_dir / "report.json"
+        path.write_text(json.dumps(_json_safe(report), sort_keys=True, indent=2, allow_nan=False) + "\n")
         written.append(path)
-        return str(path)
-
-    chain_path = out_dir / "chain.csv"
-    chain_path.write_text(trace_csv(chain_rows))
-    written.append(chain_path)
-    outputs = {"chain_csv": str(chain_path)}
-    if gauss_rows:
-        outputs["gaussian_csv"] = write_csv(
-            "gaussian.csv", "step,kl,w2,fisher,second_moment", gauss_rows, (0, 1, 2, 3, 4)
-        )
-    if grid_rows:
-        outputs["grid_csv"] = write_csv(
-            "grid.csv", "step,kl,tv,w2,second_moment", grid_rows, (0, 1, 2, 3, 4)
-        )
-
-    report = {
-        "version": __version__,
-        "seed": cfg.seed,
-        "config": cfg.raw,
-        "potential": {"kind": pot.kind, "m": pot.m, "L": pot.L, "d": pot.d},
-        "plan": [_plan_dict(p) for p in plans],
-        "resolved": resolved,
-        "verdicts": [vars(v) for v in verdicts],
-        "outputs": outputs,
-    }
-    path = out_dir / "report.json"
-    path.write_text(json.dumps(_json_safe(report), sort_keys=True, indent=2, allow_nan=False) + "\n")
-    written.append(path)
+    except BaseException:
+        for f in written:
+            f.unlink(missing_ok=True)
+        raise
     return report, all(v.passed for v in verdicts)
 
 
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         report, ok = execute_run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -648,12 +603,6 @@ def cmd_run(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verify suites
-
-
-def _rand_law_1d(rng) -> GaussianLaw:
-    return GaussianLaw(
-        np.array([rng.normal(0.0, 2.0)]), np.array([[float(rng.uniform(0.3, 4.0))]])
-    )
 
 
 def _rand_spd(rng, d: int) -> np.ndarray:
@@ -674,42 +623,26 @@ def _suite_inequalities(seed: int):
 
     worst = math.inf
     for _ in range(100):
-        p, q = _rand_law_1d(rng), _rand_law_1d(rng)
+        p = gaussian_1d(rng.normal(0.0, 2.0), rng.uniform(0.3, 4.0))
+        q = gaussian_1d(rng.normal(0.0, 2.0), rng.uniform(0.3, 4.0))
         worst = min(worst, math.sqrt(kl_gaussian(p, q) / 2.0) - tv_gaussian_1d(p, q))
     checks.append(("pinsker_tv_le_sqrt_kl_half", worst))
 
-    worst = math.inf
+    # the Talagrand, log-Sobolev and weak-convexity bounds share each draw
+    talagrand = log_sobolev = weak = math.inf
     for _ in range(100):
         d = int(rng.integers(1, 4))
         A = _rand_spd(rng, d)
         m = float(np.linalg.eigvalsh(A)[0])
         p = _rand_law(rng, d)
         tgt = target_law(A)
-        worst = min(worst, (2.0 / m) * kl_gaussian(p, tgt) - w2_gaussian(p, tgt) ** 2)
-    checks.append(("talagrand_w2sq_le_2kl_over_m", worst))
-
-    worst = math.inf
-    for _ in range(100):
-        d = int(rng.integers(1, 4))
-        A = _rand_spd(rng, d)
-        m = float(np.linalg.eigvalsh(A)[0])
-        p = _rand_law(rng, d)
-        worst = min(
-            worst, fisher_info_relative(p, A) / (2.0 * m) - kl_gaussian(p, target_law(A))
-        )
-    checks.append(("log_sobolev_kl_le_fisher_over_2m", worst))
-
-    worst = math.inf
-    for _ in range(100):
-        d = int(rng.integers(1, 4))
-        A = _rand_spd(rng, d)
-        p = _rand_law(rng, d)
-        tgt = target_law(A)
-        worst = min(
-            worst,
-            math.sqrt(fisher_info_relative(p, A)) * w2_gaussian(p, tgt) - kl_gaussian(p, tgt),
-        )
-    checks.append(("convex_kl_le_sqrt_fisher_times_w2", worst))
+        kl, w2, fisher = kl_gaussian(p, tgt), w2_gaussian(p, tgt), fisher_info_relative(p, A)
+        talagrand = min(talagrand, (2.0 / m) * kl - w2**2)
+        log_sobolev = min(log_sobolev, fisher / (2.0 * m) - kl)
+        weak = min(weak, math.sqrt(fisher) * w2 - kl)
+    checks.append(("talagrand_w2sq_le_2kl_over_m", talagrand))
+    checks.append(("log_sobolev_kl_le_fisher_over_2m", log_sobolev))
+    checks.append(("convex_kl_le_sqrt_fisher_times_w2", weak))
 
     worst = math.inf
     delta = 1e-5
@@ -771,40 +704,22 @@ def _suite_contraction(seed: int):
     margins = tr.rms[:-1] + 5.0 * tr.se[:-1] - tr.rms[1:]
     checks.append(("coupled_huber_nonincreasing_5se", float(margins.min())))
 
-    A = np.diag([1.0, 2.0])
-    law = GaussianLaw(np.zeros(2), np.eye(2))
-    pi_h = stationary_law(A, 0.01)
-    prev = w2_gaussian(law, pi_h)
-    worst = math.inf
-    for _ in range(300):
-        law = ula_step_law(law, A, 0.01)
-        now = w2_gaussian(law, pi_h)
-        worst = min(worst, prev - now + 1e-12)
-        prev = now
-    checks.append(("oracle_w2_to_stationary_nonincreasing", worst))
+    gauss = _GaussianTracker(construct_potential("quadratic-diagonal", diag=[1.0, 2.0]), GAUSSIAN_1_OVER_M)
+    gauss.advance(0.01, 300)
+    checks.append(("oracle_w2_to_stationary_nonincreasing", gauss.w2_worst + 1e-12))
     return checks
 
 
 def _suite_moments(seed: int):
     checks = []
     pot = construct_potential("quadratic-diagonal", diag=[1.0, 2.0])
-    A = np.diag(pot.diag)
-    bound = 4.0 * pot.d / pot.m
-    law = GaussianLaw(np.zeros(2), np.eye(2))
-    worst = math.inf
-    for _ in range(400):
-        law = ula_step_law(law, A, 0.01)
-        worst = min(worst, bound - float(np.trace(law.cov) + law.mean @ law.mean))
-    checks.append(("oracle_second_moment_le_4d_over_m", worst))
+    gauss = _GaussianTracker(pot, GAUSSIAN_1_OVER_M)
+    gauss.advance(0.01, 400)
+    checks.append(("oracle_second_moment_le_4d_over_m", gauss.sm_worst))
 
     ens = init_ensemble(pot, GAUSSIAN_1_OVER_M, 4000, seed)
-    worst = math.inf
-    for _ in range(300):
-        ens = step(ens, 0.01)
-        s = np.sum(ens.states * ens.states, axis=1)
-        se = float(s.std(ddof=1) / math.sqrt(s.size))
-        worst = min(worst, bound + 5.0 * se - float(s.mean()))
-    checks.append(("empirical_second_moment_le_4d_over_m_5se", worst))
+    _, rows = run_chain(ens, StepPlan(h=0.01, k=300, epsilon=1.0, regime="strong"), record_every=1)
+    checks.append(("empirical_second_moment_le_4d_over_m_5se", _empirical_margin(gauss.bound, rows[1:])))
 
     rep = validate_constants(pot, 200, seed)
     checks.append(("potential_constants_hold", -rep.max_violation))

@@ -65,6 +65,11 @@ class GaussianLaw:
     def d(self) -> int:
         return self.mean.size
 
+    @property
+    def second_moment(self) -> float:
+        """E|X|^2 = tr(cov) + |mean|^2."""
+        return float(np.trace(self.cov) + self.mean @ self.mean)
+
 
 def gaussian_1d(mean: float, var: float) -> GaussianLaw:
     return GaussianLaw(np.array([float(mean)]), np.array([[float(var)]]))

@@ -257,6 +257,8 @@ def target_density_grid(pot: Potential, x_min: float, x_max: float, n: int) -> G
     """
     if pot.d != 1:
         raise ValueError(f"grid oracle is 1-D only, potential has d={pot.d}")
+    if not x_max > x_min:
+        raise ValueError(f"need x_max > x_min, got [{x_min}, {x_max}]")
     dx = (x_max - x_min) / n
     c = x_min + (np.arange(n) + 0.5) * dx
     u = u_value(pot, c[:, None])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import langevin_kl as lk
+from langevin_kl.cli import SUITES
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -120,18 +121,8 @@ def test_a4_sampler_matches_oracle():
 
 
 def test_a5_oracle_equivalence():
-    pot = lk.quadratic_diagonal([1.0])
-    A = np.array([[1.0]])
-    grid = lk.discretize_gaussian(0.0, 1.0, -8.0, 8.0, 4096)
-    law = lk.GaussianLaw([0.0], [[1.0]])
-    tgt_grid = lk.target_density_grid(pot, -8.0, 8.0, 4096)
-    tgt_law = lk.target_law(A)
-    worst = 0.0
-    for _ in range(50):
-        grid = lk.ula_step_grid(grid, pot, 0.1)
-        law = lk.ula_step_law(law, A, 0.1)
-        worst = max(worst, abs(lk.kl_grid(grid, tgt_grid) - lk.kl_gaussian(law, tgt_law)))
-    _report("A5 grid vs gaussian oracle", worst <= 1e-3, f"max |dKL| = {worst:.3e} <= 1e-3")
+    [(_, margin)] = SUITES["oracle-equivalence"](0)  # 1e-3 minus the worst |dKL|
+    _report("A5 grid vs gaussian oracle", margin >= 0.0, f"max |dKL| = {1e-3 - margin:.3e} <= 1e-3")
 
 
 def test_a6_weak_convexity_properties():
@@ -176,65 +167,15 @@ def test_a6_weak_convexity_properties():
 
 
 def test_a7_inequality_suites():
-    rng = np.random.default_rng(20240807)
-
-    def rand_spd(d):
-        w = rng.uniform(0.3, 3.0, size=d)
-        if d == 1:
-            return np.array([[w[0]]])
-        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        return (q * w) @ q.T
-
-    def rand_law(d):
-        return lk.GaussianLaw(rng.normal(0.0, 1.0, size=d), rand_spd(d))
-
-    margins = {"pinsker": math.inf, "talagrand": math.inf, "log_sobolev": math.inf, "weak": math.inf}
-    for _ in range(100):
-        p = lk.gaussian_1d(rng.normal(0, 2), rng.uniform(0.3, 4.0))
-        q = lk.gaussian_1d(rng.normal(0, 2), rng.uniform(0.3, 4.0))
-        margins["pinsker"] = min(
-            margins["pinsker"], math.sqrt(lk.kl_gaussian(p, q) / 2.0) - lk.tv_gaussian_1d(p, q)
-        )
-    for _ in range(100):
-        d = int(rng.integers(1, 4))
-        A = rand_spd(d)
-        m = float(np.linalg.eigvalsh(A)[0])
-        p = rand_law(d)
-        tgt = lk.target_law(A)
-        kl = lk.kl_gaussian(p, tgt)
-        margins["talagrand"] = min(
-            margins["talagrand"], (2.0 / m) * kl - lk.w2_gaussian(p, tgt) ** 2
-        )
-        margins["log_sobolev"] = min(
-            margins["log_sobolev"], lk.fisher_info_relative(p, A) / (2.0 * m) - kl
-        )
-        margins["weak"] = min(
-            margins["weak"],
-            math.sqrt(lk.fisher_info_relative(p, A)) * lk.w2_gaussian(p, tgt) - kl,
-        )
-
-    dis = math.inf
-    delta = 1e-5
-    for _ in range(20):
-        d = int(rng.integers(1, 4))
-        A = np.diag(rng.uniform(0.3, 3.0, size=d))
-        init = lk.GaussianLaw(rng.uniform(-2, 2, size=d), np.diag(rng.uniform(0.4, 3.0, size=d)))
-        t = float(rng.uniform(0.05, 1.0))
-        tgt = lk.target_law(A)
-        dkl = (
-            lk.kl_gaussian(lk.exact_flow_law(A, init, t + delta), tgt)
-            - lk.kl_gaussian(lk.exact_flow_law(A, init, t - delta), tgt)
-        ) / (2.0 * delta)
-        fisher = lk.fisher_info_relative(lk.exact_flow_law(A, init, t), A)
-        dis = min(dis, 1e-3 - abs(dkl + fisher) / fisher)
-
+    margins = dict(SUITES["inequalities"](20240807))
     for name, label in [
-        ("pinsker", "A7 Pinsker tv <= sqrt(kl/2)"),
-        ("talagrand", "A7 Talagrand-type w2^2 <= 2kl/m"),
-        ("log_sobolev", "A7 log-Sobolev-type kl <= fisher/2m"),
-        ("weak", "A7 weak bound kl <= sqrt(fisher) w2"),
+        ("pinsker_tv_le_sqrt_kl_half", "A7 Pinsker tv <= sqrt(kl/2)"),
+        ("talagrand_w2sq_le_2kl_over_m", "A7 Talagrand-type w2^2 <= 2kl/m"),
+        ("log_sobolev_kl_le_fisher_over_2m", "A7 log-Sobolev-type kl <= fisher/2m"),
+        ("convex_kl_le_sqrt_fisher_times_w2", "A7 weak bound kl <= sqrt(fisher) w2"),
     ]:
         _report(label, margins[name] >= -1e-9, f"min margin {margins[name]:.3e}")
+    dis = margins["dissipation_dkl_dt_eq_minus_fisher"]
     _report("A7 dissipation identity", dis >= -1e-9, f"min relative margin {dis:.3e}")
 
 

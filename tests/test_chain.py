@@ -224,8 +224,6 @@ def test_trace_csv_format():
     lines = text.splitlines()
     assert lines[0] == "step,second_moment,mean_norm"
     assert len(lines) == len(rows) + 1
-    with_coupled = chain_mod.trace_csv(rows, coupled_rms=[0.0] * len(rows))
-    assert with_coupled.splitlines()[0] == "step,second_moment,mean_norm,coupled_rms"
 
 
 def test_coupled_identical_inits_stay_identical():

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -7,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from langevin_kl.cli import main
+from langevin_kl import cli
+from langevin_kl.cli import SUITES, main
 
 STRONG_INI = """
 [run]
@@ -255,19 +258,42 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
     assert report["plan"][0]["regime"] == "weak"
 
 
-def test_run_bad_config_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("", "config error"),  # no potential section
+        ("[potential]\nkind = huber\ndelta = -1\n[init]\nkind = point\nx = 0\n", "delta must be positive"),
+        ("[potential]\nkind = quadratic-diagonal\ndiag = -1, 2\n", "entries must be positive"),
+        (
+            "[potential]\nkind = quadratic-diagonal\ndiag = 1, 2\n"
+            "[init]\nkind = gaussian\nmean = 0, 0, 0\ncov_diag = 1, 1\n",
+            "do not match d=2",
+        ),
+        ("[potential]\nkind = quadratic-diagonal\ndiag = 1\n[oracles]\ngrid = true\ngrid_n = 4\n", "8 cells"),
+        (
+            "[potential]\nkind = quadratic-diagonal\ndiag = 1\n"
+            "[oracles]\ngrid = true\ngrid_x_min = 5\ngrid_x_max = -5\n",
+            "need x_max > x_min",
+        ),
+    ],
+    ids=["no-potential", "huber-delta", "negative-diag", "init-mean-length", "grid-n", "grid-bounds"],
+)
+def test_run_bad_config_is_usage_error(tmp_path, capsys, body, message):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[run]\nepsilon = 0.5\n")  # no potential section
+    cfg.write_text(f"[run]\nepsilon = 0.5\nn_chains = 20\nout_dir = {tmp_path / 'o'}\n" + body)
     assert main(["run", str(cfg)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert "Traceback" not in err
 
 
 def test_run_missing_file_is_usage_error(capsys):
     assert main(["run", "/nonexistent/nope.ini"]) == 2
 
 
-def test_verify_inequalities_passes(capsys):
-    assert main(["verify", "inequalities", "--seed", "1"]) == 0
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_suite_passes(capsys, suite):
+    assert main(["verify", suite, "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "worst margin" in out
@@ -322,3 +348,35 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def _probe_boundaries():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
+    spec = importlib.util.spec_from_file_location("perfbench_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    return probe.BOUNDARIES
+
+
+def test_benchmark_hooks_resolve():
+    """The benchmark wraps each (caller, name) boundary where the caller module references it."""
+    for caller, name, _ in _probe_boundaries():
+        assert hasattr(importlib.import_module(f"langevin_kl.{caller}"), name), (caller, name)
+
+
+def test_run_steps_through_the_cli_step_name(tmp_path, monkeypatch, capsys):
+    """Every ULA step of a run goes through cli.step, where the benchmark times it."""
+    calls = []
+    original = cli.step
+
+    def counting_step(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "step", counting_step)
+    cfg = tmp_path / "strong.ini"
+    out = tmp_path / "out"
+    cfg.write_text(STRONG_INI.format(out=out))
+    assert main(["run", str(cfg)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert len(calls) == sum(p["k"] for p in report["plan"])
