@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -105,6 +106,27 @@ def check_seed(seed) -> int:
     return seed
 
 
+# one Philox per thread, re-keyed for every slot: building a generator costs
+# more than setting its state, and seeds itself from OS entropy first
+_GENERATORS = threading.local()
+
+
+def _philox(key: np.ndarray, counter: np.ndarray) -> Philox:
+    """This thread's Philox, set to the start of (key, counter) with an empty buffer."""
+    bg = getattr(_GENERATORS, "philox", None)
+    if bg is None:
+        bg = _GENERATORS.philox = Philox(key=key)
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # the buffer is empty: the next word comes from block `counter`
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bg
+
+
 def _normals(seed: int, purpose: int, step: int, lo: int, out: np.ndarray) -> None:
     """Write the standard normals of chains [lo, lo + len(out)) into out, shape (chains, d).
 
@@ -119,8 +141,8 @@ def _normals(seed: int, purpose: int, step: int, lo: int, out: np.ndarray) -> No
     k0 = lo * out.shape[1]
     skip = k0 % 4
     key = np.array([seed, 0], dtype=np.uint64)
-    bg = Philox(key=key, counter=[k0 // 4, 0, step, purpose])
-    raw = bg.random_raw(skip + flat.size)[skip:]
+    counter = np.array([k0 // 4, 0, step, purpose], dtype=np.uint64)
+    raw = _philox(key, counter).random_raw(skip + flat.size)[skip:]
     raw >>= np.uint64(11)
     # (raw >> 11) * 2^-53 + 2^-54 lies strictly inside (0, 1), so ndtri stays finite
     np.multiply(raw, 2.0**-53, out=flat)

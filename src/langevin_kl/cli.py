@@ -209,7 +209,8 @@ def load_config(path: str) -> RunConfig:
             init_params["x"] = _floats(init.get("x"))
         elif init_kind != GAUSSIAN_1_OVER_M:
             raise ConfigError(f"unknown init kind {init_kind!r}")
-        weak = dict(cp["weak"]) if cp.has_section("weak") else {}
+        weak_text = cp["weak"] if cp.has_section("weak") else {}
+        weak = {key: _weak_value(weak_text.get(key, "estimate"), key) for key in _WEAK_INPUTS}
         cfg = RunConfig(
             regime=regime,
             epsilon=run.getfloat("epsilon"),
@@ -241,6 +242,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("run.n_chains must be >= 2")
     if cfg.record_every < 1:
         raise ConfigError("run.record_every must be >= 1")
+    if cfg.grid_n < 8:
+        raise ConfigError(f"oracles.grid_n must be at least 8 cells, got {cfg.grid_n}")
     try:
         check_seed(cfg.seed)
     except ValueError as exc:
@@ -259,13 +262,20 @@ def _build_init(cfg: RunConfig):
     return PointInit(x=np.asarray(cfg.init_params["x"], dtype=float))
 
 
-def _weak_value(weak: dict, key: str):
-    v = weak.get(key, "estimate").strip()
+_WEAK_INPUTS = ("c1", "c2", "h_prime", "kl0")
+
+
+def _weak_value(text: str, key: str):
+    """A [weak] input: "estimate", math.inf for "inf", or a float."""
+    v = text.strip()
     if v == "estimate":
         return "estimate"
     if v == "inf":
         return math.inf
-    return float(v)
+    try:
+        return float(v)
+    except ValueError:
+        raise ConfigError(f"weak.{key} must be a number, inf or estimate, got {v!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +424,22 @@ class _GaussianTracker:
 
 
 class _GridTracker:
-    """Cell masses of the law of a 1-D chain: rows of KL, TV, W2 and second moment."""
+    """Cell masses of the law of a 1-D chain: rows of KL, TV, W2 and second moment.
+
+    Its error budget sums the mass each step renormalised away and keeps the
+    largest mass a boundary cell held.
+    """
 
     csv = ("grid_csv", "grid.csv", "step,kl,tv,w2,second_moment")
 
     def __init__(self, cfg, pot, init):
         if pot.d != 1:
             raise ConfigError("the grid oracle supports d = 1 only")
-        lo, hi, n = default_grid(pot)
+        lo, hi, _ = default_grid(pot)
         self.box = (
             cfg.grid_x_min if cfg.grid_x_min is not None else lo,
             cfg.grid_x_max if cfg.grid_x_max is not None else hi,
-            cfg.grid_n or n,
+            cfg.grid_n,
         )
         self.target = target_density_grid(pot, *self.box)
         if isinstance(init, str):
@@ -433,10 +447,18 @@ class _GridTracker:
         self.p = discretize_law(init, *self.box)
         self.pot = pot
         self.rows = []
+        self.drift = 0.0  # sum of |renorm_drift| over the steps
+        self.boundary = max(self.p.mass[0], self.p.mass[-1])  # over every law held
 
     def advance(self, h: float, steps: int) -> None:
         for _ in range(steps):
             self.p = ula_step_grid(self.p, self.pot, h)
+            self.drift += abs(self.p.renorm_drift)
+            self.boundary = max(self.boundary, self.p.mass[0], self.p.mass[-1])
+
+    def error_budget(self) -> dict:
+        """The numerical error the grid law built up: mass renormalised away and boundary-cell mass."""
+        return {"renorm_drift_abs_sum": self.drift, "boundary_mass_max": float(self.boundary)}
 
     def row(self, step_idx: int) -> None:
         p, tgt = self.p, self.target
@@ -467,19 +489,19 @@ def _resolve_plans(cfg: RunConfig, pot, grid: _GridTracker | None, resolved: dic
         resolved["halving_kl0"] = kl0
         return plan_halving(pot.m, pot.L, pot.d, cfg.epsilon, kl0)
     if grid is None:
-        need = [k for k in ("c1", "c2", "h_prime", "kl0") if _weak_value(cfg.weak, k) == "estimate"]
+        need = [k for k in _WEAK_INPUTS if cfg.weak.get(k, "estimate") == "estimate"]
         if need:
             raise ConfigError(f"weak inputs {need} say 'estimate' but the grid oracle is off")
-    c1 = _weak_value(cfg.weak, "c1")
+    c1 = cfg.weak.get("c1", "estimate")
     if c1 == "estimate":
         c1 = w2_grid_1d(grid.p, grid.target)
-    c2 = _weak_value(cfg.weak, "c2")
+    c2 = cfg.weak.get("c2", "estimate")
     if c2 == "estimate":
         c2 = math.sqrt(second_moment_grid(grid.target))
-    kl0 = _weak_value(cfg.weak, "kl0")
+    kl0 = cfg.weak.get("kl0", "estimate")
     if kl0 == "estimate":
         kl0 = kl_grid(grid.p, grid.target)
-    h_prime = _weak_value(cfg.weak, "h_prime")
+    h_prime = cfg.weak.get("h_prime", "estimate")
     if h_prime == "estimate":
         h_prime = estimate_h_prime(pot, c1, *grid.box)
     resolved.update({"c1": c1, "c2": c2, "h_prime": h_prime, "kl0": kl0})
@@ -574,6 +596,8 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
             "verdicts": [vars(v) for v in verdicts],
             "outputs": outputs,
         }
+        if grid is not None:
+            report["grid_error_budget"] = grid.error_budget()
         path = out_dir / "report.json"
         path.write_text(json.dumps(_json_safe(report), sort_keys=True, indent=2, allow_nan=False) + "\n")
         written.append(path)

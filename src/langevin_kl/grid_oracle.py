@@ -14,6 +14,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr
 
 from .chain import GaussianInit, PointInit
@@ -181,6 +182,27 @@ def discretize_law(init, x_min: float, x_max: float, n: int) -> GridDensity:
     raise TypeError(f"unsupported init spec {init!r}")
 
 
+# side B of the square slabs the noise convolution is cut into: a narrow
+# kernel multiplies few zero entries, a wide one takes few matrix products
+_BLOCK = 32
+
+
+def _toeplitz_slabs(kern: np.ndarray) -> np.ndarray:
+    """The band of the convolution matrix of kern, cut into Q = ceil((B + K - 1) / B) slabs of B x B.
+
+    Slab q carries input block b + q of the zero-padded cells into output
+    block b: entry (u, r) is kern[K - 1 - (q*B + u - r)] where that index
+    lies in the kernel, else 0. Row t = q*B + u is therefore the B-long
+    window of the zero-padded kernel that starts at K - 1 - t, and the slabs
+    are gathered in one pass, with no temporary of their size.
+    """
+    k = kern.size
+    q_count = -(-(_BLOCK + k - 1) // _BLOCK)
+    padded = np.concatenate([np.zeros(2 * _BLOCK), kern, np.zeros(2 * _BLOCK)])
+    rows = sliding_window_view(padded, _BLOCK)[2 * _BLOCK + k - 1 - np.arange(q_count * _BLOCK)]
+    return rows.reshape(q_count, _BLOCK, _BLOCK)
+
+
 @dataclass(frozen=True)
 class _StepOperator:
     """The parts of one grid ULA step that depend only on (grid, potential, h)."""
@@ -190,7 +212,25 @@ class _StepOperator:
     j1: np.ndarray
     f: np.ndarray  # fraction of each center's mass moved to cell j + 1
     g: np.ndarray  # 1 - f
-    kern: np.ndarray  # N(0, 2h) noise binned over cells
+    kern: np.ndarray  # N(0, 2h) noise binned over cells, K = 2*half + 1 taps
+    slabs: np.ndarray  # _toeplitz_slabs(kern), shape (Q, B, B)
+
+    def convolve(self, x: np.ndarray) -> np.ndarray:
+        """np.convolve(x, kern, mode="same") as Q matrix products on contiguous views of padded x.
+
+        Every term is a product of non-negative numbers when x is, so no cell
+        loses relative precision; the sums run in another order than
+        np.convolve's, so cells differ from it at rounding level.
+        """
+        n, q_count = x.size, self.slabs.shape[0]
+        nb = -(-n // _BLOCK)
+        pad = np.zeros((nb + q_count - 1) * _BLOCK)
+        half = self.kern.size // 2
+        pad[half : half + n] = x
+        mixed = pad[: nb * _BLOCK].reshape(nb, _BLOCK) @ self.slabs[0]
+        for q in range(1, q_count):
+            mixed += pad[q * _BLOCK : (q + nb) * _BLOCK].reshape(nb, _BLOCK) @ self.slabs[q]
+        return mixed.reshape(-1)[:n]
 
 
 # the few most recent operators; a step reuses its operator, and a search over
@@ -220,7 +260,7 @@ def _step_operator(p: GridDensity, pot: Potential, h: float) -> _StepOperator:
     offs = np.arange(-half, half + 1) * p.dx
     kern = ndtr((offs + 0.5 * p.dx) / sd) - ndtr((offs - 0.5 * p.dx) / sd)
     kern /= kern.sum()
-    op = _StepOperator(pot, j, j + 1, f, 1.0 - f, kern)
+    op = _StepOperator(pot, j, j + 1, f, 1.0 - f, kern, _toeplitz_slabs(kern))
     with _STEP_MEMO_LOCK:
         _STEP_MEMO.pop(key, None)
         if len(_STEP_MEMO) >= _STEP_MEMO_SIZE:
@@ -234,7 +274,8 @@ def ula_step_grid(p: GridDensity, pot: Potential, h: float) -> GridDensity:
 
     Mass is pushed through T(x) = x - h U'(x) by conservative linear cell
     splitting, then convolved with the step's N(0, 2h) noise binned over cells
-    and truncated at 8 standard deviations. T must be monotone on the grid,
+    and truncated at 8 standard deviations, as a blocked matrix product with
+    the convolution's banded Toeplitz matrix. T must be monotone on the grid,
     which h <= 1/L guarantees. Everything but the mass is computed once per
     (grid, potential, h) and reused by later steps.
     """
@@ -245,8 +286,7 @@ def ula_step_grid(p: GridDensity, pot: Potential, h: float) -> GridDensity:
     op = _step_operator(p, pot, float(h))
     pushed = np.bincount(op.j, weights=p.mass * op.g, minlength=p.n)
     pushed += np.bincount(op.j1, weights=p.mass * op.f, minlength=p.n)
-    mixed = np.convolve(pushed, op.kern, mode="same")
-    return _normalized(p.x_min, p.x_max, p.n, mixed)
+    return _normalized(p.x_min, p.x_max, p.n, op.convolve(pushed))
 
 
 def target_density_grid(pot: Potential, x_min: float, x_max: float, n: int) -> GridDensity:

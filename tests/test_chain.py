@@ -1,5 +1,7 @@
 import math
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -129,6 +131,48 @@ def test_normals_follow_the_flat_counter_layout():
             out = np.empty((12 // d, d))
             chain_mod._normals(seed, 1, step_index, lo, out)
             assert np.array_equal(out.ravel(), expected[lo * d : lo * d + out.size])
+
+
+def test_reused_generator_reads_the_words_of_a_fresh_one():
+    # each thread re-points one Philox per slot; no word buffered for an
+    # earlier slot (21 words leave 3 of a block behind) may leak into the next
+    slots = [(2024, 1, 3, 0, (7, 3)), (5, 0, 0, 1, (3, 2)), (2**64 - 1, 1, 9, 5, (11, 1))]
+    slots.append((2024, 1, 3, 1, (7, 3)))  # the first slot from the second chain on
+
+    def fresh(seed, purpose, step_index, lo, shape):
+        k0 = lo * shape[1]
+        bg = Philox(key=np.array([seed, 0], dtype=np.uint64), counter=[k0 // 4, 0, step_index, purpose])
+        words = bg.random_raw(k0 % 4 + shape[0] * shape[1])[k0 % 4 :]
+        return ndtri((words >> np.uint64(11)) * 2.0**-53 + 2.0**-54).reshape(shape)
+
+    def draw_all():
+        for seed, purpose, step_index, lo, shape in slots + slots[::-1]:
+            out = np.empty(shape)
+            chain_mod._normals(seed, purpose, step_index, lo, out)
+            assert np.array_equal(out, fresh(seed, purpose, step_index, lo, shape))
+        return chain_mod._GENERATORS.philox
+
+    main_gen = draw_all()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker_gen = pool.submit(draw_all).result(timeout=60)
+    assert worker_gen is not main_gen
+    assert draw_all() is main_gen
+
+
+def test_serial_steps_build_one_generator(monkeypatch):
+    built = []
+
+    def counting_philox(*args, **kwargs):
+        built.append(kwargs)
+        return Philox(*args, **kwargs)
+
+    monkeypatch.setattr(chain_mod, "Philox", counting_philox)
+    monkeypatch.setattr(chain_mod, "_GENERATORS", threading.local())  # this thread has none yet
+    pot = quadratic_diagonal([1.0, 2.0])
+    e = init_ensemble(pot, GAUSSIAN_1_OVER_M, 200, seed=8)
+    for _ in range(10):
+        e = step(e, 0.01)
+    assert len(built) == 1
 
 
 # The first normals of the (seed 7, step purpose, step 0) slot. A change here

@@ -162,6 +162,9 @@ def test_run_weak_records_estimated_h_prime(tmp_path, capsys):
     assert verdicts["weak_kl_final"] is True
     assert verdicts["weak_second_moment_bound"] is True
     assert (out / "grid.csv").read_text().splitlines()[0] == "step,kl,tv,w2,second_moment"
+    budget = report["grid_error_budget"]
+    assert 0.0 < budget["renorm_drift_abs_sum"] < 1e-9
+    assert 0.0 <= budget["boundary_mass_max"] < 1e-9
 
 
 def test_run_halving_checks_stage_targets(tmp_path, capsys):
@@ -275,8 +278,31 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
             "[oracles]\ngrid = true\ngrid_x_min = 5\ngrid_x_max = -5\n",
             "need x_max > x_min",
         ),
+        *[
+            (
+                "[potential]\nkind = quadratic-diagonal\ndiag = 1\n"
+                f"[oracles]\ngrid = true\ngrid_n = {n}\n",
+                "8 cells",
+            )
+            for n in (0, -5, 3)
+        ],
+        (
+            "[potential]\nkind = huber\ndelta = 1\n[init]\nkind = point\nx = 0\n[weak]\nc1 = abc\n",
+            "weak.c1 must be a number",
+        ),
     ],
-    ids=["no-potential", "huber-delta", "negative-diag", "init-mean-length", "grid-n", "grid-bounds"],
+    ids=[
+        "no-potential",
+        "huber-delta",
+        "negative-diag",
+        "init-mean-length",
+        "grid-n",
+        "grid-bounds",
+        "grid-n-0",
+        "grid-n-negative",
+        "grid-n-3",
+        "weak-not-a-number",
+    ],
 )
 def test_run_bad_config_is_usage_error(tmp_path, capsys, body, message):
     cfg = tmp_path / "bad.ini"
@@ -285,6 +311,7 @@ def test_run_bad_config_is_usage_error(tmp_path, capsys, body, message):
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()  # rejected before anything is written
 
 
 def test_run_missing_file_is_usage_error(capsys):

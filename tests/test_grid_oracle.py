@@ -122,7 +122,20 @@ def test_ula_step_grid_memo_is_bit_exact_and_keyed_per_operator():
         sd = math.sqrt(2.0 * h)
         offs = np.arange(-math.ceil(8.0 * sd / p.dx), math.ceil(8.0 * sd / p.dx) + 1) * p.dx
         kern = ndtr((offs + 0.5 * p.dx) / sd) - ndtr((offs - 0.5 * p.dx) / sd)
-        mixed = np.convolve(pushed, kern / kern.sum(), mode="same")
+        kern /= kern.sum()
+        # the convolution's band built column by column: row i of a block's
+        # window of padded cells feeds its output cell r with kern[K - 1 - (i - r)]
+        B, K = grid_mod._BLOCK, kern.size
+        nb, q_count = -(-p.n // B), -(-(B + K - 1) // B)
+        band = np.zeros((q_count * B, B))
+        for r in range(B):
+            band[r : r + K, r] = kern[::-1]
+        pad = np.zeros((nb + q_count - 1) * B)
+        pad[K // 2 : K // 2 + p.n] = pushed
+        mixed = pad[: nb * B].reshape(nb, B) @ band[:B]
+        for q in range(1, q_count):
+            mixed += pad[q * B : (q + nb) * B].reshape(nb, B) @ band[q * B : (q + 1) * B]
+        mixed = mixed.ravel()[: p.n]
         return mixed / mixed.sum()
 
     p = discretize_gaussian(0.5, 2.0, -12.0, 12.0, 1024)
@@ -137,6 +150,29 @@ def test_ula_step_grid_memo_is_bit_exact_and_keyed_per_operator():
         ula_step_grid(p, hub, 0.01 + 0.001 * i)
     assert len(grid_mod._STEP_MEMO) == grid_mod._STEP_MEMO_SIZE
 
+
+@pytest.mark.parametrize(
+    "pot, lo, hi, n, h, taps",
+    [
+        (huber(1.0), -24.0, 24.0, 4096, 0.00144, 75),  # the huber-weak-grid run's kernel
+        (huber(1.0), -24.0, 24.0, 4096, 1.0, 1933),  # estimate_h_prime's first, widest kernel
+        (quadratic_diagonal([1.0]), -8.0, 8.0, 1000, 1e-4, 17),  # narrow, n not a multiple of 32
+        (quadratic_diagonal([1.0]), -8.0, 8.0, 1000, 0.49, 991),  # nearly as wide as the grid
+    ],
+)
+def test_blocked_convolution_matches_np_convolve(pot, lo, hi, n, h, taps):
+    import langevin_kl.grid_oracle as grid_mod
+
+    op = grid_mod._step_operator(discretize_gaussian(0.0, 1.0, lo, hi, n), pot, h)
+    assert op.kern.size == taps
+    rng = np.random.default_rng(taps)
+    # non-negative cells over 30 decades, with an empty stretch at each end
+    x = rng.uniform(size=n) * 10.0 ** rng.uniform(-30.0, 0.0, size=n)
+    x[: n // 10] = 0.0
+    x[-n // 7 :] = 0.0
+    got = op.convolve(x)
+    assert got.shape == (n,)
+    np.testing.assert_allclose(got, np.convolve(x, op.kern, mode="same"), rtol=1e-13, atol=0.0)
 
 def test_mass_conservation_per_step():
     pot = quadratic_diagonal([1.0])
