@@ -1,3 +1,4 @@
+import gc
 import importlib
 import importlib.util
 import json
@@ -7,10 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from langevin_kl import cli
+from langevin_kl.chain import GAUSSIAN_1_OVER_M, GaussianInit
 from langevin_kl.cli import SUITES, main
+from langevin_kl.gaussian_oracle import GaussianLaw, stationary_law, w2_gaussian
+from langevin_kl.potentials import construct_potential
 
 STRONG_INI = """
 [run]
@@ -314,6 +319,22 @@ def test_run_bad_config_is_usage_error(tmp_path, capsys, body, message):
     assert not (tmp_path / "o").exists()  # rejected before anything is written
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[run]\nepsilon = 0.5\n[potential]\nkind = quadratic-diagonal\ndiag = 1\n[run]\nseed = 1\n",
+        "epsilon = 0.5\n[potential]\nkind = quadratic-diagonal\ndiag = 1\n",
+    ],
+    ids=["duplicate-section", "no-section-header"],
+)
+def test_run_unparsable_config_is_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid config") and "Traceback" not in err
+
+
 def test_run_missing_file_is_usage_error(capsys):
     assert main(["run", "/nonexistent/nope.ini"]) == 2
 
@@ -407,3 +428,83 @@ def test_run_steps_through_the_cli_step_name(tmp_path, monkeypatch, capsys):
     assert main(["run", str(cfg)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert len(calls) == sum(p["k"] for p in report["plan"])
+
+
+def test_run_advances_the_gaussian_oracle_once_per_record_interval(tmp_path, monkeypatch, capsys):
+    """One closed-form jump of the exact law per record interval, through cli.ula_step_law."""
+    calls = []
+    original = cli.ula_step_law
+
+    def counting(*args, **kwargs):
+        calls.append(args[3] if len(args) > 3 else kwargs.get("k", 1))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ula_step_law", counting)
+    cfg = tmp_path / "strong.ini"
+    out = tmp_path / "out"
+    cfg.write_text(STRONG_INI.format(out=out))
+    assert main(["run", str(cfg)]) == 0
+    rows = (out / "gaussian.csv").read_text().splitlines()[1:]
+    steps = [int(r.split(",")[0]) for r in rows]
+    assert calls == steps[1:]  # each call jumps from the stage start to the next record point
+
+
+def _tracker_by_recursion(A, mean, cov, bound, stages):
+    """The per-step margins the tracker keeps, from the matrix recursion one step at a time."""
+    d = A.shape[0]
+    sm_worst = w2_worst = math.inf
+    for h, k in stages:
+        pi_h = stationary_law(A, h)
+        prev = w2_gaussian(GaussianLaw(mean, cov), pi_h)
+        M = np.eye(d) - h * A
+        for _ in range(k):
+            mean = M @ mean
+            cov = M @ cov @ M.T + 2.0 * h * np.eye(d)
+            sm_worst = min(sm_worst, bound - (np.trace(cov) + mean @ mean))
+            now = w2_gaussian(GaussianLaw(mean, cov), pi_h)
+            w2_worst = min(w2_worst, prev - now)
+            prev = now
+    return sm_worst, w2_worst, mean, cov
+
+
+@pytest.mark.parametrize(
+    "kind, params, init, stages, every",
+    [
+        # the strong-d2 benchmark run: diag(1, 2) from N(0, I/m), 286 steps recorded every 100
+        ("quadratic-diagonal", {"diag": [1.0, 2.0]}, None, [(0.005859375, 286)], 100),
+        # three halving stages, recorded every 7
+        ("quadratic-diagonal", {"diag": [1.0, 2.0]}, None, [(0.02, 30), (0.01, 45), (0.005, 50)], 7),
+        # a rotated target from a non-isotropic init: the batched W2 path
+        (
+            "quadratic-full",
+            {"matrix": [[2.0, 0.5], [0.5, 1.0]]},
+            ([0.4, -0.3], [0.5, 1.8]),
+            [(0.02, 60), (0.01, 90)],
+            11,
+        ),
+    ],
+    ids=["strong-d2", "halving-stages", "rotated-anisotropic"],
+)
+def test_gaussian_tracker_matches_the_step_recursion(kind, params, init, stages, every):
+    pot = construct_potential(kind, **params)
+    spec = GAUSSIAN_1_OVER_M if init is None else GaussianInit(np.array(init[0]), np.array(init[1]))
+    tracker = cli._GaussianTracker(pot, spec)
+    law0 = tracker.law
+    for h, k in stages:
+        for lo in range(0, k, every):
+            tracker.advance(h, min(every, k - lo))
+    sm_worst, w2_worst, mean, cov = _tracker_by_recursion(
+        tracker.A, law0.mean, law0.cov, tracker.bound, stages
+    )
+    assert abs(tracker.sm_worst - sm_worst) <= 1e-12
+    assert abs(tracker.w2_worst - w2_worst) <= 1e-12
+    assert np.max(np.abs(tracker.law.mean - mean)) <= 1e-12 * np.max(np.abs(mean))  # exact 0 from N(0, I/m)
+    assert np.max(np.abs(tracker.law.cov - cov)) <= 1e-12 * np.max(np.abs(cov))
+
+
+def test_main_freezes_the_import_heap_once(capsys):
+    main(["plan", "--regime", "strong", "--m", "1", "--L", "2", "--d", "2", "--eps", "0.1"])
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    main(["plan", "--regime", "strong", "--m", "1", "--L", "2", "--d", "2", "--eps", "0.1"])
+    assert gc.get_freeze_count() == frozen

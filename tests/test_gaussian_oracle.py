@@ -14,6 +14,7 @@ from langevin_kl.gaussian_oracle import (
     stationary_law,
     target_law,
     tv_gaussian_1d,
+    ula_path_stats,
     ula_step_law,
     w2_gaussian,
 )
@@ -155,8 +156,23 @@ def test_exact_flow_law():
     assert late.cov[0, 0] == pytest.approx(1.0, abs=1e-12)
     mid = exact_flow_law(A, init, math.log(2.0) / 2.0)
     assert mid.cov[0, 0] == pytest.approx(1.5, abs=1e-14)
-    with pytest.raises(ValueError, match="diagonal"):
-        exact_flow_law(np.array([[1.0, 0.1], [0.1, 1.0]]), GaussianLaw(np.zeros(2), np.eye(2)), 1.0)
+
+
+def test_exact_flow_law_rotated_matches_diagonal_formula():
+    # a rotated pair (A, init) flows to the rotation of the coordinatewise
+    # solution 1/a + (v0 - 1/a) exp(-2at), exp(-at) mean
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        a = rng.uniform(0.3, 3.0, size=3)
+        m0 = rng.normal(size=3)
+        v0 = rng.uniform(0.2, 3.0, size=3)
+        t = float(rng.uniform(0.0, 2.0))
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        got = exact_flow_law((Q * a) @ Q.T, GaussianLaw(Q @ m0, (Q * v0) @ Q.T), t)
+        mean = Q @ (np.exp(-a * t) * m0)
+        cov = (Q * (1.0 / a + (v0 - 1.0 / a) * np.exp(-2.0 * a * t))) @ Q.T
+        assert np.allclose(got.mean, mean, rtol=0.0, atol=1e-13)
+        assert np.allclose(got.cov, cov, rtol=0.0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +331,143 @@ def test_kl_trajectory_from_target_rises_to_stationary_gap():
     assert traj[-1] > traj[0]
     gap = kl_gaussian(stationary_law(A, 0.01), target_law(A))
     assert traj[-1] <= gap + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# closed form against the step recursion
+#
+# The recursion mean' = M mean, cov' = M cov M^T + 2h I with M = I - hA is
+# written out here, independently of the package's eigenbasis form. It
+# carries its own rounding (about k*eps on the mean, eps/(h*lambda) on the
+# covariance), far below the 1e-12 the two are held to.
+
+
+def _recursion(law, A, h, k):
+    """(mean, cov) after 1, ..., k ULA steps, one matrix recursion step at a time."""
+    M = np.eye(law.d) - h * np.asarray(A, dtype=float)
+    mean, cov = law.mean, law.cov
+    for _ in range(k):
+        mean = M @ mean
+        cov = M @ cov @ M.T + 2.0 * h * np.eye(law.d)
+        yield mean, cov
+
+
+def _kl_to_target(mean, cov, A):
+    """KL(N(mean, cov) || N(0, A^-1)) without cancellation: x = eig(A^1/2 cov A^1/2) - 1."""
+    w, Q = np.linalg.eigh(A)
+    root = (Q * np.sqrt(w)) @ Q.T
+    x = np.linalg.eigvalsh(root @ cov @ root) - 1.0
+    am = root @ mean
+    return 0.5 * (float(np.sum(x - np.log1p(x))) + float(am @ am))
+
+
+def _close(got, want, rel=1e-12):
+    """Entries within rel of the largest entry of want (exact when want is 0)."""
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+# (A, init, h, k): the A1-A3 schedule plan_strong(1, 2, 2, 0.1) on diag(1, 2)
+# and A1b's plan_strong(1, 1, 1, 0.05), plus a rotated target with a
+# non-isotropic init. The inits keep the KL at 1e-4 or more: from A1's
+# N(0, I) the KL falls to 2e-7, where the recursion's own covariance
+# rounding moves it by up to 3e-12 relative.
+_SCHEDULES = {
+    "a1-a3": (np.diag([1.0, 2.0]), GaussianLaw([0.5, -1.0], [1.0, 1.0]), 7.8125e-4, 4722),
+    "a1b": (np.array([[1.0]]), gaussian_1d(0.5, 2.0), 0.003125, 959),
+    "rotated": (
+        np.array([[2.0, 0.5, 0.1], [0.5, 1.0, -0.3], [0.1, -0.3, 1.5]]),
+        GaussianLaw([0.3, -0.2, 0.6], [[1.4, 0.3, 0.0], [0.3, 0.6, 0.1], [0.0, 0.1, 2.0]]),
+        0.01,
+        300,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCHEDULES))
+def test_closed_form_matches_recursion(name):
+    A, law, h, k = _SCHEDULES[name]
+    kl = kl_trajectory(A, law, h, k)
+    second, w2 = ula_path_stats(law, A, h, k)
+    pi_h = stationary_law(A, h)
+    checked = 0
+    for j, (mean, cov) in enumerate(_recursion(law, A, h, k), start=1):
+        assert abs(kl[j] - _kl_to_target(mean, cov, A)) <= 1e-12 * kl[j]
+        assert abs(second[j - 1] - (np.trace(cov) + mean @ mean)) <= 1e-12 * second[j - 1]
+        assert abs(w2[j - 1] - w2_gaussian(GaussianLaw(mean, cov), pi_h)) <= 1e-12
+        if j % 97 == 0 or j == k:
+            closed = ula_step_law(law, A, h, j)
+            assert _close(closed.mean, mean)
+            assert _close(closed.cov, cov)
+            assert abs(kl[j] - _kl_to_target(closed.mean, closed.cov, A)) <= 1e-12 * kl[j]
+            checked += 1
+    assert checked == k // 97 + (k % 97 != 0)
+
+
+def test_rotated_init_takes_the_batched_w2_path():
+    # a non-isotropic covariance on a rotated A is not diagonal in A's eigenbasis
+    A, law, h, k = _SCHEDULES["rotated"]
+    w, Q = np.linalg.eigh(A)
+    assert np.abs(Q.T @ law.cov @ Q - np.diag(np.diagonal(Q.T @ law.cov @ Q))).max() > 0.1
+    _, w2 = ula_path_stats(law, A, h, k, first=k - 9)
+    assert w2.shape == (10,)
+    assert w2[-1] == pytest.approx(w2_gaussian(ula_step_law(law, A, h, k), stationary_law(A, h)), abs=1e-12)
+
+
+def test_diagonal_target_keeps_covariance_exactly_diagonal():
+    law = ula_step_law(GaussianLaw([1.0, -2.0, 0.5], [0.3, 2.0, 1.0]), np.diag([1.0, 3.0, 0.5]), 0.1, 250)
+    assert np.count_nonzero(law.cov - np.diag(np.diagonal(law.cov))) == 0
+
+
+def test_h_lambda_one_and_close_to_two():
+    # h*lambda = 1 annihilates that coordinate of the mean and puts its
+    # variance at v = 2/lambda in one step, exactly
+    A = np.diag([1.0, 4.0])
+    law = GaussianLaw([1.0, 3.0], [2.0, 5.0])
+    for k in (1, 2, 7):
+        out = ula_step_law(law, A, 0.25, k)
+        assert out.mean[1] == 0.0
+        assert out.cov[1, 1] == 0.5
+    # h*lambda = 1.99: r = -0.99 alternates the sign of the mean every step
+    A = np.array([[1.0, 0.2], [0.2, 0.5]])
+    h = 1.99 / float(np.linalg.eigvalsh(A)[-1])
+    law = GaussianLaw([1.0, -0.5], [[1.0, 0.2], [0.2, 0.7]])
+    for j, (mean, cov) in enumerate(_recursion(law, A, h, 60), start=1):
+        closed = ula_step_law(law, A, h, j)
+        assert _close(closed.mean, mean)
+        assert _close(closed.cov, cov)
+
+
+def test_halving_stages_compose_stage_by_stage():
+    A = np.diag([1.0, 2.0])
+    stages = [(0.05, 40), (0.025, 80), (0.0125, 160)]
+    law = GaussianLaw([0.5, -1.0], [1.0, 1.0])
+    mean, cov = law.mean, law.cov
+    for h, k in stages:
+        *_, (mean, cov) = _recursion(GaussianLaw(mean, cov), A, h, k)
+        law = ula_step_law(law, A, h, k)
+        assert _close(law.mean, mean)
+        assert _close(law.cov, cov)
+
+
+def test_zero_steps_and_bad_counts():
+    law = GaussianLaw([1.0], [2.0])
+    assert ula_step_law(law, np.array([[1.0]]), 0.1, 0) is law
+    with pytest.raises(ValueError, match="nonnegative"):
+        ula_step_law(law, np.array([[1.0]]), 0.1, -1)
+    with pytest.raises(ValueError, match="positive definite"):
+        ula_step_law(GaussianLaw(np.zeros(2), np.eye(2)), np.diag([1.0, -1.0]), 0.1)
+
+
+def test_matrix_changed_in_place_is_decomposed_again():
+    # the kept decomposition is keyed by the matrix contents, not the buffer
+    A = np.diag([1.0, 2.0])
+    law = GaussianLaw([1.0, 1.0], [1.0, 1.0])
+    before = ula_step_law(law, A, 0.1, 3)
+    A[1, 1] = 4.0
+    after = ula_step_law(law, A, 0.1, 3)
+    assert after.mean[1] == pytest.approx(0.6**3, rel=1e-14)
+    assert before.mean[1] == pytest.approx(0.8**3, rel=1e-14)
+    A[0, 1] = A[1, 0] = 0.5
+    rotated = ula_step_law(law, A, 0.1, 3)
+    M = np.eye(2) - 0.1 * A
+    assert np.allclose(rotated.mean, M @ M @ M @ law.mean, rtol=1e-14, atol=0.0)
