@@ -815,11 +815,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """The `langevin-kl` command line; returns the exit status.
+
+    Side effect: the first call in a process runs `gc.freeze()`, which moves
+    every object alive at that moment, the caller's included, out of reach of
+    the cyclic garbage collector for good. For the command line that is the
+    import-time heap (about 40k numpy/scipy objects), which then no collection
+    walks again, the final one at interpreter exit included. A program that
+    calls `main` in-process keeps alive any of its own objects that were alive
+    at the first call and later become cyclic garbage.
+    """
     import gc
 
-    # The import-time heap (about 40k numpy/scipy objects) lives as long as
-    # the process: frozen once, no collection walks it again, the final one
-    # at interpreter exit included.
     if gc.get_freeze_count() == 0:
         gc.freeze()
     args = _build_parser().parse_args(argv)

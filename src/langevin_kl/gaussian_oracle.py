@@ -108,33 +108,15 @@ def _is_diagonal(M: np.ndarray) -> bool:
 _CHUNK_ELEMS = 1 << 17  # floats per (steps x d) or (steps x d x d) block of a path
 
 
-# the last matrix _eig decomposed, by content: ((shape, bytes), w, Q)
-_LAST_EIG: tuple | None = None
-
-
 def _eig(A) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenvalues and eigenvectors of a symmetric positive-definite A (Q None if A is diagonal).
-
-    The result for the last matrix is kept (read-only), so callers that
-    pass one A again and again, such as a tracker's two calls per record
-    interval, decompose it once.
-    """
-    global _LAST_EIG
-    A = np.asarray(A, dtype=float)
-    key = (A.shape, A.tobytes())
-    last = _LAST_EIG
-    if last is not None and last[0] == key:
-        return last[1], last[2]
+    """Eigenvalues and eigenvectors of a symmetric positive-definite A (Q None if A is diagonal)."""
     A = _spd(A)
     if _is_diagonal(A):
         w, Q = np.diagonal(A).copy(), None
     else:
         w, Q = np.linalg.eigh(A)
-        Q.flags.writeable = False
     if not w.min() > 0:
         raise ValueError(f"matrix must be positive definite, min eigenvalue {w.min()}")
-    w.flags.writeable = False
-    _LAST_EIG = (key, w, Q)
     return w, Q
 
 

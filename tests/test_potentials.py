@@ -149,12 +149,14 @@ def test_validate_constants_requires_probes():
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 300])
 def test_quadratic_diagonal_gradient_is_bit_identical_to_the_broadcast(d):
     # the blocked row product must give x * diag bit for bit: row counts off
-    # the block, contiguous and strided inputs, 1-D and 3-D shapes
+    # the block, no rows, either side of the row cut-off, contiguous and
+    # strided inputs, 1-D and 3-D shapes
     rng = np.random.default_rng(d)
     diag = rng.uniform(0.1, 10.0, size=d)
     p = quadratic_diagonal(diag)
-    for shape in [(d,), (1, d), (4099, d), (20000, d), (7, 1001, d), (3, 5, d)]:
+    for shape in [(d,), (1, d), (0, d), (2047, d), (2048, d), (4099, d), (20000, d), (7, 1001, d), (3, 5, d)]:
         x = rng.normal(size=shape)
-        assert np.array_equal(grad_u(p, x), x * diag), shape
+        g = grad_u(p, x)
+        assert g.shape == x.shape and np.array_equal(g, x * diag), shape
     x = rng.normal(size=(9001, 2 * d))[:, ::2]  # not contiguous
     assert np.array_equal(grad_u(p, x), x * diag)
