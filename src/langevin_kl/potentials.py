@@ -154,7 +154,7 @@ def _scale_rows(x: np.ndarray, diag: np.ndarray) -> np.ndarray:
     tiled to that length, and the leftover rows by diag. That costs about
     8 us more per call (2-core Xeon, numpy 2.4), which the saved per-row
     cost repays from about 2,000 rows on; d = 1 broadcasts as a scalar,
-    2-4x faster than the tiled product, and from d = _ROW_BLOCK on the tiled
+    3-5x faster than the tiled product, and from d = _ROW_BLOCK on the tiled
     row would be diag itself, so those keep the broadcast.
     """
     d = diag.size
