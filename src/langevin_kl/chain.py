@@ -39,6 +39,7 @@ __all__ = [
     "init_ensemble",
     "step",
     "run",
+    "trace_row",
     "trace_csv",
     "coupled_run",
 ]
@@ -252,7 +253,8 @@ class TraceRow:
     second_moment_se: float
 
 
-def _trace_row(e: Ensemble) -> TraceRow:
+def trace_row(e: Ensemble) -> TraceRow:
+    """Ensemble mean of |x|^2 with its standard error, and the norm of the mean, at e's step."""
     s = np.sum(e.states * e.states, axis=1)
     return TraceRow(
         step=e.step_index,
@@ -272,12 +274,12 @@ def run(
     """
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
-    rows = [_trace_row(e)]
+    rows = [trace_row(e)]
     cur = e
     for i in range(plan.k):
         cur = step(cur, plan.h, workers=workers)
         if cur.step_index % record_every == 0 or i == plan.k - 1:
-            rows.append(_trace_row(cur))
+            rows.append(trace_row(cur))
     return cur, rows
 
 

@@ -25,16 +25,19 @@ from .chain import (
     GAUSSIAN_1_OVER_M,
     GaussianInit,
     PointInit,
-    TraceRow,
     check_seed,
     coupled_run,
     init_ensemble,
     run as run_chain,
     step,
     trace_csv,
+    trace_row,
 )
+# stationary_law is not called here: it stays imported because the benchmark
+# probe (perfbench/probe.py) wraps the oracle functions by their names on cli
 from .gaussian_oracle import (
     GaussianLaw,
+    GaussianPath,
     exact_flow_law,
     fisher_info_relative,
     gaussian_1d,
@@ -42,7 +45,6 @@ from .gaussian_oracle import (
     stationary_law,
     target_law,
     tv_gaussian_1d,
-    ula_path_stats,
     ula_step_law,
     w2_gaussian,
 )
@@ -244,6 +246,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("run.record_every must be >= 1")
     if cfg.grid_n < 8:
         raise ConfigError(f"oracles.grid_n must be at least 8 cells, got {cfg.grid_n}")
+    if cfg.halving_kl0 is not None and not 0 < cfg.halving_kl0 < math.inf:
+        raise ConfigError(f"halving.kl0 must be a number in (0, inf), got {cfg.halving_kl0}")
     try:
         check_seed(cfg.seed)
     except ValueError as exc:
@@ -266,16 +270,18 @@ _WEAK_INPUTS = ("c1", "c2", "h_prime", "kl0")
 
 
 def _weak_value(text: str, key: str):
-    """A [weak] input: "estimate", math.inf for "inf", or a float."""
+    """A [weak] input: "estimate" or a positive number; only h_prime may be inf."""
     v = text.strip()
     if v == "estimate":
         return "estimate"
-    if v == "inf":
-        return math.inf
     try:
-        return float(v)
+        x = float(v)
     except ValueError:
-        raise ConfigError(f"weak.{key} must be a number, inf or estimate, got {v!r}") from None
+        x = math.nan
+    if not (x > 0 and (x < math.inf or key == "h_prime")):
+        span = "(0, inf]" if key == "h_prime" else "(0, inf)"
+        raise ConfigError(f"weak.{key} must be a number in {span} or estimate, got {v!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +348,12 @@ def _empirical_margin(bound: float, rows) -> float:
 class _GaussianTracker:
     """Exact law on a quadratic target: rows of KL, W2, Fisher and second moment.
 
-    Per step it keeps the worst margin of the second moment against 4d/m and
-    of W2 contraction towards pi_h; a record interval is one closed-form
-    jump of the law and one vectorised pass over its per-step margins.
+    The law is a GaussianPath, held in A's eigenbasis for the whole run (A is
+    decomposed once). A record interval is one vectorised pass over steps
+    j..j+n of the stage, from the stage's first law, and one closed-form jump
+    to step j+n. The pass gives the worst per-step margins (second moment
+    against 4d/m, W2 contraction towards pi_h) and, from its last entry, the
+    row's KL, W2 and second moment.
     """
 
     csv = ("gaussian_csv", "gaussian.csv", "step,kl,w2,fisher,second_moment")
@@ -357,45 +366,45 @@ class _GaussianTracker:
         else:
             raise ConfigError("the gaussian oracle supports quadratic potentials only")
         if isinstance(init, str):
-            self.law = GaussianLaw(np.zeros(pot.d), np.eye(pot.d) / pot.m)
+            law = GaussianLaw(np.zeros(pot.d), np.eye(pot.d) / pot.m)
         elif isinstance(init, GaussianInit):
-            self.law = GaussianLaw(init.mean, init.cov_diag)  # a 1-D cov is read as a diagonal
+            law = GaussianLaw(init.mean, init.cov_diag)  # a 1-D cov is read as a diagonal
         else:
             raise ConfigError("the gaussian oracle needs a gaussian init (point laws are degenerate)")
+        self.path = GaussianPath(law, self.A)
+        self.basis_A = np.diag(self.path.w)  # A in its eigenbasis, where the path holds the law
         self.pot = pot
         self.init = init
-        self.target = target_law(self.A)
         self.bound = 4.0 * pot.d / pot.m
         self.h = None
         self.sm_worst = math.inf  # margin vs 4d/m along the law trajectory
         self.w2_worst = math.inf  # most negative allowed increase of W2 to pi_h
         self.rows = []
+        # the step-0 row: a pass over step 0 alone, whose KL, W2 and second
+        # moment do not depend on the stepsize (any stable one will do)
+        self.stats = self.path.stats(1.0 / pot.L, 0)
+
+    @property
+    def law(self) -> GaussianLaw:
+        return self.path.law
 
     def advance(self, h: float, steps: int) -> None:
         if h != self.h:  # a new stage starts here and contracts towards the pi_h of its stepsize
-            self.h = h
-            self.start, self.j = self.law, 0
-            self.pi_h = stationary_law(self.A, h)
-            self.w2_prev = w2_gaussian(self.law, self.pi_h)
-        # every law of a stage is one closed-form jump from the stage's first law
-        second, w2 = ula_path_stats(self.start, self.A, h, self.j + steps, first=self.j + 1)
+            self.h, self.start, self.j = h, self.path, 0
+        # every law of a stage is one closed-form jump from the stage's first
+        # law; the pass starts at step j, the last one already judged
+        self.stats = self.start.stats(h, self.j + steps, first=self.j)
+        second, w2_pi_h = self.stats[:2]
         self.j += steps
-        self.law = ula_step_law(self.start, self.A, h, self.j)
-        self.sm_worst = min(self.sm_worst, self.bound - float(second.max()))
-        self.w2_worst = min(self.w2_worst, -float(np.diff(w2, prepend=self.w2_prev).max()))
-        self.w2_prev = float(w2[-1])
+        self.path = self.start.jump(h, self.j)
+        self.sm_worst = min(self.sm_worst, self.bound - float(second[1:].max()))
+        self.w2_worst = min(self.w2_worst, -float(np.diff(w2_pi_h).max()))
 
     def row(self, step_idx: int) -> None:
-        law, tgt = self.law, self.target
-        self.rows.append(
-            (
-                step_idx,
-                kl_gaussian(law, tgt),
-                w2_gaussian(law, tgt),
-                fisher_info_relative(law, self.A),
-                law.second_moment,
-            )
-        )
+        second, _, kl, w2 = (float(s[-1]) for s in self.stats)
+        # relative Fisher information does not depend on the basis
+        fisher = fisher_info_relative(GaussianLaw(self.path.mean, self.path.cov), self.basis_A)
+        self.rows.append((step_idx, kl, w2, fisher, second))
 
     def verdicts(self, cfg, plans, resolved, stages, chain_rows, ens) -> list[Verdict]:
         pot = self.pot
@@ -409,9 +418,10 @@ class _GaussianTracker:
         if cfg.regime == "halving" and stages:
             kl_at = {r[0]: r[1] for r in self.rows}
             verdicts.append(_verdict("halving_stage_targets", min(e - kl_at[s] for e, s in stages)))
-        if pot.d == 1:
-            verdicts.append(_verdict("tv_target", math.sqrt(eps) - tv_gaussian_1d(self.law, self.target)))
-        zs = z_scores_vs_oracle(summarize(ens), self.law)
+        law = self.law
+        if pot.d == 1:  # a 1 x 1 A needs no decomposition
+            verdicts.append(_verdict("tv_target", math.sqrt(eps) - tv_gaussian_1d(law, target_law(self.A))))
+        zs = z_scores_vs_oracle(summarize(ens), law)
         zmax = max(
             float(np.max(np.abs(zs["mean"]))),
             float(np.max(np.abs(zs["cov"]))),
@@ -511,16 +521,6 @@ def _resolve_plans(cfg: RunConfig, pot, grid: _GridTracker | None, resolved: dic
     return [plan_weak(WeakPlanInputs(c1=c1, c2=c2, h_prime=h_prime, kl0=kl0), pot.L, pot.d, cfg.epsilon)]
 
 
-def _chain_row(ens) -> TraceRow:
-    s = summarize(ens)
-    return TraceRow(
-        step=ens.step_index,
-        second_moment=s.second_moment,
-        mean_norm=float(np.linalg.norm(s.mean)),
-        second_moment_se=s.second_moment_se,
-    )
-
-
 def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
     """Plan, set up the trackers, step to every record point, judge, write."""
     try:
@@ -538,14 +538,14 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
         grid = _GridTracker(cfg, pot, init) if cfg.grid_oracle else None
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     resolved: dict = {}
     plans = _resolve_plans(cfg, pot, grid, resolved)
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if grid is not None:
         trackers.append(grid)
 
-    chain_rows = [_chain_row(ens)]
+    chain_rows = [trace_row(ens)]
     for t in trackers:
         t.row(0)
     stages = []  # (epsilon, last step) of every stage that ran
@@ -567,7 +567,7 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
             for t in trackers:
                 t.advance(plan.h, n)
             done += n
-            chain_rows.append(_chain_row(ens))
+            chain_rows.append(trace_row(ens))
             for t in trackers:
                 t.row(done)
         stages.append((plan.epsilon, done))

@@ -19,8 +19,8 @@ __all__ = [
     "GaussianLaw",
     "gaussian_1d",
     "target_law",
+    "GaussianPath",
     "ula_step_law",
-    "ula_path_stats",
     "stationary_law",
     "exact_flow_law",
     "kl_gaussian",
@@ -120,9 +120,7 @@ def _eig(A) -> tuple[np.ndarray, np.ndarray | None]:
     return w, Q
 
 
-def _check_step(w: np.ndarray, h: float, d: int, unstable: str = "diverges") -> None:
-    if w.size != d:
-        raise ValueError(f"dimension mismatch: law d={d}, matrix {(w.size, w.size)}")
+def _check_step(w: np.ndarray, h: float, unstable: str = "diverges") -> None:
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     if h * w.max() >= 2.0:
@@ -146,58 +144,113 @@ def _from_basis(mean: np.ndarray, C: np.ndarray, Q) -> GaussianLaw:
 
 
 def _decay(a: np.ndarray, j) -> tuple[np.ndarray, np.ndarray]:
-    """(1 - a)^j and 1 - (1 - a)^(2j) for j >= 1 steps, a = h w in (0, 2).
+    """(1 - a)^j and 1 - (1 - a)^(2j) for j >= 0 steps, a = h w in (0, 2).
 
     Both come from log|1 - a|: log1p(-a) below a = 0.5, and from there on
     the log of 1 - a, which is exact. So 1 - (1 - a)^(2j) keeps its relative
-    precision when a is small, and (1 - a)^j is exactly 0 at a = 1.
+    precision when a is small, and (1 - a)^j is exactly 0 at a = 1 for j >= 1.
     """
     with np.errstate(divide="ignore"):  # log 0 = -inf at a = 1
         log_r = np.where(a < 0.5, np.log1p(-np.minimum(a, 0.5)), np.log(np.abs(1.0 - a)))
+    # -inf would make step 0 at a = 1 NaN (0 * -inf); exp is already 0 below -745
+    log_r = np.maximum(log_r, -1e3)
     rj = np.exp(j * log_r)
     np.negative(rj, out=rj, where=(a > 1.0) & (j % 2 == 1))
     return rj, -np.expm1(2.0 * j * log_r)
 
 
-def _check_count(k: int) -> None:
-    if int(k) != k or k < 0:
-        raise ValueError(f"step count must be a nonnegative integer, got {k}")
+class GaussianPath:
+    """A Gaussian law held in the eigenbasis of A = Q diag(w) Q^T, stepped by ULA in closed form.
 
+    `mean` and `cov` are the law's mean and covariance in that basis (Q is
+    None for a diagonal A, its own basis). A is decomposed once, when the
+    path is built from a law; `jump` returns a path on the same decomposition,
+    so a law stepped stage after stage never goes back through Q.
+    """
 
-class _Path:
-    """A Gaussian law in the eigenbasis of A, stepped by ULA at stepsize h."""
-
-    def __init__(self, law: GaussianLaw, A, h: float):
+    def __init__(self, law: GaussianLaw, A):
         self.w, self.Q = _eig(A)
-        _check_step(self.w, h, law.d)
-        self.a = h * self.w
-        self.v = 2.0 / (self.w * (2.0 - self.a))
+        if self.w.size != law.d:
+            raise ValueError(f"dimension mismatch: law d={law.d}, matrix {(self.w.size, self.w.size)}")
         self.mean, self.cov = _to_basis(law, self.Q)
-        self.c0 = np.diagonal(self.cov)
-        self.diagonal = _is_diagonal(self.cov)
 
-    def chunks(self, first: int, k: int):
-        """(slice, r^j, 1 - r^(2j), mean, var) over steps j = first..k, a few MB at a time.
+    @property
+    def law(self) -> GaussianLaw:
+        """The law in the original coordinates."""
+        return _from_basis(self.mean, self.cov, self.Q)
 
-        The arrays have one row per step; mean and var are the eigenbasis
-        means and variances of the law after j steps.
+    def _stepping(self, h: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """h w and the stationary variances v = 2/(w (2 - h w)) of stepsize h."""
+        _check_step(self.w, h)
+        if int(k) != k or k < 0:
+            raise ValueError(f"step count must be a nonnegative integer, got {k}")
+        a = h * self.w
+        return a, 2.0 / (self.w * (2.0 - a))
+
+    def jump(self, h: float, k: int) -> GaussianPath:
+        """The path of the law after k ULA steps at stepsize h (itself for k = 0)."""
+        a, v = self._stepping(h, k)
+        if k == 0:
+            return self
+        rk, fill = _decay(a, k)
+        out = object.__new__(GaussianPath)
+        out.w, out.Q, out.mean = self.w, self.Q, rk * self.mean
+        out.cov = np.outer(rk, rk) * self.cov
+        out.cov.flat[:: self.w.size + 1] += v * fill  # the diagonal
+        return out
+
+    def stats(self, h: float, k: int, first: int = 0) -> tuple[np.ndarray, ...]:
+        """(second moment, W2 to pi_h, KL and W2 to N(0, A^-1)) after first, ..., k ULA steps.
+
+        One vectorised pass, a few MB at a time. KL = (sum(x - log1p(x)) +
+        mean' diag(w) mean') / 2 with 1 + x the eigenvalues of diag(w)^(1/2) C'_j
+        diag(w)^(1/2). O(kd) when C' is diagonal (every diagonal A; any A for c*I):
+        there x = w (var - 1/w) and W2 takes sd - sqrt(t) as (var - t)/(sd + sqrt(t)),
+        with var - v = r^(2j) (c0 - v) and var - 1/w = var - v + h/(2 - h w), which
+        do not cancel near pi_h or the target. Otherwise W2 is the Bures form.
         """
-        d = self.w.size
+        a, v = self._stepping(h, k)
+        if not 0 <= first <= k:
+            raise ValueError(f"need 0 <= first <= k, got first={first}, k={k}")
+        w, c0, d = self.w, np.diagonal(self.cov), self.w.size
+        diagonal = _is_diagonal(self.cov)
         steps = np.arange(first, k + 1)
-        rows = max(1, _CHUNK_ELEMS // (d if self.diagonal else d * d))
+        out = np.empty((4, steps.size))
+        rows = max(1, _CHUNK_ELEMS // (d if diagonal else d * d))
         for lo in range(0, steps.size, rows):
             j = steps[lo : lo + rows, None]
-            rj, fill = _decay(self.a, j)
-            var = rj * rj * self.c0 + self.v * fill
-            yield slice(lo, lo + j.shape[0]), rj, fill, rj * self.mean, var
+            rj, fill = _decay(a, j)
+            mean = rj * self.mean
+            var = rj * rj * c0 + v * fill
+            msq = np.sum(mean * mean, axis=1)
+            second = np.sum(var, axis=1) + msq
+            if diagonal:
+                gap_v = rj * rj * (c0 - v)
+                gap_t = gap_v + h / (2.0 - a)
+                sd = np.sqrt(var)
+                w2_v = np.sqrt(msq + np.sum((gap_v / (sd + np.sqrt(v))) ** 2, axis=1))
+                w2_t = np.sqrt(msq + np.sum((gap_t / (sd + np.sqrt(1.0 / w))) ** 2, axis=1))
+                x = w * gap_t
+            else:
+                w2_v = self._bures(rj, fill, v, v, second)
+                w2_t = self._bures(rj, fill, v, 1.0 / w, second)
+                x = self._scaled_eigs(rj, fill, v, w) - 1.0
+            kl = 0.5 * (np.sum(x - np.log1p(x), axis=1) + np.sum(w * mean * mean, axis=1))
+            out[:, lo : lo + j.shape[0]] = second, w2_v, kl, w2_t
+        return tuple(out)
 
-    def scaled_eigs(self, rj: np.ndarray, fill: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    def _scaled_eigs(self, rj, fill, v, s2) -> np.ndarray:
         """Eigenvalues of S C'_j S, S = diag(sqrt(s2)), for each row of a chunk."""
         s = rj * np.sqrt(s2)
         inner = s[:, :, None] * self.cov * s[:, None, :]
         idx = np.arange(self.w.size)
-        inner[:, idx, idx] += s2 * self.v * fill
+        inner[:, idx, idx] += s2 * v * fill
         return np.linalg.eigvalsh(inner)
+
+    def _bures(self, rj, fill, v, t, second) -> np.ndarray:
+        """W2 from each row's law to N(0, diag(t)) in the eigenbasis."""
+        cross = np.sum(np.sqrt(np.clip(self._scaled_eigs(rj, fill, v, t), 0.0, None)), axis=1)
+        return np.sqrt(np.maximum(second + np.sum(t) - 2.0 * cross, 0.0))
 
 
 def target_law(A) -> GaussianLaw:
@@ -207,48 +260,13 @@ def target_law(A) -> GaussianLaw:
 
 
 def ula_step_law(law: GaussianLaw, A, h: float, k: int = 1) -> GaussianLaw:
-    """The law after k ULA steps x' = (I - hA) x + sqrt(2h) xi, in closed form.
+    """The law after k ULA steps x' = (I - hA) x + sqrt(2h) xi, in closed form (`GaussianPath.jump`).
 
-    In the eigenbasis of A this is the mean r^k mean_0 and the covariance
-    (r_i r_l)^k C_0[i, l] + delta_il v_i (1 - r_i^(2k)) with r = 1 - h w and
-    v = 2/(w (2 - h w)). Requires a positive-definite A and h * lambda_max(A) < 2;
-    at or beyond that the covariance recursion diverges.
+    Requires a positive-definite A and h * lambda_max(A) < 2; at or beyond
+    that the covariance recursion diverges.
     """
-    path = _Path(law, A, h)
-    _check_count(k)
-    if k == 0:
-        return law
-    rk, fill = _decay(path.a, k)
-    C = np.outer(rk, rk) * path.cov
-    C.flat[:: C.shape[0] + 1] += path.v * fill  # the diagonal
-    return _from_basis(rk * path.mean, C, path.Q)
-
-
-def ula_path_stats(law: GaussianLaw, A, h: float, k: int, first: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Second moment and W2 to the stationary law pi_h of the laws after first, ..., k ULA steps.
-
-    O(k d) when the law's covariance is diagonal in the eigenbasis of A
-    (every diagonal A; any A for a covariance c*I); otherwise one d x d
-    eigenvalue problem per step (the Bures form), batched a few MB at a time.
-    """
-    path = _Path(law, A, h)
-    _check_count(k)
-    if not 1 <= first <= k + 1:
-        raise ValueError(f"need 1 <= first <= k + 1, got first={first}, k={k}")
-    second = np.empty(k + 1 - first)
-    w2 = np.empty(k + 1 - first)
-    v = path.v
-    for sl, rj, fill, mean, var in path.chunks(first, k):
-        msq = np.sum(mean * mean, axis=1)
-        second[sl] = np.sum(var, axis=1) + msq
-        if path.diagonal:
-            # sd - sqrt(v) as a quotient of var - v = r^(2j) (c0 - v): no cancellation near pi_h
-            gap = rj * rj * (path.c0 - v) / (np.sqrt(var) + np.sqrt(v))
-            w2[sl] = np.sqrt(msq + np.sum(gap * gap, axis=1))
-        else:
-            cross = np.sum(np.sqrt(np.clip(path.scaled_eigs(rj, fill, v), 0.0, None)), axis=1)
-            w2[sl] = np.sqrt(np.maximum(second[sl] + np.sum(v) - 2.0 * cross, 0.0))
-    return second, w2
+    path = GaussianPath(law, A).jump(h, k)
+    return law if k == 0 else path.law
 
 
 def stationary_law(A, h: float) -> GaussianLaw:
@@ -258,7 +276,7 @@ def stationary_law(A, h: float) -> GaussianLaw:
     Q diag(2/(w*(2 - h*w))) Q^T, which tends to A^{-1} as h -> 0.
     """
     w, Q = _eig(A)
-    _check_step(w, h, w.size, unstable="has no stationary law")
+    _check_step(w, h, unstable="has no stationary law")
     return _from_basis(np.zeros(w.size), np.diag(2.0 / (w * (2.0 - h * w))), Q)
 
 
@@ -269,16 +287,13 @@ def exact_flow_law(A, init: GaussianLaw, t: float) -> GaussianLaw:
     e^(-w t) mean_0 and the covariance e^(-(w_i + w_l) t) C_0[i, l]
     + delta_il (1 - e^(-2 w_i t)) / w_i.
     """
-    w, Q = _eig(A)
-    if w.size != init.d:
-        raise ValueError(f"dimension mismatch: law d={init.d}, matrix {(w.size, w.size)}")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    mean, C = _to_basis(init, Q)
-    e = np.exp(-w * t)
-    C = np.outer(e, e) * C
-    C.flat[:: C.shape[0] + 1] -= np.expm1(-2.0 * w * t) / w
-    return _from_basis(e * mean, C, Q)
+    p = GaussianPath(init, A)
+    e = np.exp(-p.w * t)
+    C = np.outer(e, e) * p.cov
+    C.flat[:: C.shape[0] + 1] -= np.expm1(-2.0 * p.w * t) / p.w
+    return _from_basis(e * p.mean, C, p.Q)
 
 
 def kl_gaussian(p: GaussianLaw, q: GaussianLaw) -> float:
@@ -380,24 +395,5 @@ def fisher_info_relative(p: GaussianLaw, A) -> float:
 
 
 def kl_trajectory(A, init: GaussianLaw, h: float, k: int) -> list[float]:
-    """KL to the target N(0, A^{-1}) of the laws after 0, 1, ..., k ULA steps.
-
-    Per step the closed form in the eigenbasis: with x the eigenvalues of
-    A^(1/2) C_j A^(1/2) minus 1 (for a diagonal C_j: w (var - 1/w), where
-    var - 1/w = r^(2j) (c0 - v) + h/(2 - h w)), KL = (sum(x - log1p(x))
-    + mean_j' diag(w) mean_j) / 2.
-    """
-    _check_count(k)
-    out = [kl_gaussian(init, target_law(A))]
-    if k == 0:
-        return out
-    path = _Path(init, A, h)
-    w = path.w
-    kl = np.empty(k)
-    for sl, rj, fill, mean, _ in path.chunks(1, k):
-        if path.diagonal:
-            x = w * (rj * rj * (path.c0 - path.v) + h / (2.0 - path.a))
-        else:
-            x = path.scaled_eigs(rj, fill, w) - 1.0
-        kl[sl] = 0.5 * (np.sum(x - np.log1p(x), axis=1) + np.sum(w * mean * mean, axis=1))
-    return out + kl.tolist()
+    """KL to the target N(0, A^{-1}) of the laws after 0, 1, ..., k ULA steps (`GaussianPath.stats`)."""
+    return GaussianPath(init, A).stats(h, k)[2].tolist()

@@ -14,7 +14,7 @@ import pytest
 from langevin_kl import cli
 from langevin_kl.chain import GAUSSIAN_1_OVER_M, GaussianInit
 from langevin_kl.cli import SUITES, main
-from langevin_kl.gaussian_oracle import GaussianLaw, stationary_law, w2_gaussian
+from langevin_kl.gaussian_oracle import GaussianLaw, GaussianPath, stationary_law, w2_gaussian
 from langevin_kl.potentials import construct_potential
 
 STRONG_INI = """
@@ -295,6 +295,21 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
             "[potential]\nkind = huber\ndelta = 1\n[init]\nkind = point\nx = 0\n[weak]\nc1 = abc\n",
             "weak.c1 must be a number",
         ),
+        *[
+            (
+                f"[potential]\nkind = huber\ndelta = 1\n[init]\nkind = point\nx = 0\n[weak]\n{key} = {v}\n",
+                f"weak.{key} must be a number in (0, inf",
+            )
+            for key, v in (("c1", "-1"), ("kl0", "nan"), ("c2", "inf"), ("h_prime", "0"))
+        ],
+        *[
+            (f"[potential]\nkind = quadratic-diagonal\ndiag = 1\n[halving]\nkl0 = {v}\n", "halving.kl0 must be")
+            for v in ("-1", "nan", "inf")
+        ],
+        (
+            "regime = weak\n[potential]\nkind = huber\ndelta = 1\n[init]\nkind = point\nx = 0\n",
+            "say 'estimate' but the grid oracle is off",
+        ),
     ],
     ids=[
         "no-potential",
@@ -307,6 +322,14 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
         "grid-n-negative",
         "grid-n-3",
         "weak-not-a-number",
+        "weak-c1-negative",
+        "weak-kl0-nan",
+        "weak-c2-inf",
+        "weak-h-prime-zero",
+        "halving-kl0-negative",
+        "halving-kl0-nan",
+        "halving-kl0-inf",
+        "weak-estimate-without-grid",
     ],
 )
 def test_run_bad_config_is_usage_error(tmp_path, capsys, body, message):
@@ -333,6 +356,18 @@ def test_run_unparsable_config_is_usage_error(tmp_path, capsys, text):
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: invalid config") and "Traceback" not in err
+
+
+def test_run_planning_error_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "big_eps.ini"
+    cfg.write_text(
+        f"[run]\nepsilon = 100\nn_chains = 20\nout_dir = {tmp_path / 'o'}\n"
+        "[potential]\nkind = quadratic-diagonal\ndiag = 1\n"
+    )
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()  # the plan failed before anything is written
 
 
 def test_run_missing_file_is_usage_error(capsys):
@@ -430,23 +465,121 @@ def test_run_steps_through_the_cli_step_name(tmp_path, monkeypatch, capsys):
     assert len(calls) == sum(p["k"] for p in report["plan"])
 
 
+ROTATED_HALVING_INI = """
+[run]
+regime = halving
+epsilon = 0.3
+n_chains = 400
+seed = 2
+record_every = 25
+out_dir = {out}
+
+[potential]
+kind = quadratic-full
+matrix =
+    2.0 0.5
+    0.5 1.0
+
+[init]
+kind = gaussian
+mean = 0.3, -0.2
+cov_diag = 1.0, 1.0
+
+[oracles]
+gaussian = true
+
+[halving]
+kl0 = 2.0
+"""
+
+
 def test_run_advances_the_gaussian_oracle_once_per_record_interval(tmp_path, monkeypatch, capsys):
-    """One closed-form jump of the exact law per record interval, through cli.ula_step_law."""
-    calls = []
-    original = cli.ula_step_law
+    """Per record interval one pass from the stage start and one jump to the stage step; A decomposed at most once."""
+    jumps, passes, decompositions = [], [], []
+    jump, stats, eigh = GaussianPath.jump, GaussianPath.stats, np.linalg.eigh
 
-    def counting(*args, **kwargs):
-        calls.append(args[3] if len(args) > 3 else kwargs.get("k", 1))
-        return original(*args, **kwargs)
+    def counting_jump(self, h, k):
+        jumps.append(k)
+        return jump(self, h, k)
 
-    monkeypatch.setattr(cli, "ula_step_law", counting)
-    cfg = tmp_path / "strong.ini"
+    def counting_stats(self, h, k, first=0):
+        # an N(0, I) init stays exactly diagonal in the eigenbasis, stage after stage
+        passes.append((first, k, np.count_nonzero(self.cov - np.diag(np.diagonal(self.cov)))))
+        return stats(self, h, k, first)
+
+    monkeypatch.setattr(GaussianPath, "jump", counting_jump)
+    monkeypatch.setattr(GaussianPath, "stats", counting_stats)
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: decompositions.append(1) or eigh(M))
+    for name, ini, stages, eighs in (("strong", STRONG_INI, 1, 0), ("rotated-halving", ROTATED_HALVING_INI, 3, 1)):
+        jumps.clear(), passes.clear(), decompositions.clear()
+        cfg = tmp_path / f"{name}.ini"
+        out = tmp_path / name
+        cfg.write_text(ini.format(out=out))
+        assert main(["run", str(cfg)]) == 0
+        plans = json.loads((out / "report.json").read_text())["plan"]
+        assert len(plans) == stages
+        ends = np.cumsum([0] + [p["k"] for p in plans])
+        steps = [int(r.split(",")[0]) for r in (out / "gaussian.csv").read_text().splitlines()[2:]]
+        starts = [int(ends[np.searchsorted(ends, s) - 1]) for s in steps]
+        assert jumps == [s - a for s, a in zip(steps, starts)]  # k = the stage step of each record point
+        firsts = [0] + [k if a == b else 0 for a, b, k in zip(starts[1:], starts, jumps)]
+        assert passes == [(0, 0, 0)] + [(f, k, 0) for f, k in zip(firsts, jumps)]  # and the step-0 row
+        assert len(decompositions) == eighs
+
+
+def _mp_reference_rows(ini: str, report: dict, steps: list[int]) -> dict:
+    """(KL, W2) to N(0, A^-1) at the given steps, by the ULA recursion at 40 digits (d = 2)."""
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 40
+    import configparser
+
+    cp = configparser.ConfigParser()
+    cp.read_string(ini.format(out="unused"))
+    pot, init = cp["potential"], cp["init"]
+    if pot["kind"] == "quadratic-diagonal":
+        A = mp.diag([mp.mpf(x) for x in pot["diag"].split(",")])
+    else:
+        A = mp.matrix([[mp.mpf(x) for x in row.split()] for row in pot["matrix"].strip().splitlines()])
+    if init["kind"] == "gaussian":
+        mean = mp.matrix([mp.mpf(x) for x in init["mean"].split(",")])
+        cov = mp.diag([mp.mpf(x) for x in init["cov_diag"].split(",")])
+    else:  # N(0, I/m), with the float m the run used
+        mean, cov = mp.matrix([0, 0]), mp.eye(2) / mp.mpf(report["potential"]["m"])
+    T = A**-1
+
+    def kl_w2(mean, cov):
+        AC, CT = A * cov, cov * T
+        kl = (AC[0, 0] + AC[1, 1] - 2 - mp.log(mp.det(AC)) + (mean.T * A * mean)[0]) / 2
+        # tr sqrt(X) = sqrt(tr X + 2 sqrt(det X)) for a 2 x 2 X with positive eigenvalues
+        cross = mp.sqrt(CT[0, 0] + CT[1, 1] + 2 * mp.sqrt(mp.det(cov) * mp.det(T)))
+        w2sq = mean[0] ** 2 + mean[1] ** 2 + cov[0, 0] + cov[1, 1] + T[0, 0] + T[1, 1] - 2 * cross
+        return kl, mp.sqrt(w2sq)
+
+    rows, j = {0: kl_w2(mean, cov)}, 0
+    for plan in report["plan"]:
+        h = mp.mpf(plan["h"])
+        M = mp.eye(2) - h * A
+        for _ in range(plan["k"]):
+            mean, cov, j = M * mean, M * cov * M.T + 2 * h * mp.eye(2), j + 1
+            if j in steps:
+                rows[j] = kl_w2(mean, cov)
+    return rows
+
+
+@pytest.mark.parametrize("ini", [FULL_MATRIX_INI, STRONG_INI], ids=["full-matrix", "strong"])
+def test_gaussian_rows_match_a_40_digit_reference(tmp_path, capsys, ini):
+    cfg = tmp_path / "run.ini"
     out = tmp_path / "out"
-    cfg.write_text(STRONG_INI.format(out=out))
+    cfg.write_text(ini.format(out=out))
     assert main(["run", str(cfg)]) == 0
-    rows = (out / "gaussian.csv").read_text().splitlines()[1:]
-    steps = [int(r.split(",")[0]) for r in rows]
-    assert calls == steps[1:]  # each call jumps from the stage start to the next record point
+    report = json.loads((out / "report.json").read_text())
+    rows = [[float(v) for v in r.split(",")] for r in (out / "gaussian.csv").read_text().splitlines()[1:]]
+    ref = _mp_reference_rows(ini, report, {int(r[0]) for r in rows})
+    assert len(ref) == len(rows)
+    for step, kl, w2, _, _ in rows:
+        kl_ref, w2_ref = ref[int(step)]
+        assert abs(kl - kl_ref) <= 1e-12 * kl_ref, step
+        assert abs(w2 - w2_ref) <= 1e-12 * w2_ref, step
 
 
 def _tracker_by_recursion(A, mean, cov, bound, stages):

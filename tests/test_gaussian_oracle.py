@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from langevin_kl.gaussian_oracle import (
     GaussianLaw,
+    GaussianPath,
     exact_flow_law,
     fisher_info_relative,
     gaussian_1d,
@@ -14,7 +15,6 @@ from langevin_kl.gaussian_oracle import (
     stationary_law,
     target_law,
     tv_gaussian_1d,
-    ula_path_stats,
     ula_step_law,
     w2_gaussian,
 )
@@ -386,16 +386,18 @@ _SCHEDULES = {
 @pytest.mark.parametrize("name", sorted(_SCHEDULES))
 def test_closed_form_matches_recursion(name):
     A, law, h, k = _SCHEDULES[name]
-    kl = kl_trajectory(A, law, h, k)
-    second, w2 = ula_path_stats(law, A, h, k)
-    pi_h = stationary_law(A, h)
+    path = GaussianPath(law, A)
+    second, w2_pi_h, kl, w2 = path.stats(h, k)
+    assert kl.tolist() == kl_trajectory(A, law, h, k)
+    pi_h, target = stationary_law(A, h), target_law(A)
     checked = 0
     for j, (mean, cov) in enumerate(_recursion(law, A, h, k), start=1):
         assert abs(kl[j] - _kl_to_target(mean, cov, A)) <= 1e-12 * kl[j]
-        assert abs(second[j - 1] - (np.trace(cov) + mean @ mean)) <= 1e-12 * second[j - 1]
-        assert abs(w2[j - 1] - w2_gaussian(GaussianLaw(mean, cov), pi_h)) <= 1e-12
+        assert abs(second[j] - (np.trace(cov) + mean @ mean)) <= 1e-12 * second[j]
+        assert abs(w2_pi_h[j] - w2_gaussian(GaussianLaw(mean, cov), pi_h)) <= 1e-12
+        assert abs(w2[j] - w2_gaussian(GaussianLaw(mean, cov), target)) <= 1e-12
         if j % 97 == 0 or j == k:
-            closed = ula_step_law(law, A, h, j)
+            closed = path.jump(h, j).law
             assert _close(closed.mean, mean)
             assert _close(closed.cov, cov)
             assert abs(kl[j] - _kl_to_target(closed.mean, closed.cov, A)) <= 1e-12 * kl[j]
@@ -408,9 +410,45 @@ def test_rotated_init_takes_the_batched_w2_path():
     A, law, h, k = _SCHEDULES["rotated"]
     w, Q = np.linalg.eigh(A)
     assert np.abs(Q.T @ law.cov @ Q - np.diag(np.diagonal(Q.T @ law.cov @ Q))).max() > 0.1
-    _, w2 = ula_path_stats(law, A, h, k, first=k - 9)
-    assert w2.shape == (10,)
-    assert w2[-1] == pytest.approx(w2_gaussian(ula_step_law(law, A, h, k), stationary_law(A, h)), abs=1e-12)
+    path = GaussianPath(law, A)
+    second, w2_pi_h, kl, w2 = path.stats(h, k, first=k - 9)
+    assert w2_pi_h.shape == (10,)
+    end = path.jump(h, k).law
+    assert w2_pi_h[-1] == pytest.approx(w2_gaussian(end, stationary_law(A, h)), abs=1e-12)
+    assert w2[-1] == pytest.approx(w2_gaussian(end, target_law(A)), abs=1e-12)
+    assert abs(kl[-1] - _kl_to_target(end.mean, end.cov, A)) <= 1e-12 * kl[-1]
+    assert second[-1] == pytest.approx(end.second_moment, rel=1e-12)
+
+
+def test_path_pass_from_step_zero_reads_the_held_law():
+    # step 0 of a pass is the law itself, also at h*lambda = 1 where (1 - h lambda)^0 = 0^0
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    law = GaussianLaw([0.4, -0.3], [[0.5, 0.1], [0.1, 1.8]])
+    h = 1.0 / float(np.linalg.eigvalsh(A)[-1])
+    second, w2_pi_h, kl, w2 = GaussianPath(law, A).stats(h, 0)
+    target = target_law(A)
+    assert second[0] == pytest.approx(law.second_moment, rel=1e-12)
+    assert w2_pi_h[0] == pytest.approx(w2_gaussian(law, stationary_law(A, h)), abs=1e-12)
+    assert kl[0] == pytest.approx(kl_gaussian(law, target), rel=1e-12)
+    assert w2[0] == pytest.approx(w2_gaussian(law, target), abs=1e-12)
+    stats = GaussianPath(law, np.diag([1.0, 4.0])).stats(0.25, 5)
+    assert all(np.isfinite(s).all() for s in stats)
+
+
+def test_path_decomposes_a_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(1) or eigh(M))
+    A, law, h, k = _SCHEDULES["rotated"]
+    path = GaussianPath(law, A)
+    for _ in range(3):
+        path.stats(h, k, first=k - 2)
+        path = path.jump(h, k)
+    path.law
+    assert len(calls) == 1
+    path = GaussianPath(law, np.diag([1.0, 2.0, 3.0]))
+    path.jump(h, k).stats(h, 5)
+    assert len(calls) == 1  # a diagonal A is its own eigenbasis
 
 
 def test_diagonal_target_keeps_covariance_exactly_diagonal():
