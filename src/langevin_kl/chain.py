@@ -1,12 +1,13 @@
-"""ULA ensemble engine with counter-addressed noise streams.
+"""ULA ensemble engine with block-addressed noise streams.
 
-Every standard normal consumed by the sampler is indexed by
-(seed, purpose, step, chain, coordinate) through the Philox counter: within
-one (seed, purpose, step) slot, normal k = chain*d + coordinate is word k % 4
-of counter block k // 4, so every generated word is used. Results are
-therefore independent of chunking and worker count, replayable from the seed
-alone, and two ensembles built on the same seed consume identical noise,
-which is exactly the synchronous coupling the contraction experiments need.
+An ensemble's chains fall into blocks of ceil(65536 / d) whole chains. Block
+b of the (seed, purpose, step) slot holds numpy's ziggurat normals from the
+Philox stream with key (seed, 0) and counter (0, b, step, purpose), so its
+noise depends on its address alone. Threads split the work only at block
+boundaries: results are independent of worker count, replayable from the seed
+(bit-exact for a given numpy version, which fixes the ziggurat), and two
+ensembles on one seed draw identical blocks, the synchronous coupling the
+contraction experiments need.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
-from scipy.special import ndtri
+from numpy.random import Generator, Philox
 
 from .metrics import se_of_mean
 from .planner import StepPlan
@@ -48,18 +48,19 @@ THREADS_ENV = "LANGEVIN_KL_THREADS"
 
 _PURPOSE_INIT = 0
 _PURPOSE_STEP = 1
-# fewest normals a worker thread must draw per step; below this a thread's
-# start-up costs more than it saves, so smaller ensembles step serially
-_MIN_NORMALS_PER_WORKER = 65_536
+# a block holds ceil(_BLOCK_NORMALS / d) whole chains; a thread costs more to
+# start than it saves on fewer normals, so below two full blocks steps run serially
+_BLOCK_NORMALS = 65_536
 
 
 class DivergedError(RuntimeError):
-    """A chain state left the finite floats; reports the first offender."""
+    """A chain state left the finite floats; reports the first offender and its last finite state."""
 
-    def __init__(self, chain_index: int, step_index: int):
+    def __init__(self, chain_index: int, step_index: int, state: np.ndarray):
         super().__init__(f"chain {chain_index} produced a non-finite state at step {step_index}")
         self.chain_index = chain_index
         self.step_index = step_index
+        self.state = state  # the chain before the step that left the finite floats
 
 
 GAUSSIAN_1_OVER_M = "gaussian_1_over_m"
@@ -107,48 +108,44 @@ def check_seed(seed) -> int:
     return seed
 
 
-# one Philox per thread, re-keyed for every slot: building a generator costs
-# more than setting its state, and seeds itself from OS entropy first
+# one Generator per thread, its Philox re-pointed for every block: building one
+# costs more than setting its state, and seeds itself from OS entropy first
 _GENERATORS = threading.local()
 
 
-def _philox(key: np.ndarray, counter: np.ndarray) -> Philox:
-    """This thread's Philox, set to the start of (key, counter) with an empty buffer."""
-    bg = getattr(_GENERATORS, "philox", None)
-    if bg is None:
-        bg = _GENERATORS.philox = Philox(key=key)
-    bg.state = {
+def _generator(key: np.ndarray, counter: np.ndarray) -> Generator:
+    """This thread's Generator, its Philox set to the start of (key, counter) with an empty buffer."""
+    gen = getattr(_GENERATORS, "normal", None)
+    if gen is None:
+        gen = _GENERATORS.normal = Generator(Philox(key=key))
+    gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": counter, "key": key},
         "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,  # the buffer is empty: the next word comes from block `counter`
+        "buffer_pos": 4,  # the buffer is empty: the next word is the first of `counter`
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return bg
+    return gen
 
 
 def _normals(seed: int, purpose: int, step: int, lo: int, out: np.ndarray) -> None:
     """Write the standard normals of chains [lo, lo + len(out)) into out, shape (chains, d).
 
-    Normal k = chain*d + coord of the (seed, purpose, step) slot is word k % 4
-    of Philox block k // 4. A chunk starts at the block holding its first
-    normal and skips the words before it, so any chunking reads exactly the
-    words a serial pass reads.
+    lo starts a block. Block b of the (seed, purpose, step) slot is the
+    ziggurat stream of Philox key (seed, 0) from counter (0, b, step, purpose);
+    a block cut short by the end of the ensemble holds its stream's first
+    normals.
     """
     if not out.flags.c_contiguous:
         raise ValueError("normals are written into C-contiguous rows only")
-    flat = out.reshape(-1)  # a view of out
-    k0 = lo * out.shape[1]
-    skip = k0 % 4
+    per = -(-_BLOCK_NORMALS // out.shape[1])  # chains per block
+    if lo % per:
+        raise ValueError(f"chain {lo} does not start a block of {per} chains")
     key = np.array([seed, 0], dtype=np.uint64)
-    counter = np.array([k0 // 4, 0, step, purpose], dtype=np.uint64)
-    raw = _philox(key, counter).random_raw(skip + flat.size)[skip:]
-    raw >>= np.uint64(11)
-    # (raw >> 11) * 2^-53 + 2^-54 lies strictly inside (0, 1), so ndtri stays finite
-    np.multiply(raw, 2.0**-53, out=flat)
-    flat += 2.0**-54
-    ndtri(flat, out=flat)
+    for a in range(0, out.shape[0], per):
+        counter = np.array([0, (lo + a) // per, step, purpose], dtype=np.uint64)
+        _generator(key, counter).standard_normal(out=out[a : a + per])
 
 
 def _workers(explicit=None) -> int:
@@ -161,12 +158,13 @@ def _workers(explicit=None) -> int:
 
 
 def _chunks(n: int, d: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous chain ranges, one per worker, each with enough normals to pay for its thread."""
-    w = max(1, min(workers, n, n * d // _MIN_NORMALS_PER_WORKER))
+    """Contiguous chain ranges of whole blocks, one per worker, each holding at least one full block."""
+    per = -(-_BLOCK_NORMALS // d)
+    w = max(1, min(workers, n // per))
     if w == 1:
         return [(0, n)]
-    edges = np.linspace(0, n, w + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    edges = np.linspace(0, -(-n // per), w + 1).astype(int) * per
+    return [(int(a), min(int(b), n)) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def init_ensemble(p: Potential, init, n: int, seed: int) -> Ensemble:
@@ -241,7 +239,7 @@ def step(e: Ensemble, h: float, workers: int | None = None) -> Ensemble:
                 f.result()
     if not np.isfinite(out).all():
         bad = np.flatnonzero(~np.isfinite(out).all(axis=1))[0]
-        raise DivergedError(int(bad), e.step_index)
+        raise DivergedError(int(bad), e.step_index, e.states[bad].copy())
     return Ensemble(out, e.step_index + 1, float(h), e.seed, e.potential)
 
 

@@ -14,17 +14,22 @@ import argparse
 import configparser
 import json
 import math
+import os
+import platform
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .chain import (
     GAUSSIAN_1_OVER_M,
+    THREADS_ENV,
     GaussianInit,
     PointInit,
+    _workers,
     check_seed,
     coupled_run,
     init_ensemble,
@@ -352,8 +357,8 @@ class _GaussianTracker:
     decomposed once). A record interval is one vectorised pass over steps
     j..j+n of the stage, from the stage's first law, and one closed-form jump
     to step j+n. The pass gives the worst per-step margins (second moment
-    against 4d/m, W2 contraction towards pi_h) and, from its last entry, the
-    row's KL, W2 and second moment.
+    against 4d/m, W2 contraction towards pi_h) and the row's second moment;
+    the row's KL and W2 to the target come from a pass over step j+n alone.
     """
 
     csv = ("gaussian_csv", "gaussian.csv", "step,kl,w2,fisher,second_moment")
@@ -376,13 +381,14 @@ class _GaussianTracker:
         self.pot = pot
         self.init = init
         self.bound = 4.0 * pot.d / pot.m
-        self.h = None
         self.sm_worst = math.inf  # margin vs 4d/m along the law trajectory
         self.w2_worst = math.inf  # most negative allowed increase of W2 to pi_h
         self.rows = []
-        # the step-0 row: a pass over step 0 alone, whose KL, W2 and second
-        # moment do not depend on the stepsize (any stable one will do)
-        self.stats = self.path.stats(1.0 / pot.L, 0)
+        # the step-0 row is step 0 of a stage at any stable stepsize: its KL,
+        # W2 and second moment do not depend on it, and a first stage at that
+        # stepsize would start from this same law and step
+        self.h, self.start, self.j = 1.0 / pot.L, self.path, 0
+        self.second = float(self.path.stats(self.h, 0)[0][0])
 
     @property
     def law(self) -> GaussianLaw:
@@ -393,18 +399,19 @@ class _GaussianTracker:
             self.h, self.start, self.j = h, self.path, 0
         # every law of a stage is one closed-form jump from the stage's first
         # law; the pass starts at step j, the last one already judged
-        self.stats = self.start.stats(h, self.j + steps, first=self.j)
-        second, w2_pi_h = self.stats[:2]
+        second, w2_pi_h = self.start.stats(h, self.j + steps, first=self.j)
+        self.second = float(second[-1])
         self.j += steps
         self.path = self.start.jump(h, self.j)
         self.sm_worst = min(self.sm_worst, self.bound - float(second[1:].max()))
         self.w2_worst = min(self.w2_worst, -float(np.diff(w2_pi_h).max()))
 
     def row(self, step_idx: int) -> None:
-        second, _, kl, w2 = (float(s[-1]) for s in self.stats)
+        # KL and W2 to the target are read at the recorded step only
+        kl, w2 = (float(s[0]) for s in self.start.target_stats(self.h, self.j, first=self.j))
         # relative Fisher information does not depend on the basis
         fisher = fisher_info_relative(GaussianLaw(self.path.mean, self.path.cov), self.basis_A)
-        self.rows.append((step_idx, kl, w2, fisher, second))
+        self.rows.append((step_idx, kl, w2, fisher, self.second))
 
     def verdicts(self, cfg, plans, resolved, stages, chain_rows, ens) -> list[Verdict]:
         pot = self.pot
@@ -598,6 +605,15 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
             "resolved": resolved,
             "verdicts": [vars(v) for v in verdicts],
             "outputs": outputs,
+            # what the chain noise depends on besides the seed (numpy fixes the
+            # ziggurat stream) and what set the speed (the worker count)
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "workers": _workers(),
+                THREADS_ENV: os.environ.get(THREADS_ENV),
+            },
         }
         if grid is not None:
             report["grid_error_budget"] = grid.error_budget()

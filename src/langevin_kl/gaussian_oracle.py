@@ -179,11 +179,13 @@ class GaussianPath:
         """The law in the original coordinates."""
         return _from_basis(self.mean, self.cov, self.Q)
 
-    def _stepping(self, h: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _stepping(self, h: float, k: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """h w and the stationary variances v = 2/(w (2 - h w)) of stepsize h."""
         _check_step(self.w, h)
         if int(k) != k or k < 0:
             raise ValueError(f"step count must be a nonnegative integer, got {k}")
+        if not 0 <= first <= k:
+            raise ValueError(f"need 0 <= first <= k, got first={first}, k={k}")
         a = h * self.w
         return a, 2.0 / (self.w * (2.0 - a))
 
@@ -199,45 +201,49 @@ class GaussianPath:
         out.cov.flat[:: self.w.size + 1] += v * fill  # the diagonal
         return out
 
-    def stats(self, h: float, k: int, first: int = 0) -> tuple[np.ndarray, ...]:
-        """(second moment, W2 to pi_h, KL and W2 to N(0, A^-1)) after first, ..., k ULA steps.
+    def stats(self, h: float, k: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(second moment, W2 to pi_h) after first, ..., k ULA steps: the per-step margins.
 
-        One vectorised pass, a few MB at a time. KL = (sum(x - log1p(x)) +
-        mean' diag(w) mean') / 2 with 1 + x the eigenvalues of diag(w)^(1/2) C'_j
-        diag(w)^(1/2). O(kd) when C' is diagonal (every diagonal A; any A for c*I):
-        there x = w (var - 1/w) and W2 takes sd - sqrt(t) as (var - t)/(sd + sqrt(t)),
-        with var - v = r^(2j) (c0 - v) and var - 1/w = var - v + h/(2 - h w), which
-        do not cancel near pi_h or the target. Otherwise W2 is the Bures form.
+        One vectorised pass, a few MB at a time. O(kd) when C' is diagonal
+        (every diagonal A; any A for c*I); otherwise one d x d eigenvalue
+        problem per step, for the Bures form of W2.
         """
-        a, v = self._stepping(h, k)
-        if not 0 <= first <= k:
-            raise ValueError(f"need 0 <= first <= k, got first={first}, k={k}")
-        w, c0, d = self.w, np.diagonal(self.cov), self.w.size
+        a, v = self._stepping(h, k, first)
+        out = np.empty((2, k + 1 - first))
+        for cols, rj, fill in self._pass(k, first, a):
+            out[:, cols] = self._second_and_w2(rj, fill, v, v, 0.0)
+        return out[0], out[1]
+
+    def target_stats(self, h: float, k: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(KL, W2) to the target N(0, A^-1) after first, ..., k ULA steps, in one pass like `stats`.
+
+        KL = (sum(x - log1p(x)) + mean' diag(w) mean') / 2 with 1 + x the
+        eigenvalues of diag(w)^(1/2) C'_j diag(w)^(1/2). When C' is diagonal,
+        x = w (var - 1/w) with var - 1/w = r^(2j) (c0 - v) + h/(2 - h w), which
+        does not cancel near the target; otherwise it costs two d x d
+        eigenvalue problems per step.
+        """
+        a, v = self._stepping(h, k, first)
+        shift = h / (2.0 - a)  # v - 1/w
         diagonal = _is_diagonal(self.cov)
-        steps = np.arange(first, k + 1)
-        out = np.empty((4, steps.size))
-        rows = max(1, _CHUNK_ELEMS // (d if diagonal else d * d))
-        for lo in range(0, steps.size, rows):
-            j = steps[lo : lo + rows, None]
-            rj, fill = _decay(a, j)
-            mean = rj * self.mean
-            var = rj * rj * c0 + v * fill
-            msq = np.sum(mean * mean, axis=1)
-            second = np.sum(var, axis=1) + msq
+        out = np.empty((2, k + 1 - first))
+        for cols, rj, fill in self._pass(k, first, a):
             if diagonal:
-                gap_v = rj * rj * (c0 - v)
-                gap_t = gap_v + h / (2.0 - a)
-                sd = np.sqrt(var)
-                w2_v = np.sqrt(msq + np.sum((gap_v / (sd + np.sqrt(v))) ** 2, axis=1))
-                w2_t = np.sqrt(msq + np.sum((gap_t / (sd + np.sqrt(1.0 / w))) ** 2, axis=1))
-                x = w * gap_t
+                x = self.w * (rj * rj * (np.diagonal(self.cov) - v) + shift)
             else:
-                w2_v = self._bures(rj, fill, v, v, second)
-                w2_t = self._bures(rj, fill, v, 1.0 / w, second)
-                x = self._scaled_eigs(rj, fill, v, w) - 1.0
-            kl = 0.5 * (np.sum(x - np.log1p(x), axis=1) + np.sum(w * mean * mean, axis=1))
-            out[:, lo : lo + j.shape[0]] = second, w2_v, kl, w2_t
-        return tuple(out)
+                x = self._scaled_eigs(rj, fill, v, self.w) - 1.0
+            mean = rj * self.mean
+            out[0, cols] = 0.5 * (np.sum(x - np.log1p(x), axis=1) + np.sum(self.w * mean * mean, axis=1))
+            out[1, cols] = self._second_and_w2(rj, fill, v, 1.0 / self.w, shift)[1]
+        return out[0], out[1]
+
+    def _pass(self, k: int, first: int, a: np.ndarray):
+        """Steps first..k in chunks of a few MB: (output columns, (1 - a)^j, 1 - (1 - a)^(2j)) per chunk."""
+        d = self.w.size
+        rows = max(1, _CHUNK_ELEMS // (d if _is_diagonal(self.cov) else d * d))
+        for lo in range(first, k + 1, rows):
+            j = np.arange(lo, min(lo + rows, k + 1))[:, None]
+            yield slice(lo - first, lo - first + j.shape[0]), *_decay(a, j)
 
     def _scaled_eigs(self, rj, fill, v, s2) -> np.ndarray:
         """Eigenvalues of S C'_j S, S = diag(sqrt(s2)), for each row of a chunk."""
@@ -247,10 +253,23 @@ class GaussianPath:
         inner[:, idx, idx] += s2 * v * fill
         return np.linalg.eigvalsh(inner)
 
-    def _bures(self, rj, fill, v, t, second) -> np.ndarray:
-        """W2 from each row's law to N(0, diag(t)) in the eigenbasis."""
+    def _second_and_w2(self, rj, fill, v, t, shift) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's second moment, and W2 from its law to N(0, diag(t)) in the eigenbasis, t = v - shift.
+
+        When C' is diagonal, sd - sqrt(t) is taken as (var - t)/(sd + sqrt(t))
+        with var - t = r^(2j) (c0 - v) + shift, which does not cancel near
+        N(0, diag(t)); otherwise W2 is the Bures form.
+        """
+        c0 = np.diagonal(self.cov)
+        mean = rj * self.mean
+        msq = np.sum(mean * mean, axis=1)
+        var = rj * rj * c0 + v * fill
+        second = np.sum(var, axis=1) + msq
+        if _is_diagonal(self.cov):
+            gap = rj * rj * (c0 - v) + shift
+            return second, np.sqrt(msq + np.sum((gap / (np.sqrt(var) + np.sqrt(t))) ** 2, axis=1))
         cross = np.sum(np.sqrt(np.clip(self._scaled_eigs(rj, fill, v, t), 0.0, None)), axis=1)
-        return np.sqrt(np.maximum(second + np.sum(t) - 2.0 * cross, 0.0))
+        return second, np.sqrt(np.maximum(second + np.sum(t) - 2.0 * cross, 0.0))
 
 
 def target_law(A) -> GaussianLaw:
@@ -395,5 +414,5 @@ def fisher_info_relative(p: GaussianLaw, A) -> float:
 
 
 def kl_trajectory(A, init: GaussianLaw, h: float, k: int) -> list[float]:
-    """KL to the target N(0, A^{-1}) of the laws after 0, 1, ..., k ULA steps (`GaussianPath.stats`)."""
-    return GaussianPath(init, A).stats(h, k)[2].tolist()
+    """KL to the target N(0, A^{-1}) of the laws after 0, ..., k ULA steps (`GaussianPath.target_stats`)."""
+    return GaussianPath(init, A).target_stats(h, k)[0].tolist()

@@ -4,12 +4,14 @@ import importlib.util
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from langevin_kl import cli
 from langevin_kl.chain import GAUSSIAN_1_OVER_M, GaussianInit
@@ -142,6 +144,31 @@ def test_run_strong_writes_report_and_verdicts(tmp_path, capsys):
     assert verdicts["second_moment_bound"] is True
     assert (out / "chain.csv").read_text().splitlines()[0] == "step,second_moment,mean_norm"
     assert (out / "gaussian.csv").read_text().splitlines()[0] == "step,kl,w2,fisher,second_moment"
+
+
+def test_report_records_the_environment(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "strong.ini"
+    out = tmp_path / "out"
+    cfg.write_text(STRONG_INI.format(out=out))
+    runs = []
+    for threads, workers in ((None, 1), ("3", 3), ("x", 1)):
+        if threads is None:
+            monkeypatch.delenv("LANGEVIN_KL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LANGEVIN_KL_THREADS", threads)
+        assert main(["run", str(cfg)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "workers": workers,
+            "LANGEVIN_KL_THREADS": threads,
+        }
+        runs.append((out / "chain.csv").read_bytes())
+    assert runs[0] == runs[1] == runs[2]
+    keys = {"version", "seed", "config", "potential", "plan", "resolved", "verdicts", "outputs"}
+    assert set(report) == keys | {"environment"}
 
 
 def test_run_is_byte_deterministic(tmp_path, capsys):
@@ -494,9 +521,11 @@ kl0 = 2.0
 
 
 def test_run_advances_the_gaussian_oracle_once_per_record_interval(tmp_path, monkeypatch, capsys):
-    """Per record interval one pass from the stage start and one jump to the stage step; A decomposed at most once."""
-    jumps, passes, decompositions = [], [], []
-    jump, stats, eigh = GaussianPath.jump, GaussianPath.stats, np.linalg.eigh
+    """Per record interval one pass from the stage start, one target pass at the recorded step and
+    one jump to the stage step; A decomposed at most once."""
+    jumps, passes, targets, decompositions = [], [], [], []
+    jump, stats, target_stats = GaussianPath.jump, GaussianPath.stats, GaussianPath.target_stats
+    eigh = np.linalg.eigh
 
     def counting_jump(self, h, k):
         jumps.append(k)
@@ -507,11 +536,16 @@ def test_run_advances_the_gaussian_oracle_once_per_record_interval(tmp_path, mon
         passes.append((first, k, np.count_nonzero(self.cov - np.diag(np.diagonal(self.cov)))))
         return stats(self, h, k, first)
 
+    def counting_target_stats(self, h, k, first=0):
+        targets.append((first, k))
+        return target_stats(self, h, k, first)
+
     monkeypatch.setattr(GaussianPath, "jump", counting_jump)
     monkeypatch.setattr(GaussianPath, "stats", counting_stats)
+    monkeypatch.setattr(GaussianPath, "target_stats", counting_target_stats)
     monkeypatch.setattr(np.linalg, "eigh", lambda M: decompositions.append(1) or eigh(M))
     for name, ini, stages, eighs in (("strong", STRONG_INI, 1, 0), ("rotated-halving", ROTATED_HALVING_INI, 3, 1)):
-        jumps.clear(), passes.clear(), decompositions.clear()
+        jumps.clear(), passes.clear(), targets.clear(), decompositions.clear()
         cfg = tmp_path / f"{name}.ini"
         out = tmp_path / name
         cfg.write_text(ini.format(out=out))
@@ -524,6 +558,7 @@ def test_run_advances_the_gaussian_oracle_once_per_record_interval(tmp_path, mon
         assert jumps == [s - a for s, a in zip(steps, starts)]  # k = the stage step of each record point
         firsts = [0] + [k if a == b else 0 for a, b, k in zip(starts[1:], starts, jumps)]
         assert passes == [(0, 0, 0)] + [(f, k, 0) for f, k in zip(firsts, jumps)]  # and the step-0 row
+        assert targets == [(0, 0)] + [(k, k) for k in jumps]  # KL and W2 at each recorded step alone
         assert len(decompositions) == eighs
 
 
@@ -633,6 +668,24 @@ def test_gaussian_tracker_matches_the_step_recursion(kind, params, init, stages,
     assert abs(tracker.w2_worst - w2_worst) <= 1e-12
     assert np.max(np.abs(tracker.law.mean - mean)) <= 1e-12 * np.max(np.abs(mean))  # exact 0 from N(0, I/m)
     assert np.max(np.abs(tracker.law.cov - cov)) <= 1e-12 * np.max(np.abs(cov))
+
+
+def test_gaussian_tracker_solves_one_eigenproblem_per_step(monkeypatch):
+    # a rotated target from a non-isotropic init takes the batched path: each
+    # step of an interval costs one d x d problem (W2 to pi_h), each recorded
+    # row two more (KL and W2 to the target)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    pot = construct_potential("quadratic-full", matrix=[[2.0, 0.5, 0.1], [0.5, 1.0, -0.3], [0.1, -0.3, 1.5]])
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: solved.append(M.size // 9) or eigvalsh(M))
+    tracker = cli._GaussianTracker(pot, GaussianInit(np.array([0.3, -0.2, 0.6]), np.array([1.4, 0.6, 2.0])))
+    tracker.row(0)
+    assert sum(solved) == 1 + 2  # the step-0 pass and row
+    for steps in (50, 50, 7):
+        solved.clear()
+        tracker.advance(0.01, steps)
+        tracker.row(0)
+        assert sum(solved) == (steps + 1) + 2  # the pass re-reads step j, the last one judged
 
 
 def test_main_freezes_the_import_heap_once(capsys):

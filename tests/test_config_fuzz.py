@@ -1,11 +1,14 @@
-"""Fuzz of the run-config grammar: any INI text loads or is a config error."""
+"""Fuzz of the run-config grammar and of runs: any INI text loads or is a config
+error, and any small run exits 0, 1 or 2 without a traceback."""
 
+import contextlib
+import io
 import string
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langevin_kl.cli import ConfigError, RunConfig, load_config
+from langevin_kl.cli import ConfigError, RunConfig, load_config, main
 
 # a plausible value per (section, key); the fuzz mixes these with wild ones
 _PLAUSIBLE = {
@@ -87,3 +90,85 @@ def test_any_ini_loads_or_is_a_config_error(tmp_path_factory, text):
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)
+
+
+# small runs: few chains, a coarse epsilon and both oracles; grid runs are
+# capped at 40 steps on 64 cells. Most draws are consistent configs that run;
+# up to two values are then replaced by an out-of-range one
+_POTENTIALS = [
+    ({"kind": "quadratic-diagonal", "diag": "1, 2"}, 2),
+    ({"kind": "quadratic-diagonal", "diag": "2"}, 1),
+    ({"kind": "quadratic-full", "matrix": "2 0.5 | 0.5 1"}, 2),
+    ({"kind": "huber", "delta": "1", "dim": "1"}, 1),
+    ({"kind": "huber", "delta": "0.5", "dim": "2"}, 2),
+]
+_OUT_OF_RANGE = [
+    ("run", "epsilon", ["0", "nan", "40"]),
+    ("run", "n_chains", ["1", "-3"]),
+    ("run", "seed", ["-1", "18446744073709551616"]),
+    ("run", "record_every", ["0", "1000000"]),
+    ("potential", "diag", ["0, 1", "1e-300"]),
+    ("potential", "matrix", ["1 2 | 3 4", "1"]),
+    ("potential", "delta", ["-1", "inf"]),
+    ("init", "mean", ["1e308", "0, 0, 0"]),
+    ("init", "cov_diag", ["0", "1e308"]),
+    ("init", "x", ["1e300", "nan"]),
+    ("oracles", "grid_x_min", ["8"]),
+    ("weak", "c1", ["0", "inf"]),
+    ("halving", "kl0", ["0", "1e308"]),
+]
+
+
+@st.composite
+def _small_run(draw, out_dir):
+    potential, d = draw(st.sampled_from(_POTENTIALS))
+    quadratic = potential["kind"] != "huber"
+    regime = draw(st.sampled_from(["strong", "halving", "weak"] if quadratic else ["weak"]))
+    ones = ", ".join(["1"] * d)
+    inits = [
+        {"kind": "gaussian", "mean": ", ".join(["0.5"] * d), "cov_diag": ones},
+        {"kind": "point", "x": ones},
+    ]
+    init = draw(st.sampled_from(inits + [{"kind": "gaussian_1_over_m"}] * quadratic))
+    values = {
+        "run": {
+            "regime": regime,
+            "epsilon": draw(st.sampled_from(["0.5", "0.9"])),
+            "n_chains": draw(st.sampled_from(["2", "3", "16"])),
+            "seed": draw(st.sampled_from(["0", "18446744073709551615"])),
+            "record_every": draw(st.sampled_from(["1", "7", "100"])),
+            "out_dir": out_dir,
+            "grid_max_steps": "40",
+        },
+        "potential": dict(potential),
+        "init": dict(init),
+        "oracles": {
+            "gaussian": str(quadratic and init["kind"] != "point" and draw(st.booleans())).lower(),
+            "grid": str(d == 1 and draw(st.booleans())).lower(),
+            "grid_n": "64",
+        },
+    }
+    if regime == "weak":
+        choices = ["estimate", "1", "0.5"] if values["oracles"]["grid"] == "true" else ["1", "0.5"]
+        values["weak"] = {key: draw(st.sampled_from(choices)) for key in ("c1", "c2", "h_prime", "kl0")}
+    for _ in range(draw(st.integers(0, 2))):
+        section, key, wild = draw(st.sampled_from(_OUT_OF_RANGE))
+        values.setdefault(section, {})[key] = draw(st.sampled_from(wild))
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for section, keys in values.items()
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_small_run_exits_0_1_or_2(tmp_path_factory, data):
+    base = tmp_path_factory.getbasetemp()
+    text = data.draw(_small_run(base / "run-out"))
+    path = base / "run.ini"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", str(path)])
+    assert code in (0, 1, 2), text
+    assert "Traceback" not in err.getvalue(), text

@@ -387,7 +387,8 @@ _SCHEDULES = {
 def test_closed_form_matches_recursion(name):
     A, law, h, k = _SCHEDULES[name]
     path = GaussianPath(law, A)
-    second, w2_pi_h, kl, w2 = path.stats(h, k)
+    second, w2_pi_h = path.stats(h, k)
+    kl, w2 = path.target_stats(h, k)
     assert kl.tolist() == kl_trajectory(A, law, h, k)
     pi_h, target = stationary_law(A, h), target_law(A)
     checked = 0
@@ -411,8 +412,9 @@ def test_rotated_init_takes_the_batched_w2_path():
     w, Q = np.linalg.eigh(A)
     assert np.abs(Q.T @ law.cov @ Q - np.diag(np.diagonal(Q.T @ law.cov @ Q))).max() > 0.1
     path = GaussianPath(law, A)
-    second, w2_pi_h, kl, w2 = path.stats(h, k, first=k - 9)
-    assert w2_pi_h.shape == (10,)
+    second, w2_pi_h = path.stats(h, k, first=k - 9)
+    kl, w2 = path.target_stats(h, k, first=k - 9)
+    assert w2_pi_h.shape == kl.shape == (10,)
     end = path.jump(h, k).law
     assert w2_pi_h[-1] == pytest.approx(w2_gaussian(end, stationary_law(A, h)), abs=1e-12)
     assert w2[-1] == pytest.approx(w2_gaussian(end, target_law(A)), abs=1e-12)
@@ -425,13 +427,15 @@ def test_path_pass_from_step_zero_reads_the_held_law():
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
     law = GaussianLaw([0.4, -0.3], [[0.5, 0.1], [0.1, 1.8]])
     h = 1.0 / float(np.linalg.eigvalsh(A)[-1])
-    second, w2_pi_h, kl, w2 = GaussianPath(law, A).stats(h, 0)
+    second, w2_pi_h = GaussianPath(law, A).stats(h, 0)
+    kl, w2 = GaussianPath(law, A).target_stats(h, 0)
     target = target_law(A)
     assert second[0] == pytest.approx(law.second_moment, rel=1e-12)
     assert w2_pi_h[0] == pytest.approx(w2_gaussian(law, stationary_law(A, h)), abs=1e-12)
     assert kl[0] == pytest.approx(kl_gaussian(law, target), rel=1e-12)
     assert w2[0] == pytest.approx(w2_gaussian(law, target), abs=1e-12)
-    stats = GaussianPath(law, np.diag([1.0, 4.0])).stats(0.25, 5)
+    path = GaussianPath(law, np.diag([1.0, 4.0]))
+    stats = path.stats(0.25, 5) + path.target_stats(0.25, 5)
     assert all(np.isfinite(s).all() for s in stats)
 
 
@@ -443,11 +447,13 @@ def test_path_decomposes_a_once(monkeypatch):
     path = GaussianPath(law, A)
     for _ in range(3):
         path.stats(h, k, first=k - 2)
+        path.target_stats(h, k, first=k - 2)
         path = path.jump(h, k)
     path.law
     assert len(calls) == 1
     path = GaussianPath(law, np.diag([1.0, 2.0, 3.0]))
     path.jump(h, k).stats(h, 5)
+    path.jump(h, k).target_stats(h, 5)
     assert len(calls) == 1  # a diagonal A is its own eigenbasis
 
 
