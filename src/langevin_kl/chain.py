@@ -16,7 +16,6 @@ import math
 import operator
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,12 +148,20 @@ def _normals(seed: int, purpose: int, step: int, lo: int, out: np.ndarray) -> No
 
 
 def _workers(explicit=None) -> int:
+    """The worker count: explicit if given, else LANGEVIN_KL_THREADS, else 1.
+
+    ValueError if the variable is set to anything but a positive integer.
+    """
     if explicit is not None:
         return max(1, int(explicit))
+    raw = os.environ.get(THREADS_ENV, "1")
     try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
+        n = int(raw)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return n
 
 
 def _chunks(n: int, d: int, workers: int) -> list[tuple[int, int]]:
@@ -219,20 +226,35 @@ def _step_chunk(e: Ensemble, h: float, lo: int, hi: int, out: np.ndarray) -> Non
         xi += drift
 
 
-def step(e: Ensemble, h: float, workers: int | None = None) -> Ensemble:
+def step(e: Ensemble, h: float, workers: int | None = None, out: np.ndarray | None = None) -> Ensemble:
     """Advance every chain one update x' = x - h grad U(x) + sqrt(2h) xi.
 
     The per-chain noise slot is (seed, step_index), so parallel and serial
-    execution produce bit-identical states.
+    execution produce bit-identical states. The new states are written into
+    out if given: a C-contiguous float64 array of e.states' shape that shares
+    no memory with it. A loop that alternates two such buffers stops the
+    allocator from handing back, and faulting in, fresh pages every step.
     """
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     n = e.n_chains
-    out = np.empty_like(e.states, order="C")
+    if out is None:
+        out = np.empty_like(e.states, order="C")
+    elif (
+        out.shape != e.states.shape
+        or out.dtype != np.float64
+        or not out.flags.c_contiguous
+        or not out.flags.writeable
+    ):
+        raise ValueError(f"out must be a writeable C-contiguous float64 array of shape {e.states.shape}")
+    elif np.shares_memory(out, e.states):
+        raise ValueError("out overlaps the states it is computed from")
     bounds = _chunks(n, e.d, _workers(workers))
     if len(bounds) == 1:
         _step_chunk(e, h, 0, n, out)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # imported on first use: serial runs skip it
+
         with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
             futures = [pool.submit(_step_chunk, e, h, lo, hi, out) for lo, hi in bounds]
             for f in futures:
@@ -274,8 +296,9 @@ def run(
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     rows = [trace_row(e)]
     cur = e
+    bufs = (np.empty_like(e.states, order="C"), np.empty_like(e.states, order="C"))
     for i in range(plan.k):
-        cur = step(cur, plan.h, workers=workers)
+        cur = step(cur, plan.h, workers=workers, out=bufs[i % 2])
         if cur.step_index % record_every == 0 or i == plan.k - 1:
             rows.append(trace_row(cur))
     return cur, rows

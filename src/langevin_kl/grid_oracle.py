@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import ndtr
 
 from .chain import GaussianInit, PointInit
 from .potentials import Potential, grad_u, u_value
@@ -39,6 +38,26 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-9
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _ndtr_scalar(x: float) -> float:
+    z = x * _SQRT1_2
+    if abs(z) < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(z)
+    y = 0.5 * math.erfc(abs(z))
+    return 1.0 - y if z > 0 else y
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """The standard normal CDF of each entry of a 1-D array.
+
+    The branches of scipy.special.ndtr over libm's erf and erfc: a tail value
+    keeps its relative precision, and importing scipy.special (about 290 ms,
+    most of it numpy.f2py and numpy.testing) is not needed for the few
+    thousand values a grid set-up asks for.
+    """
+    return np.fromiter(map(_ndtr_scalar, x.tolist()), float, x.size)
 
 
 class GridCoverageError(ValueError):
@@ -146,7 +165,7 @@ def discretize_gaussian(mean: float, var: float, x_min: float, x_max: float, n: 
         )
     dx = (x_max - x_min) / n
     edges = x_min + np.arange(n + 1) * dx
-    raw = np.diff(ndtr((edges - mean) / sd))
+    raw = np.diff(_ndtr((edges - mean) / sd))
     # deep-tail CDF differences cancel to 0 in floats; midpoint pdf mass keeps
     # every cell strictly positive so KL against this density stays defined
     mids = (edges[:-1] + 0.5 * dx - mean) / sd
@@ -258,7 +277,7 @@ def _step_operator(p: GridDensity, pot: Potential, h: float) -> _StepOperator:
     if 2 * half + 1 > p.n:
         raise GridCoverageError(f"noise kernel (sd {sd}) wider than the grid")
     offs = np.arange(-half, half + 1) * p.dx
-    kern = ndtr((offs + 0.5 * p.dx) / sd) - ndtr((offs - 0.5 * p.dx) / sd)
+    kern = _ndtr((offs + 0.5 * p.dx) / sd) - _ndtr((offs - 0.5 * p.dx) / sd)
     kern /= kern.sum()
     op = _StepOperator(pot, j, j + 1, f, 1.0 - f, kern, _toeplitz_slabs(kern))
     with _STEP_MEMO_LOCK:
@@ -340,7 +359,9 @@ def w2_grid_1d(p: GridDensity, q: GridDensity) -> float:
     cq = np.cumsum(q.mass)
     cp /= cp[-1]
     cq /= cq[-1]
-    breaks = np.union1d(cp, cq)
+    # np.union1d's sort-and-dedup without its np.unique, which imports numpy.ma
+    both = np.sort(np.concatenate([cp, cq]))
+    breaks = both[np.concatenate([[True], both[1:] != both[:-1]])]
     seg = np.diff(breaks, prepend=0.0)
     ip = np.minimum(np.searchsorted(cp, breaks, side="left"), p.n - 1)
     iq = np.minimum(np.searchsorted(cq, breaks, side="left"), p.n - 1)

@@ -126,6 +126,55 @@ def test_parallel_and_serial_agree_bit_exactly(monkeypatch):
             assert np.array_equal(serial.states, step(e_d, 0.02, workers=w).states)
 
 
+def test_step_into_out_matches_a_fresh_array(monkeypatch):
+    # two-chain blocks: 2 workers take a chunk each
+    monkeypatch.setattr(chain_mod, "_BLOCK_NORMALS", 4)
+    pot = quadratic_diagonal([1.0, 2.0])
+    e = init_ensemble(pot, GAUSSIAN_1_OVER_M, 301, seed=5)
+    before = e.states.copy()
+    for w in (1, 2):
+        assert len(chain_mod._chunks(e.n_chains, e.d, w)) == w
+        fresh = step(e, 0.02, workers=w)
+        buf = np.full_like(e.states, np.nan)
+        into = step(e, 0.02, workers=w, out=buf)
+        assert into.states is buf
+        assert np.array_equal(into.states, fresh.states)
+        # the next step writes into the other buffer and reads this one
+        again = step(into, 0.02, workers=w, out=np.empty_like(buf))
+        assert np.array_equal(again.states, step(fresh, 0.02, workers=w).states)
+    assert np.array_equal(e.states, before)
+    # run alternates two buffers of its own and leaves the start untouched
+    end, _ = run(e, StepPlan(h=0.02, k=3, epsilon=1.0, regime="strong"))
+    ref = e
+    for _ in range(3):
+        ref = step(ref, 0.02)
+    assert np.array_equal(end.states, ref.states)
+    assert np.array_equal(e.states, before)
+
+
+def test_step_rejects_a_bad_out():
+    pot = quadratic_diagonal([1.0, 2.0])
+    e = init_ensemble(pot, GAUSSIAN_1_OVER_M, 10, seed=5)
+    wide = np.empty((10, 4))
+    frozen = np.empty((10, 2))
+    frozen.flags.writeable = False
+    for bad in (
+        np.empty((9, 2)),
+        np.empty((10, 2), dtype=np.float32),
+        np.empty((10, 2), order="F"),
+        wide[:, :2],
+        frozen,
+    ):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            step(e, 0.1, out=bad)
+    with pytest.raises(ValueError, match="overlaps"):
+        step(e, 0.1, out=e.states)
+    big = np.empty((11, 2))
+    e_view = chain_mod.Ensemble(big[:10], 0, 0.0, 5, pot)
+    with pytest.raises(ValueError, match="overlaps"):
+        step(e_view, 0.1, out=big[1:])
+
+
 def test_small_ensembles_step_serially():
     per = chain_mod._BLOCK_NORMALS
     assert chain_mod._chunks(20_000, 2, 2) == [(0, 20_000)]
@@ -249,6 +298,10 @@ def test_threads_env_only_affects_speed(monkeypatch):
     base = step(e, 0.01).states
     monkeypatch.setenv(chain_mod.THREADS_ENV, "4")
     assert np.array_equal(base, step(e, 0.01).states)
+    for bad in ("x", "0", "-2", ""):
+        monkeypatch.setenv(chain_mod.THREADS_ENV, bad)
+        with pytest.raises(ValueError, match=chain_mod.THREADS_ENV):
+            step(e, 0.01)
 
 
 def test_ensemble_matches_gaussian_oracle():

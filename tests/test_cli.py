@@ -151,7 +151,7 @@ def test_report_records_the_environment(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     cfg.write_text(STRONG_INI.format(out=out))
     runs = []
-    for threads, workers in ((None, 1), ("3", 3), ("x", 1)):
+    for threads, workers in ((None, 1), ("3", 3), (" 2 ", 2)):
         if threads is None:
             monkeypatch.delenv("LANGEVIN_KL_THREADS", raising=False)
         else:
@@ -439,6 +439,19 @@ def test_run_seed_outside_philox_key_range_is_config_error(tmp_path, capsys, see
     assert "[0, 2**64)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["x", "0", "-2", "1.5"])
+def test_invalid_threads_env_is_config_error(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("LANGEVIN_KL_THREADS", threads)
+    cfg = tmp_path / "strong.ini"
+    cfg.write_text(STRONG_INI.format(out=tmp_path / "out"))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: LANGEVIN_KL_THREADS must be a positive integer, got {threads!r}\n"
+    assert not (tmp_path / "out").exists()  # rejected before anything is written
+    assert main(["verify", "contraction"]) == 2
+    assert "LANGEVIN_KL_THREADS" in capsys.readouterr().err
+
+
 def test_run_accepts_both_ends_of_the_seed_range(tmp_path, capsys):
     chains = []
     for seed in (0, 2**64 - 1):
@@ -452,12 +465,31 @@ def test_run_accepts_both_ends_of_the_seed_range(tmp_path, capsys):
     assert chains[0] != chains[1]
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    code = "import sys, langevin_kl.cli; print('scipy.integrate' in sys.modules)"
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
+    """Neither importing the CLI nor a grid-oracle run loads the heavy modules a run has no use for.
+
+    scipy.special alone costs a cold start about 290 ms (it loads numpy.f2py,
+    numpy.testing and numpy.ma); concurrent.futures is needed by multi-worker
+    steps only.
+    """
+    cfg = tmp_path / "weak.ini"
+    small = WEAK_INI.format(out=tmp_path / "out").replace("n_chains = 500", "n_chains = 20\ngrid_max_steps = 30")
+    cfg.write_text(small.replace("grid_n = 2048", "grid_n = 256"))
+    code = (
+        "import sys, langevin_kl.cli as cli\n"
+        "heavy = ('scipy.special', 'scipy.integrate', 'numpy.f2py', 'numpy.ma', 'concurrent.futures')\n"
+        "print([m for m in heavy if m in sys.modules])\n"
+        f"print(cli.main(['run', {str(cfg)!r}]))\n"
+        "print([m for m in ('scipy.special', 'numpy.ma') if m in sys.modules])\n"
+    )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env.pop("LANGEVIN_KL_THREADS", None)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    lines = done.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-2] in ("0", "1") and (tmp_path / "out" / "grid.csv").exists()  # the grid run finished
+    assert lines[-1] == "[]"
 
 
 def _probe_boundaries():
