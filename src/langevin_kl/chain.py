@@ -86,7 +86,6 @@ class Ensemble:
 
     states: np.ndarray  # (n_chains, d)
     step_index: int
-    h: float  # stepsize of the most recent step; 0.0 before any step
     seed: int
     potential: Potential
 
@@ -150,17 +149,18 @@ def _normals(seed: int, purpose: int, step: int, lo: int, out: np.ndarray) -> No
 def _workers(explicit=None) -> int:
     """The worker count: explicit if given, else LANGEVIN_KL_THREADS, else 1.
 
-    ValueError if the variable is set to anything but a positive integer.
+    ValueError unless the count is a positive integer.
     """
-    if explicit is not None:
-        return max(1, int(explicit))
-    raw = os.environ.get(THREADS_ENV, "1")
+    if explicit is None:
+        name, raw = THREADS_ENV, os.environ.get(THREADS_ENV, "1")
+    else:
+        name, raw = "workers", explicit
     try:
         n = int(raw)
     except ValueError:
         n = 0
     if n < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
     return n
 
 
@@ -211,7 +211,7 @@ def init_ensemble(p: Potential, init, n: int, seed: int) -> Ensemble:
         states = np.tile(x, (n, 1))
     else:
         raise TypeError(f"unsupported init spec {init!r}")
-    return Ensemble(states, 0, 0.0, seed, p)
+    return Ensemble(states, 0, seed, p)
 
 
 def _step_chunk(e: Ensemble, h: float, lo: int, hi: int, out: np.ndarray) -> None:
@@ -262,7 +262,7 @@ def step(e: Ensemble, h: float, workers: int | None = None, out: np.ndarray | No
     if not np.isfinite(out).all():
         bad = np.flatnonzero(~np.isfinite(out).all(axis=1))[0]
         raise DivergedError(int(bad), e.step_index, e.states[bad].copy())
-    return Ensemble(out, e.step_index + 1, float(h), e.seed, e.potential)
+    return Ensemble(out, e.step_index + 1, e.seed, e.potential)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .chain import (
@@ -79,6 +78,10 @@ from .planner import (
 from .potentials import construct_potential, validate_constants
 
 MARGIN_TOL = -1e-9
+# the largest |mean|, |x| and sqrt(cov_diag) of an [init]: the standard error
+# of the ensemble second moment squares each chain's |x|^2 again, so this
+# bounds |x|^4 (about 1e240 a coordinate) well inside the float range
+_INIT_MAX = 1e60
 
 
 class ConfigError(ValueError):
@@ -251,6 +254,10 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("run.record_every must be >= 1")
     if cfg.grid_n < 8:
         raise ConfigError(f"oracles.grid_n must be at least 8 cells, got {cfg.grid_n}")
+    for key, values in cfg.init_params.items():
+        what = "sqrt(cov_diag)" if key == "cov_diag" else f"|{key}|"
+        if not all((math.sqrt(abs(v)) if key == "cov_diag" else abs(v)) <= _INIT_MAX for v in values):
+            raise ConfigError(f"[init] {key}: every {what} must be at most {_INIT_MAX:g}, got {values}")
     if cfg.halving_kl0 is not None and not 0 < cfg.halving_kl0 < math.inf:
         raise ConfigError(f"halving.kl0 must be a number in (0, inf), got {cfg.halving_kl0}")
     try:
@@ -613,7 +620,6 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
             "environment": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "workers": _workers(),
                 THREADS_ENV: os.environ.get(THREADS_ENV),
             },

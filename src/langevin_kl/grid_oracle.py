@@ -17,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import GaussianInit, PointInit
+from .gaussian_oracle import _ndtr
 from .potentials import Potential, grad_u, u_value
 
 __all__ = [
@@ -38,26 +39,8 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-9
-_SQRT1_2 = math.sqrt(0.5)
-
-
-def _ndtr_scalar(x: float) -> float:
-    z = x * _SQRT1_2
-    if abs(z) < _SQRT1_2:
-        return 0.5 + 0.5 * math.erf(z)
-    y = 0.5 * math.erfc(abs(z))
-    return 1.0 - y if z > 0 else y
-
-
-def _ndtr(x: np.ndarray) -> np.ndarray:
-    """The standard normal CDF of each entry of a 1-D array.
-
-    The branches of scipy.special.ndtr over libm's erf and erfc: a tail value
-    keeps its relative precision, and importing scipy.special (about 290 ms,
-    most of it numpy.f2py and numpy.testing) is not needed for the few
-    thousand values a grid set-up asks for.
-    """
-    return np.fromiter(map(_ndtr_scalar, x.tolist()), float, x.size)
+_STATIONARY_TOL = 1e-10  # successive TV gap at which stationary_grid stops
+_STATIONARY_MAX_STEPS = 200_000
 
 
 class GridCoverageError(ValueError):
@@ -379,49 +362,33 @@ def mean_grid(p: GridDensity) -> float:
     return float(np.sum(p.mass * p.centers))
 
 
-def stationary_grid(
-    pot: Potential,
-    h: float,
-    x_min: float,
-    x_max: float,
-    n: int,
-    tol: float = 1e-10,
-    max_steps: int = 200_000,
-    start: GridDensity | None = None,
-) -> GridDensity:
-    """Fixed point of ula_step_grid, iterated until successive TV < tol.
+def stationary_grid(pot: Potential, h: float, x_min: float, x_max: float, n: int) -> GridDensity:
+    """Fixed point of ula_step_grid from the target, iterated until successive TV < 1e-10.
 
     An empirical estimate: nothing beyond the stopping rule certifies it.
     """
-    q = start if start is not None else target_density_grid(pot, x_min, x_max, n)
+    q = target_density_grid(pot, x_min, x_max, n)
     gap = math.inf
-    for _ in range(max_steps):
+    for _ in range(_STATIONARY_MAX_STEPS):
         q2 = ula_step_grid(q, pot, h)
         gap = tv_grid(q2, q)
         q = q2
-        if gap < tol:
+        if gap < _STATIONARY_TOL:
             return q
-    raise RuntimeError(f"no fixed point within {max_steps} steps (last TV gap {gap:.3g})")
+    raise RuntimeError(f"no fixed point within {_STATIONARY_MAX_STEPS} steps (last TV gap {gap:.3g})")
 
 
-def estimate_h_prime(
-    pot: Potential,
-    c1: float,
-    x_min: float,
-    x_max: float,
-    n: int,
-    h_max: float | None = None,
-) -> float:
-    """Largest stepsize (halving search from h_max) keeping W2(pi_h, p*) <= c1.
+def estimate_h_prime(pot: Potential, c1: float, x_min: float, x_max: float, n: int) -> float:
+    """Largest stepsize (halving search from 1/L) keeping W2(pi_h, p*) <= c1.
 
-    The search starts at h_max (default 1/L, the monotone-drift limit of the
-    grid kernel) and halves until the stationary estimate fits the radius.
-    Empirical, not certified.
+    The search starts at 1/L, the monotone-drift limit of the grid kernel,
+    and halves until the stationary estimate fits the radius. Empirical, not
+    certified.
     """
     if not c1 > 0:
         raise ValueError(f"c1 must be positive, got {c1}")
     target = target_density_grid(pot, x_min, x_max, n)
-    h = h_max if h_max is not None else 1.0 / pot.L
+    h = 1.0 / pot.L
     for _ in range(24):
         pi_h = stationary_grid(pot, h, x_min, x_max, n)
         if w2_grid_1d(pi_h, target) <= c1:

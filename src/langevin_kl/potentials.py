@@ -188,6 +188,9 @@ def grad_u(p: Potential, x) -> np.ndarray:
     return g
 
 
+_FD_STEP = 1e-5  # central-difference step of validate_constants' gradient check
+
+
 @dataclass(frozen=True)
 class ConstantsReport:
     """Worst signed violations found by validate_constants (<= 0 means clean)."""
@@ -201,7 +204,7 @@ class ConstantsReport:
     seed: int
 
 
-def validate_constants(p: Potential, n_probes: int, seed: int, fd_step: float = 1e-5) -> ConstantsReport:
+def validate_constants(p: Potential, n_probes: int, seed: int) -> ConstantsReport:
     """Spot-check the declared (m, L) and the gradient on random probe pairs.
 
     Probes are drawn from N(0, s^2 I) with s = 3/sqrt(m) (s = 3 when m = 0) to
@@ -231,9 +234,9 @@ def validate_constants(p: Potential, n_probes: int, seed: int, fd_step: float = 
     coco = float(np.max(gg / p.L - inner))
 
     eye = np.eye(p.d)
-    up = u_value(p, x[:, None, :] + fd_step * eye[None, :, :])
-    um = u_value(p, x[:, None, :] - fd_step * eye[None, :, :])
-    fd = (np.atleast_2d(up) - np.atleast_2d(um)) / (2.0 * fd_step)
+    up = u_value(p, x[:, None, :] + _FD_STEP * eye[None, :, :])
+    um = u_value(p, x[:, None, :] - _FD_STEP * eye[None, :, :])
+    fd = (np.atleast_2d(up) - np.atleast_2d(um)) / (2.0 * _FD_STEP)
     scale = np.maximum(1.0, np.max(np.abs(gx), axis=1))
     rel = float(np.max(np.max(np.abs(fd - gx), axis=1) / scale))
 

@@ -170,9 +170,22 @@ def test_step_rejects_a_bad_out():
     with pytest.raises(ValueError, match="overlaps"):
         step(e, 0.1, out=e.states)
     big = np.empty((11, 2))
-    e_view = chain_mod.Ensemble(big[:10], 0, 0.0, 5, pot)
+    e_view = chain_mod.Ensemble(big[:10], 0, 5, pot)
     with pytest.raises(ValueError, match="overlaps"):
         step(e_view, 0.1, out=big[1:])
+
+
+@pytest.mark.parametrize("workers", [0, -3, "0"], ids=["zero", "negative", "zero-text"])
+def test_explicit_worker_count_below_one_is_rejected(workers):
+    """An explicit count gets the check LANGEVIN_KL_THREADS gets, not a quiet single worker."""
+    pot = quadratic_diagonal([1.0, 2.0])
+    e = init_ensemble(pot, GAUSSIAN_1_OVER_M, 10, seed=0)
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        step(e, 0.1, workers=workers)
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        run(e, StepPlan(h=0.1, k=3, epsilon=1.0, regime="strong"), workers=workers)
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        coupled_run(pot, GAUSSIAN_1_OVER_M, GAUSSIAN_1_OVER_M, 0.1, 3, 10, 0, workers=workers)
 
 
 def test_small_ensembles_step_serially():

@@ -7,11 +7,11 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from langevin_kl import cli
 from langevin_kl.chain import GAUSSIAN_1_OVER_M, GaussianInit
@@ -161,7 +161,6 @@ def test_report_records_the_environment(tmp_path, monkeypatch, capsys):
         assert report["environment"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "workers": workers,
             "LANGEVIN_KL_THREADS": threads,
         }
@@ -245,6 +244,45 @@ def test_run_quadratic_full_matrix_rows(tmp_path, capsys):
     assert w["kind"] == "quadratic-full"
     assert w["m"] == pytest.approx(1.5 - math.sqrt(0.5))  # eigenvalues of [[2,.5],[.5,1]]
     assert w["L"] == pytest.approx(1.5 + math.sqrt(0.5))
+
+
+def _init_config(tmp_path, init: str) -> Path:
+    """FULL_MATRIX_INI (rotated A) with the given [init] body; the Gaussian oracle is on unless init is a point."""
+    text = FULL_MATRIX_INI.format(out=tmp_path / "out")
+    text = text.replace("kind = gaussian\nmean = 0.0, 0.0\ncov_diag = 1.2, 1.2\n", init)
+    if "kind = point" in init:
+        text = text.replace("gaussian = true", "gaussian = false")
+    cfg = tmp_path / "init.ini"
+    cfg.write_text(text)
+    return cfg
+
+
+def test_run_rejects_an_init_whose_fourth_power_overflows(tmp_path, capsys):
+    """mean = 1e308 on a rotated A with the Gaussian oracle is a config error before any work, with no warning."""
+    cfg = _init_config(tmp_path, "kind = gaussian\nmean = 1e308, 0\ncov_diag = 1, 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [init] mean") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "init",
+    ["kind = gaussian\nmean = 1e60, -1e60\ncov_diag = 1e120, 1e120\n", "kind = point\nx = 1e60, -1e60\n"],
+    ids=["gaussian", "point"],
+)
+def test_run_accepts_the_largest_init_without_warnings(tmp_path, capsys, init):
+    """The rule's own bounds run end to end, through the rotated Gaussian oracle too, with no overflow warning."""
+    cfg = _init_config(tmp_path, init)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg)]) in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == "" and "report:" in captured.out
+    rows = np.loadtxt(tmp_path / "out" / "chain.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(rows).all() and rows[0, 1] > 1e120
 
 
 def test_run_gaussian_oracle_rejected_for_huber(tmp_path, capsys):
@@ -337,6 +375,16 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
             "regime = weak\n[potential]\nkind = huber\ndelta = 1\n[init]\nkind = point\nx = 0\n",
             "say 'estimate' but the grid oracle is off",
         ),
+        *[
+            (f"[potential]\nkind = quadratic-diagonal\ndiag = 1, 2\n[init]\n{init}\n", message)
+            for init, message in (
+                ("kind = gaussian\nmean = 1.0000000000000002e60, 0\ncov_diag = 1, 1", "[init] mean"),
+                ("kind = gaussian\nmean = 0, nan\ncov_diag = 1, 1", "[init] mean"),
+                ("kind = gaussian\nmean = 0, 0\ncov_diag = 1, 1.0000000000000002e120", "[init] cov_diag"),
+                ("kind = gaussian\nmean = 0, 0\ncov_diag = inf, 1", "[init] cov_diag"),
+                ("kind = point\nx = -1e61, 0", "[init] x"),
+            )
+        ],
     ],
     ids=[
         "no-potential",
@@ -357,6 +405,11 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
         "halving-kl0-nan",
         "halving-kl0-inf",
         "weak-estimate-without-grid",
+        "init-mean-above-1e60",
+        "init-mean-nan",
+        "init-cov-diag-above-1e120",
+        "init-cov-diag-inf",
+        "init-point-above-1e60",
     ],
 )
 def test_run_bad_config_is_usage_error(tmp_path, capsys, body, message):
@@ -465,22 +518,25 @@ def test_run_accepts_both_ends_of_the_seed_range(tmp_path, capsys):
     assert chains[0] != chains[1]
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
-    """Neither importing the CLI nor a grid-oracle run loads the heavy modules a run has no use for.
+def test_cli_runs_load_no_scipy(tmp_path):
+    """Importing the CLI, then a grid-oracle run and a d = 1 Gaussian-oracle run, loads no scipy module.
 
-    scipy.special alone costs a cold start about 290 ms (it loads numpy.f2py,
-    numpy.testing and numpy.ma); concurrent.futures is needed by multi-worker
-    steps only.
+    numpy is the only runtime dependency; the Gaussian run computes tv_target
+    in closed form. numpy.f2py and numpy.ma (which scipy.special loads) stay
+    unloaded too, and concurrent.futures is needed by multi-worker steps only.
     """
-    cfg = tmp_path / "weak.ini"
-    small = WEAK_INI.format(out=tmp_path / "out").replace("n_chains = 500", "n_chains = 20\ngrid_max_steps = 30")
-    cfg.write_text(small.replace("grid_n = 2048", "grid_n = 256"))
+    weak = tmp_path / "weak.ini"
+    small = WEAK_INI.format(out=tmp_path / "grid").replace("n_chains = 500", "n_chains = 20\ngrid_max_steps = 30")
+    weak.write_text(small.replace("grid_n = 2048", "grid_n = 256"))
+    gauss = tmp_path / "gauss.ini"
+    gauss.write_text(STRONG_INI.format(out=tmp_path / "gauss").replace("diag = 1.0, 2.0", "diag = 2.0"))
     code = (
         "import sys, langevin_kl.cli as cli\n"
-        "heavy = ('scipy.special', 'scipy.integrate', 'numpy.f2py', 'numpy.ma', 'concurrent.futures')\n"
-        "print([m for m in heavy if m in sys.modules])\n"
-        f"print(cli.main(['run', {str(cfg)!r}]))\n"
-        "print([m for m in ('scipy.special', 'numpy.ma') if m in sys.modules])\n"
+        "heavy = ('numpy.f2py', 'numpy.ma', 'concurrent.futures')\n"
+        "loaded = lambda: [m for m in sys.modules if m in heavy or m.split('.')[0] == 'scipy']\n"
+        "print(loaded())\n"
+        f"print(cli.main(['run', {str(weak)!r}]), cli.main(['run', {str(gauss)!r}]))\n"
+        "print(loaded())\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
@@ -488,7 +544,10 @@ def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     lines = done.stdout.splitlines()
     assert lines[0] == "[]"
-    assert lines[-2] in ("0", "1") and (tmp_path / "out" / "grid.csv").exists()  # the grid run finished
+    assert lines[-2].split()[0] in ("0", "1") and (tmp_path / "grid" / "grid.csv").exists()  # the grid run finished
+    assert lines[-2].split()[1] == "0"
+    report = json.loads((tmp_path / "gauss" / "report.json").read_text())
+    assert "tv_target" in [v["name"] for v in report["verdicts"]]
     assert lines[-1] == "[]"
 
 

@@ -106,33 +106,6 @@ def test_ula_step_grid_monotonicity_guard():
         ula_step_grid(p, pot, 3.0)
 
 
-def test_ndtr_matches_scipy_and_a_40_digit_reference():
-    """_ndtr on [-20, 9] is within (1 + x^2) * 2^-51 of the 40-digit CDF, relative, and so is scipy's ndtr.
-
-    Rounding x / sqrt(2) moves the CDF by up to about x^2 * 2^-53 relative
-    (its relative condition number in the lower tail is about x^2), so no
-    double-precision CDF does better; the factor 4 over that covers a few ulp
-    of erf/erfc. Measured on these points: _ndtr reaches 0.40 of the bound,
-    scipy 0.84, and the two differ by at most 1.1e-16 absolute and 1.5e-14
-    relative.
-    """
-    from scipy.special import ndtr
-
-    from langevin_kl.grid_oracle import _ndtr
-
-    mp = pytest.importorskip("mpmath").mp
-    x = np.concatenate([np.linspace(-20.0, 9.0, 2901), np.random.default_rng(0).uniform(-20.0, 9.0, 500)])
-    with mp.workdps(40):
-        exact = np.array([float(mp.ncdf(mp.mpf(float(v)))) for v in x])
-    bound = (1.0 + x * x) * 2.0**-51 * exact
-    ours = _ndtr(x)
-    assert ours.shape == x.shape and ours.dtype == np.float64
-    assert np.all(np.abs(ours - exact) <= bound)
-    assert np.all(np.abs(ndtr(x) - exact) <= bound)
-    assert np.all(np.abs(ours - ndtr(x)) <= 2.0 * bound)
-    assert _ndtr(np.array([0.0, -40.0, 40.0])).tolist() == [0.5, 0.0, 1.0]
-
-
 def test_w2_breaks_match_union1d():
     """w2_grid_1d's sort-and-dedup breaks are np.union1d's, so the distance is bit-exact with it."""
 
@@ -157,7 +130,7 @@ def test_w2_breaks_match_union1d():
 
 def test_ula_step_grid_memo_is_bit_exact_and_keyed_per_operator():
     import langevin_kl.grid_oracle as grid_mod
-    from langevin_kl.grid_oracle import _ndtr as ndtr
+    from langevin_kl.gaussian_oracle import _ndtr as ndtr
     from langevin_kl.potentials import grad_u
 
     def fresh_step(p, pot, h):  # the step with nothing reused
