@@ -82,6 +82,9 @@ MARGIN_TOL = -1e-9
 # of the ensemble second moment squares each chain's |x|^2 again, so this
 # bounds |x|^4 (about 1e240 a coordinate) well inside the float range
 _INIT_MAX = 1e60
+# the largest max/min of an [init] cov_diag on a non-diagonal A: rotated into its eigenbasis,
+# the smallest variance moves by about 3e-16 * max/min of itself (d <= 100), at 1e16 below 0
+_INIT_COND = 1e12
 
 
 class ConfigError(ValueError):
@@ -92,32 +95,30 @@ class ConfigError(ValueError):
 # plan
 
 
+def _stages(regime: str, m, L, d, eps, kl0, weak: WeakPlanInputs | None, resolved: dict) -> list[StepPlan]:
+    """The stages of a regime's schedule; a halving kl0 defaults to kl_init_bound and goes into resolved."""
+    # the planners are called by their names on this module, where the benchmark probe times them
+    if regime == "strong":
+        return [plan_strong(m, L, d, eps)]
+    if regime == "weak":
+        return [plan_weak(weak, L, d, eps)]
+    resolved["halving_kl0"] = kl0 = kl_init_bound(m, L, d) if kl0 is None else kl0
+    return plan_halving(m, L, d, eps, kl0)
+
+
 def _plan_from_args(args):
-    if args.regime == "strong":
-        for name in ("m", "L", "d"):
-            if getattr(args, name) is None:
-                raise UsageError(f"--{name} is required for the strong regime")
-        if args.target == "kl":
-            if args.eps is None:
-                raise UsageError("--eps is required for --target kl")
-            return [plan_strong(args.m, args.L, args.d, args.eps)]
+    for name in {"strong": "m L d", "weak": "L d eps c1 c2 kl0", "halving": "m L d eps"}[args.regime].split():
+        if getattr(args, name) is None:
+            raise UsageError(f"--{name} is required for the {args.regime} regime")
+    if args.regime == "strong" and args.target != "kl":
         if args.delta is None:
             raise UsageError(f"--delta is required for --target {args.target}")
         fn = plan_strong_tv if args.target == "tv" else plan_strong_w2
         return [fn(args.m, args.L, args.d, args.delta)]
-    if args.regime == "weak":
-        for name in ("L", "d", "eps", "c1", "c2", "kl0"):
-            if getattr(args, name) is None:
-                raise UsageError(f"--{name} is required for the weak regime")
-        h_prime = math.inf if args.h_prime is None else args.h_prime
-        inputs = WeakPlanInputs(c1=args.c1, c2=args.c2, h_prime=h_prime, kl0=args.kl0)
-        return [plan_weak(inputs, args.L, args.d, args.eps)]
-    # halving
-    for name in ("m", "L", "d", "eps"):
-        if getattr(args, name) is None:
-            raise UsageError(f"--{name} is required for the halving regime")
-    kl0 = args.kl0 if args.kl0 is not None else kl_init_bound(args.m, args.L, args.d)
-    return plan_halving(args.m, args.L, args.d, args.eps, kl0)
+    if args.eps is None:
+        raise UsageError("--eps is required for --target kl")
+    weak = WeakPlanInputs(args.c1, args.c2, args.h_prime, args.kl0) if args.regime == "weak" else None
+    return _stages(args.regime, args.m, args.L, args.d, args.eps, args.kl0, weak, {})
 
 
 class UsageError(Exception):
@@ -384,6 +385,11 @@ class _GaussianTracker:
         else:
             raise ConfigError("the gaussian oracle needs a gaussian init (point laws are degenerate)")
         self.path = GaussianPath(law, self.A)
+        c = np.diagonal(law.cov)  # equal for the default init
+        if self.path.Q is not None and c.max() > _INIT_COND * c.min():
+            raise ConfigError(
+                f"[init] cov_diag: max/min above {_INIT_COND:g} on a non-diagonal A, got {c.tolist()}"
+            )
         self.basis_A = np.diag(self.path.w)  # A in its eigenbasis, where the path holds the law
         self.pot = pot
         self.init = init
@@ -509,12 +515,8 @@ class _GridTracker:
 
 def _resolve_plans(cfg: RunConfig, pot, grid: _GridTracker | None, resolved: dict) -> list:
     """The run's stage plans; inputs the program chose go into resolved."""
-    if cfg.regime == "strong":
-        return [plan_strong(pot.m, pot.L, pot.d, cfg.epsilon)]
-    if cfg.regime == "halving":
-        kl0 = cfg.halving_kl0 if cfg.halving_kl0 is not None else kl_init_bound(pot.m, pot.L, pot.d)
-        resolved["halving_kl0"] = kl0
-        return plan_halving(pot.m, pot.L, pot.d, cfg.epsilon, kl0)
+    if cfg.regime != "weak":
+        return _stages(cfg.regime, pot.m, pot.L, pot.d, cfg.epsilon, cfg.halving_kl0, None, resolved)
     if grid is None:
         need = [k for k in _WEAK_INPUTS if cfg.weak.get(k, "estimate") == "estimate"]
         if need:
@@ -532,7 +534,8 @@ def _resolve_plans(cfg: RunConfig, pot, grid: _GridTracker | None, resolved: dic
     if h_prime == "estimate":
         h_prime = estimate_h_prime(pot, c1, *grid.box)
     resolved.update({"c1": c1, "c2": c2, "h_prime": h_prime, "kl0": kl0})
-    return [plan_weak(WeakPlanInputs(c1=c1, c2=c2, h_prime=h_prime, kl0=kl0), pot.L, pot.d, cfg.epsilon)]
+    weak = WeakPlanInputs(c1=c1, c2=c2, h_prime=h_prime, kl0=kl0)
+    return _stages("weak", pot.m, pot.L, pot.d, cfg.epsilon, None, weak, resolved)
 
 
 def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
@@ -643,7 +646,7 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (PlanningError, ValueError, RuntimeError) as exc:
+    except (PlanningError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     for v in report["verdicts"]:
@@ -828,7 +831,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float)
     p.add_argument("--c1", type=float)
     p.add_argument("--c2", type=float)
-    p.add_argument("--h-prime", dest="h_prime", type=float)
+    p.add_argument("--h-prime", dest="h_prime", type=float, default=math.inf)
     p.add_argument("--kl0", type=float)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_plan)

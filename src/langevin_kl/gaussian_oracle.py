@@ -68,9 +68,7 @@ class GaussianLaw:
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.asarray(self.cov, dtype=float)
-        if cov.ndim == 0:
-            cov = cov.reshape(1, 1)
-        elif cov.ndim == 1:
+        if cov.ndim == 1:
             cov = np.diag(cov)
         if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
             raise ValueError(f"shape mismatch: mean {mean.shape}, cov {cov.shape}")
@@ -105,8 +103,6 @@ def _symmetric(M: np.ndarray) -> bool:
 
 def _spd(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        A = np.diag(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not _symmetric(A):

@@ -10,7 +10,6 @@ potentials (Huber in particular) the Gaussian oracle cannot represent.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,10 +94,6 @@ class GridDensity:
     def centers(self) -> np.ndarray:
         return self.x_min + (np.arange(self.n) + 0.5) * self.dx
 
-    @property
-    def edges(self) -> np.ndarray:
-        return self.x_min + np.arange(self.n + 1) * self.dx
-
 
 def default_grid(pot: Potential) -> tuple[float, float, int]:
     """Grid bounds wide enough for both the strongly convex and the Huber case."""
@@ -119,18 +114,6 @@ def _split(z: np.ndarray, x_min: float, x_max: float, n: int) -> tuple[np.ndarra
     pos = (z - x_min) / dx - 0.5
     j = np.clip(np.floor(pos).astype(int), 0, n - 2)
     return j, np.clip(pos - j, 0.0, 1.0)
-
-
-def _deposit(z: np.ndarray, w: np.ndarray, x_min: float, x_max: float, n: int) -> np.ndarray:
-    """Conservative linear split of weights w at positions z onto cell centers.
-
-    Each weight divides between the two centers bracketing its position, so
-    total mass and the first moment are preserved exactly.
-    """
-    j, f = _split(z, x_min, x_max, n)
-    out = np.bincount(j, weights=w * (1.0 - f), minlength=n)
-    out += np.bincount(j + 1, weights=w * f, minlength=n)
-    return out
 
 
 def discretize_gaussian(mean: float, var: float, x_min: float, x_max: float, n: int) -> GridDensity:
@@ -160,12 +143,13 @@ def discretize_gaussian(mean: float, var: float, x_min: float, x_max: float, n: 
 def discretize_point(x: float, x_min: float, x_max: float, n: int) -> GridDensity:
     """Unit mass at x, linearly split between the two bracketing cell centers.
 
-    A point already on a center occupies a single cell.
+    The split keeps the mass and the first moment exactly; a point already on
+    a center occupies a single cell.
     """
     if not (x_min < x < x_max):
         raise GridCoverageError(f"point {x} outside the grid [{x_min}, {x_max}]")
-    raw = _deposit(np.array([float(x)]), np.array([1.0]), x_min, x_max, n)
-    return _normalized(x_min, x_max, n, raw)
+    (j,), (f,) = _split(np.array([float(x)]), x_min, x_max, n)
+    return _normalized(x_min, x_max, n, np.bincount([j, j + 1], weights=[1.0 - f, f], minlength=n))
 
 
 def discretize_law(init, x_min: float, x_max: float, n: int) -> GridDensity:
@@ -209,7 +193,7 @@ def _toeplitz_slabs(kern: np.ndarray) -> np.ndarray:
 class _StepOperator:
     """The parts of one grid ULA step that depend only on (grid, potential, h)."""
 
-    pot: Potential  # held so that the memo's id(pot) key cannot be reused
+    pot: Potential  # held so that the slot's id(pot) key cannot be reused
     j: np.ndarray  # left cell of each center's image under the drift map
     j1: np.ndarray
     f: np.ndarray  # fraction of each center's mass moved to cell j + 1
@@ -235,19 +219,19 @@ class _StepOperator:
         return mixed.reshape(-1)[:n]
 
 
-# the few most recent operators; a step reuses its operator, and a search over
-# stepsizes (estimate_h_prime) moves on to the next one
-_STEP_MEMO: dict[tuple, _StepOperator] = {}
-_STEP_MEMO_SIZE = 8
-_STEP_MEMO_LOCK = threading.Lock()
+# the operator of the last (grid, potential, h): every caller steps at one h until
+# it moves on (a stationary law, a stepsize search, a run stage), so one slot
+# builds no more operators than a memo would, and frees those left behind
+_STEP_SLOT: tuple[tuple, _StepOperator] | None = None
 
 
 def _step_operator(p: GridDensity, pot: Potential, h: float) -> _StepOperator:
-    """The memoised operator of ula_step_grid on p's grid for (pot, h)."""
+    """The operator of ula_step_grid on p's grid for (pot, h), built unless it is in the slot."""
+    global _STEP_SLOT
     key = (p.x_min, p.x_max, p.n, id(pot), h)
-    op = _STEP_MEMO.get(key)
-    if op is not None:
-        return op
+    slot = _STEP_SLOT  # read once: another thread may replace it meanwhile
+    if slot is not None and slot[0] == key:
+        return slot[1]
     c = p.centers
     z = c - h * grad_u(pot, c[:, None]).ravel()
     scale = max(1.0, float(np.abs(z).max()))
@@ -263,11 +247,7 @@ def _step_operator(p: GridDensity, pot: Potential, h: float) -> _StepOperator:
     kern = _ndtr((offs + 0.5 * p.dx) / sd) - _ndtr((offs - 0.5 * p.dx) / sd)
     kern /= kern.sum()
     op = _StepOperator(pot, j, j + 1, f, 1.0 - f, kern, _toeplitz_slabs(kern))
-    with _STEP_MEMO_LOCK:
-        _STEP_MEMO.pop(key, None)
-        if len(_STEP_MEMO) >= _STEP_MEMO_SIZE:
-            del _STEP_MEMO[next(iter(_STEP_MEMO))]  # evict the oldest operator
-        _STEP_MEMO[key] = op
+    _STEP_SLOT = (key, op)
     return op
 
 
@@ -279,7 +259,7 @@ def ula_step_grid(p: GridDensity, pot: Potential, h: float) -> GridDensity:
     and truncated at 8 standard deviations, as a blocked matrix product with
     the convolution's banded Toeplitz matrix. T must be monotone on the grid,
     which h <= 1/L guarantees. Everything but the mass is computed once per
-    (grid, potential, h) and reused by later steps.
+    (grid, potential, h) and reused by the steps that follow at the same h.
     """
     if pot.d != 1:
         raise ValueError(f"grid oracle is 1-D only, potential has d={pot.d}")

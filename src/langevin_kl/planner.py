@@ -49,8 +49,37 @@ class StepPlan:
 def _check_mld(m: float, L: float, d: int) -> None:
     if not (0 < m <= L):
         raise PlanningError(f"need 0 < m <= L, got m={m}, L={L}")
-    if d < 1:
-        raise PlanningError(f"dimension must be >= 1, got {d}")
+    if not 1 <= d <= 2**53:  # a float holds d exactly
+        raise PlanningError(f"dimension must be in [1, 2**53], got {d}")
+
+
+def _quotient(a: float, b: float) -> float:
+    """a / b for a >= 0, b >= 0, and inf where b underflowed to 0 (the schedule then fails its checks)."""
+    return a / b if b else math.inf
+
+
+def _step_count(k: float) -> int:
+    """ceil(k), where every schedule's step count becomes an int; an infinite or NaN k is a PlanningError."""
+    if not math.isfinite(k):
+        raise PlanningError(f"step count {k} is not finite: the inputs are beyond float range")
+    return math.ceil(k)
+
+
+def _strong_schedule(m: float, L: float, d: int, epsilon: float, log_factor: float | None = None):
+    """h = m*eps/(16*d*L^2) and k = ceil(16*(L/m)^2*d*log_factor/eps), log_factor ln(d*L/(m*eps)) by default.
+
+    Every target needs d*L/(m*eps) > 1, which keeps that log positive and h < 1/(16*L).
+    """
+    ratio = _quotient(d * L, m * epsilon)
+    if ratio <= 1.0:
+        raise PlanningError(
+            f"target epsilon={epsilon} too large: d*L/(m*eps)={ratio} <= 1 makes the log factor "
+            "ln(d*L/(m*eps)) non-positive and h >= 1/(16*L)"
+        )
+    if log_factor is None:
+        log_factor = math.log(ratio)
+    h = _quotient(m * epsilon, 16.0 * d * L * L)
+    return h, _step_count(_quotient(16.0 * (L * L), m * m) * d * log_factor / epsilon)
 
 
 def plan_strong(m: float, L: float, d: int, epsilon: float) -> StepPlan:
@@ -63,13 +92,7 @@ def plan_strong(m: float, L: float, d: int, epsilon: float) -> StepPlan:
     _check_mld(m, L, d)
     if not epsilon > 0:
         raise PlanningError(f"epsilon must be positive, got {epsilon}")
-    ratio = d * L / (m * epsilon)
-    if ratio <= 1.0:
-        raise PlanningError(
-            f"epsilon={epsilon} too large: d*L/(m*eps)={ratio} makes the log factor non-positive"
-        )
-    h = m * epsilon / (16.0 * d * L * L)
-    k = math.ceil(16.0 * (L * L) / (m * m) * d * math.log(ratio) / epsilon)
+    h, k = _strong_schedule(m, L, d, epsilon)
     notes = (
         "h=m*eps/(16*d*L^2); k=ceil(16*(L/m)^2*d*ln(d*L/(m*eps))/eps); "
         "time horizon k*h >= ln(d*L/(m*eps))/m"
@@ -137,19 +160,21 @@ def plan_weak(inputs: WeakPlanInputs, L: float, d: int, epsilon: float) -> StepP
     """
     if not L > 0:
         raise PlanningError(f"L must be positive, got {L}")
-    if d < 1:
-        raise PlanningError(f"dimension must be >= 1, got {d}")
+    if not 1 <= d <= 2**53:
+        raise PlanningError(f"dimension must be in [1, 2**53], got {d}")
     if not epsilon > 0:
         raise PlanningError(f"epsilon must be positive, got {epsilon}")
     c1, c2 = inputs.c1, inputs.c2
     caps = {
-        "eps/(C1*(C1+C2)*L^2)": epsilon / (c1 * (c1 + c2) * L * L),
-        "eps^2/(C1^2*d*L^2)": epsilon * epsilon / (c1 * c1 * d * L * L),
+        "eps/(C1*(C1+C2)*L^2)": _quotient(epsilon, c1 * (c1 + c2) * L * L),
+        "eps^2/(C1^2*d*L^2)": _quotient(epsilon * epsilon, c1 * c1 * d * L * L),
         "h_prime": inputs.h_prime,
     }
     binding = min(caps, key=caps.get)
     h = caps[binding] / 48.0
-    k = math.ceil(2.0 * c1 * c1 / (epsilon * h) + 2.0 * c1 * c1 * max(0.0, math.log(inputs.kl0)) / h)
+    k = _step_count(
+        _quotient(2.0 * c1 * c1, epsilon * h) + _quotient(2.0 * c1 * c1 * max(0.0, math.log(inputs.kl0)), h)
+    )
     notes = (
         f"h=min(caps)/48, binding cap {binding}; "
         "k=ceil(2*C1^2/(eps*h) + 2*C1^2*max(0, ln kl0)/h)"
@@ -162,26 +187,20 @@ def plan_halving(m: float, L: float, d: int, epsilon: float, kl0: float) -> list
 
     Stage j targets eps_j = kl0/2^(j+1) with h_j = m*eps_j/(16*d*L^2) and
     k_j = ceil(16*(L/m)^2*d*ln(2)/eps_j): each stage only needs to halve its
-    starting gap, so ln(2) replaces the full log factor. Returns [] when
-    kl0 <= epsilon (nothing left to do).
+    starting gap, so ln(2) replaces the full log factor. Like plan_strong's,
+    every target needs d*L/(m*eps_j) > 1, so kl0 must be below 2*d*L/m.
+    Returns [] when kl0 <= epsilon (nothing left to do).
     """
     _check_mld(m, L, d)
     if not epsilon > 0:
         raise PlanningError(f"epsilon must be positive, got {epsilon}")
-    if not kl0 > 0:
-        raise PlanningError(f"kl0 must be positive, got {kl0}")
-    if kl0 <= epsilon:
-        return []
-    stages_needed = math.ceil(math.log2(kl0 / epsilon))
-    while kl0 / 2.0**stages_needed > epsilon:  # floating-log guard
-        stages_needed += 1
-    while stages_needed > 1 and kl0 / 2.0 ** (stages_needed - 1) <= epsilon:
-        stages_needed -= 1
-    plans = []
-    for j in range(stages_needed):
-        eps_j = kl0 / 2.0 ** (j + 1)
-        h_j = m * eps_j / (16.0 * d * L * L)
-        k_j = math.ceil(16.0 * (L * L) / (m * m) * d * math.log(2.0) / eps_j)
+    if not 0 < kl0 < math.inf:
+        raise PlanningError(f"kl0 must be positive and finite, got {kl0}")
+    plans, eps_j = [], kl0
+    while eps_j > epsilon:  # stage j targets kl0/2^(j+1), the last one the first at or below epsilon
+        j = len(plans)
+        eps_j = math.ldexp(kl0, -(j + 1))
+        h_j, k_j = _strong_schedule(m, L, d, eps_j, math.log(2.0))
         plans.append(
             StepPlan(
                 h=h_j,

@@ -132,6 +132,57 @@ def test_plan_weak_json(capsys):
     assert doc["k"] == 105600
 
 
+_HALVING_PLAN = ["plan", "--regime", "halving", "--m", "1", "--L", "1", "--d", "1", "--eps", "0.25"]
+
+
+def test_plan_halving_prints_every_stage(capsys):
+    assert main(_HALVING_PLAN + ["--kl0", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "regime=halving-stage h=0.03125 k=23 epsilon=0.5\n"
+        "  notes: stage 0: target eps_j = kl0/2^1; h_j=m*eps_j/(16*d*L^2)\n"
+        "regime=halving-stage h=0.015625 k=45 epsilon=0.25\n"
+        "  notes: stage 1: target eps_j = kl0/2^2; h_j=m*eps_j/(16*d*L^2)\n"
+        "total steps: 68\n"
+    )
+    assert main(_HALVING_PLAN + ["--kl0", "1", "--json"]) == 0
+    stages = json.loads(capsys.readouterr().out)["stages"]
+    assert [(s["h"], s["k"], s["epsilon"]) for s in stages] == [(0.03125, 23, 0.5), (0.015625, 45, 0.25)]
+
+
+def test_plan_halving_kl0_defaults_to_the_init_bound(capsys):
+    assert main(_HALVING_PLAN + ["--json"]) == 0
+    default = capsys.readouterr().out
+    assert main(_HALVING_PLAN + ["--kl0", "1", "--json"]) == 0  # d*L/m
+    assert capsys.readouterr().out == default
+
+
+def test_plan_halving_with_nothing_to_do(capsys):
+    assert main(_HALVING_PLAN + ["--kl0", "0.2"]) == 0
+    assert capsys.readouterr().out == "no stages needed: kl0 <= epsilon\n"
+    assert main(_HALVING_PLAN + ["--kl0", "0.2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"stages": []}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--regime strong --m 1e-300 --L 2 --d 2 --eps 0.1",  # m^2 underflows to 0
+        "--regime strong --m 1 --L 1e200 --d 2 --eps 0.1",  # L^2 overflows
+        "--regime strong --m 1 --L 2 --d 2 --eps 1e-320",  # k overflows
+        "--regime weak --L 1 --d 1 --eps 1e-200 --c1 1 --c2 1 --kl0 2",  # h underflows to 0
+        "--regime weak --L 1e200 --d 1 --eps 0.1 --c1 1 --c2 1 --kl0 2",
+        "--regime halving --m 1 --L 2 --d 2 --eps 0.1 --kl0 inf",
+        "--regime halving --m 1 --L 2 --d 2 --eps 0.1 --kl0 1e308",  # stage 0 targets eps > d*L/m
+        "--regime strong --m 1 --L 2 --d " + "9" * 400 + " --eps 0.1",  # d beyond float range
+    ],
+    ids=["m-tiny", "L-huge", "eps-tiny", "weak-eps-tiny", "weak-L-huge", "kl0-inf", "kl0-1e308", "d-huge"],
+)
+def test_plan_extreme_inputs_are_planning_errors(capsys, argv):
+    assert main(["plan", *argv.split()]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("planning error: ") and "Traceback" not in err
+
+
 def test_run_strong_writes_report_and_verdicts(tmp_path, capsys):
     cfg = tmp_path / "strong.ini"
     out = tmp_path / "out"
@@ -283,6 +334,30 @@ def test_run_accepts_the_largest_init_without_warnings(tmp_path, capsys, init):
     assert captured.err == "" and "report:" in captured.out
     rows = np.loadtxt(tmp_path / "out" / "chain.csv", delimiter=",", skiprows=1)
     assert np.isfinite(rows).all() and rows[0, 1] > 1e120
+
+
+@pytest.mark.parametrize("cov_diag", ["1e20, 1", "1000000000000.0001, 1"], ids=["1e20", "just-above-1e12"])
+def test_run_rejects_an_ill_conditioned_init_on_a_rotated_a(tmp_path, capsys, cov_diag):
+    """Past max/min cov_diag = 1e12 the rotation into A's eigenbasis is a config error, with no warning."""
+    cfg = _init_config(tmp_path, f"kind = gaussian\nmean = 0, 0\ncov_diag = {cov_diag}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [init] cov_diag: max/min above 1e+12") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_accepts_the_most_ill_conditioned_init(tmp_path, capsys):
+    """max/min cov_diag = 1e12 on a rotated A runs with no warning, and its step-0 KL is exact."""
+    cfg = _init_config(tmp_path, "kind = gaussian\nmean = 0, 0\ncov_diag = 1e12, 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg)]) == 1  # far from the target after the planned steps
+    assert "report:" in capsys.readouterr().out
+    kl = float((tmp_path / "out" / "gaussian.csv").read_text().splitlines()[1].split(",")[1])
+    kl_ref = _mp_reference_rows(cfg.read_text(), {"plan": []}, {0})[0][0]
+    assert abs(kl - kl_ref) <= 1e-12 * kl_ref
 
 
 def test_run_gaussian_oracle_rejected_for_huber(tmp_path, capsys):
@@ -448,6 +523,29 @@ def test_run_planning_error_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("run failed") and "Traceback" not in err
     assert not (tmp_path / "o").exists()  # the plan failed before anything is written
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {"diag = 1.0, 2.0": "diag = 1e-300, 2"},  # m^2 underflows to 0 in the planned k
+        {"diag = 1.0, 2.0": "diag = 1e-3, 1", "epsilon = 0.5": "epsilon = 1e-300"},  # k overflows
+        # about 14 PiB of chain states, which fails at allocation at once; a
+        # count that could really be allocated must never be tried here
+        {"n_chains = 2000": "n_chains = 1000000000000000"},
+    ],
+    ids=["m-tiny", "eps-tiny", "n-chains-huge"],
+)
+def test_run_extreme_inputs_fail_without_output(tmp_path, capsys, edits):
+    text = STRONG_INI.format(out=tmp_path / "out")
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_missing_file_is_usage_error(capsys):

@@ -172,3 +172,43 @@ def test_any_small_run_exits_0_1_or_2(tmp_path_factory, data):
         code = main(["run", str(path)])
     assert code in (0, 1, 2), text
     assert "Traceback" not in err.getvalue(), text
+
+
+# extreme values for every number `plan` takes, mixed with plausible ones so
+# that many draws reach a planner; --d is an integer option, so its float
+# spellings are usage errors, and a 400-digit d is beyond float range.
+# Options go as --name=value, so argparse takes "-inf" as a value
+_PLAN_FLOATS = [
+    "0", "-1", "-inf", "5e-324", "1e-320", "1e-300", "1e-200", "1e-30", "1e30", "1e200", "1e308", "inf", "nan",
+]
+_plan_float = st.one_of(
+    st.sampled_from(_PLAN_FLOATS), st.sampled_from(["0.1", "0.5", "1", "2", "4"]), st.floats().map(repr)
+)
+_PLAN_DIMS = ["1", "2", "0", "-3", "1000000", str(2**53 + 1), "9" * 400, "1e308", "nan"]
+
+
+@st.composite
+def _plan_argv(draw):
+    argv = ["plan", "--regime", draw(st.sampled_from(["strong", "weak", "halving"]))]
+    argv.append("--target=" + draw(st.sampled_from(["kl", "tv", "w2"])))
+    for option in ("--m", "--L", "--eps", "--kl0", "--c1", "--c2", "--h-prime", "--delta"):
+        if draw(st.integers(0, 9)):
+            argv.append(f"{option}={draw(_plan_float)}")
+    if draw(st.integers(0, 9)):
+        argv.append("--d=" + draw(st.one_of(st.sampled_from(["1", "2", "10"]), st.sampled_from(_PLAN_DIMS))))
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(argv=_plan_argv())
+def test_any_plan_exits_0_1_or_2(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a value its type cannot parse
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

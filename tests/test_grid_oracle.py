@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -167,9 +168,10 @@ def test_ula_step_grid_memo_is_bit_exact_and_keyed_per_operator():
             expected = fresh_step(q, pot, h)
             q = ula_step_grid(q, pot, h)
             assert np.array_equal(q.mass, expected)
-    for i in range(2 * grid_mod._STEP_MEMO_SIZE):
-        ula_step_grid(p, hub, 0.01 + 0.001 * i)
-    assert len(grid_mod._STEP_MEMO) == grid_mod._STEP_MEMO_SIZE
+    # one slot: moving on to another h frees the operator of the last one
+    last = weakref.ref(grid_mod._step_operator(p, hub, 0.01))
+    ula_step_grid(p, hub, 0.02)
+    assert last() is None and grid_mod._STEP_SLOT[0] == (p.x_min, p.x_max, p.n, id(hub), 0.02)
 
 
 @pytest.mark.parametrize(

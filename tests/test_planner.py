@@ -94,6 +94,24 @@ def test_plan_halving_converged_input():
     assert plan_halving(1, 1, 1, 0.25, 0.2) == []
 
 
+def test_plan_halving_counts_stages_without_overflow():
+    # kl0/eps = 1.5e300: stage j targets kl0/2^(j+1), and the last is the first at or below eps
+    stages = plan_halving(1, 1, 1, 1e-300, 1.5)
+    eps = [s.epsilon for s in stages]
+    assert eps[-1] <= 1e-300 < eps[-2]
+    assert eps == [1.5 / 2.0 ** (j + 1) for j in range(len(eps))]
+    assert stages[-1].k == math.ceil(16.0 * math.log(2.0) / eps[-1])
+
+
+def test_plan_halving_targets_stay_below_the_init_bound():
+    # stage 0 targets kl0/2, which must be below d*L/m like any strong-convexity target
+    assert plan_halving(1, 2, 2, 0.1, 7.9)[0].h < 1.0 / (16 * 2)
+    with pytest.raises(PlanningError, match="too large"):
+        plan_halving(1, 2, 2, 0.1, 8.0)
+    with pytest.raises(PlanningError, match="finite"):
+        plan_halving(1, 2, 2, 0.1, math.inf)
+
+
 def test_plan_halving_beats_single_run_from_kl_init_bound():
     # kl0 = d L / m for (m, L, d) = (1, 2, 2)
     kl0 = kl_init_bound(1, 2, 2)
