@@ -1,140 +1,18 @@
 """Unadjusted Langevin sampling with convergence planners and exact oracles."""
 
-from .chain import (
-    GAUSSIAN_1_OVER_M,
-    CoupledTrace,
-    DivergedError,
-    Ensemble,
-    GaussianInit,
-    PointInit,
-    TraceRow,
-    coupled_run,
-    init_ensemble,
-    run,
-    step,
-    trace_csv,
-)
-from .gaussian_oracle import (
-    GaussianLaw,
-    GaussianPath,
-    exact_flow_law,
-    fisher_info_relative,
-    gaussian_1d,
-    kl_gaussian,
-    kl_trajectory,
-    stationary_law,
-    target_law,
-    tv_gaussian_1d,
-    ula_step_law,
-    w2_gaussian,
-)
-from .grid_oracle import (
-    GridCoverageError,
-    GridDensity,
-    default_grid,
-    discretize_gaussian,
-    discretize_law,
-    discretize_point,
-    estimate_h_prime,
-    kl_grid,
-    mean_grid,
-    second_moment_grid,
-    stationary_grid,
-    target_density_grid,
-    tv_grid,
-    ula_step_grid,
-    w2_grid_1d,
-)
-from .metrics import MomentSummary, empirical_w2_1d, summarize, z_scores_vs_oracle
-from .planner import (
-    PlanningError,
-    StepPlan,
-    WeakPlanInputs,
-    discretization_error_bound,
-    kl_init_bound,
-    plan_halving,
-    plan_strong,
-    plan_strong_tv,
-    plan_strong_w2,
-    plan_weak,
-)
-from .potentials import (
-    ConstantsReport,
-    Potential,
-    construct_potential,
-    custom_potential,
-    grad_u,
-    huber,
-    quadratic_diagonal,
-    quadratic_full,
-    u_value,
-    validate_constants,
-)
+from . import chain, gaussian_oracle, grid_oracle, metrics, planner, potentials
+from .chain import *  # noqa: F403
+from .gaussian_oracle import *  # noqa: F403
+from .grid_oracle import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .planner import *  # noqa: F403
+from .potentials import *  # noqa: F403
 
 __version__ = "0.3.0"
 
+# each public name is declared once, in its module's __all__
 __all__ = [
-    "GAUSSIAN_1_OVER_M",
-    "ConstantsReport",
-    "CoupledTrace",
-    "DivergedError",
-    "Ensemble",
-    "GaussianInit",
-    "GaussianLaw",
-    "GaussianPath",
-    "GridCoverageError",
-    "GridDensity",
-    "MomentSummary",
-    "PlanningError",
-    "PointInit",
-    "Potential",
-    "StepPlan",
-    "TraceRow",
-    "WeakPlanInputs",
-    "construct_potential",
-    "coupled_run",
-    "custom_potential",
-    "default_grid",
-    "discretization_error_bound",
-    "discretize_gaussian",
-    "discretize_law",
-    "discretize_point",
-    "empirical_w2_1d",
-    "estimate_h_prime",
-    "exact_flow_law",
-    "fisher_info_relative",
-    "gaussian_1d",
-    "grad_u",
-    "huber",
-    "init_ensemble",
-    "kl_gaussian",
-    "kl_grid",
-    "kl_init_bound",
-    "kl_trajectory",
-    "mean_grid",
-    "plan_halving",
-    "plan_strong",
-    "plan_strong_tv",
-    "plan_strong_w2",
-    "plan_weak",
-    "quadratic_diagonal",
-    "quadratic_full",
-    "run",
-    "second_moment_grid",
-    "stationary_grid",
-    "stationary_law",
-    "step",
-    "summarize",
-    "target_density_grid",
-    "target_law",
-    "trace_csv",
-    "tv_gaussian_1d",
-    "tv_grid",
-    "u_value",
-    "ula_step_grid",
-    "ula_step_law",
-    "validate_constants",
-    "w2_gaussian",
-    "w2_grid_1d",
-    "z_scores_vs_oracle",
+    name
+    for module in (chain, gaussian_oracle, grid_oracle, metrics, planner, potentials)
+    for name in module.__all__
 ]

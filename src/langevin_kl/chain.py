@@ -21,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .metrics import se_of_mean
+from .metrics import mean_and_se
 from .planner import StepPlan
 from .potentials import Potential, grad_u
 
 __all__ = [
-    "THREADS_ENV",
     "DivergedError",
     "GaussianInit",
     "PointInit",
@@ -34,11 +33,9 @@ __all__ = [
     "Ensemble",
     "TraceRow",
     "CoupledTrace",
-    "check_seed",
     "init_ensemble",
     "step",
     "run",
-    "trace_row",
     "trace_csv",
     "coupled_run",
 ]
@@ -275,12 +272,12 @@ class TraceRow:
 
 def trace_row(e: Ensemble) -> TraceRow:
     """Ensemble mean of |x|^2 with its standard error, and the norm of the mean, at e's step."""
-    s = np.sum(e.states * e.states, axis=1)
+    second, se = mean_and_se(np.sum(e.states * e.states, axis=1))
     return TraceRow(
         step=e.step_index,
-        second_moment=float(s.mean()),
+        second_moment=second,
         mean_norm=float(np.linalg.norm(e.states.mean(axis=0))),
-        second_moment_se=se_of_mean(s) if s.size > 1 else 0.0,
+        second_moment_se=se,
     )
 
 
@@ -324,11 +321,9 @@ class CoupledTrace:
 
 
 def _coupled_stats(ea: Ensemble, eb: Ensemble) -> tuple[float, float]:
-    d2 = np.sum((ea.states - eb.states) ** 2, axis=1)
-    m = float(d2.mean())
+    m, se = mean_and_se(np.sum((ea.states - eb.states) ** 2, axis=1))
     r = math.sqrt(m)
-    se = se_of_mean(d2) / (2.0 * r) if d2.size > 1 and r > 0 else 0.0
-    return r, se
+    return r, (se / (2.0 * r) if r > 0 else 0.0)
 
 
 def coupled_run(

@@ -85,6 +85,9 @@ _INIT_MAX = 1e60
 # the largest max/min of an [init] cov_diag on a non-diagonal A: rotated into its eigenbasis,
 # the smallest variance moves by about 3e-16 * max/min of itself (d <= 100), at 1e16 below 0
 _INIT_COND = 1e12
+# the most steps a run takes: planner._step_count holds step counts exactly up
+# to 2**53, far below the 2**64 step indices of the Philox counter
+_MAX_STEPS = 2**53
 
 
 class ConfigError(ValueError):
@@ -253,6 +256,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("run.n_chains must be >= 2")
     if cfg.record_every < 1:
         raise ConfigError("run.record_every must be >= 1")
+    if cfg.grid_max_steps < 1:
+        raise ConfigError("run.grid_max_steps must be >= 1")
     if cfg.grid_n < 8:
         raise ConfigError(f"oracles.grid_n must be at least 8 cells, got {cfg.grid_n}")
     for key, values in cfg.init_params.items():
@@ -469,15 +474,15 @@ class _GridTracker:
         if pot.d != 1:
             raise ConfigError("the grid oracle supports d = 1 only")
         lo, hi, _ = default_grid(pot)
-        self.box = (
+        box = (
             cfg.grid_x_min if cfg.grid_x_min is not None else lo,
             cfg.grid_x_max if cfg.grid_x_max is not None else hi,
             cfg.grid_n,
         )
-        self.target = target_density_grid(pot, *self.box)
+        self.target = target_density_grid(pot, *box)
         if isinstance(init, str):
             init = GaussianInit(mean=np.zeros(1), cov_diag=np.full(1, 1.0 / pot.m))
-        self.p = discretize_law(init, *self.box)
+        self.p = discretize_law(init, *box)
         self.pot = pot
         self.rows = []
         self.drift = 0.0  # sum of |renorm_drift| over the steps
@@ -532,7 +537,7 @@ def _resolve_plans(cfg: RunConfig, pot, grid: _GridTracker | None, resolved: dic
         kl0 = kl_grid(grid.p, grid.target)
     h_prime = cfg.weak.get("h_prime", "estimate")
     if h_prime == "estimate":
-        h_prime = estimate_h_prime(pot, c1, *grid.box)
+        h_prime = estimate_h_prime(pot, c1, grid.target)
     resolved.update({"c1": c1, "c2": c2, "h_prime": h_prime, "kl0": kl0})
     weak = WeakPlanInputs(c1=c1, c2=c2, h_prime=h_prime, kl0=kl0)
     return _stages("weak", pot.m, pot.L, pot.d, cfg.epsilon, None, weak, resolved)
@@ -559,6 +564,16 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
         raise ConfigError(str(exc)) from exc
     resolved: dict = {}
     plans = _resolve_plans(cfg, pot, grid, resolved)
+    # with the grid oracle in lockstep the whole run is capped at grid_max_steps
+    budget = cfg.grid_max_steps if cfg.grid_oracle else None
+    steps = sum(p.k for p in plans)
+    if budget is not None:
+        steps = min(steps, budget)
+    if steps > _MAX_STEPS:
+        raise PlanningError(
+            f"the plan takes a {len(str(steps))}-digit number of steps, more than 2**53 = {_MAX_STEPS}: "
+            "no run can finish it"
+        )
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if grid is not None:
@@ -570,8 +585,6 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
         t.row(0)
     stages = []  # (epsilon, last step) of every stage that ran
     done = 0
-    # with the grid oracle in lockstep the whole run is capped at grid_max_steps
-    budget = cfg.grid_max_steps if cfg.grid_oracle else None
     for plan in plans:
         k = plan.k if budget is None else min(plan.k, budget - done)
         if k < plan.k:

@@ -32,7 +32,6 @@ __all__ = [
     "tv_grid",
     "w2_grid_1d",
     "second_moment_grid",
-    "mean_grid",
     "stationary_grid",
     "estimate_h_prime",
 ]
@@ -337,17 +336,13 @@ def second_moment_grid(p: GridDensity) -> float:
     return float(np.sum(p.mass * c * c))
 
 
-def mean_grid(p: GridDensity) -> float:
-    """sum p_i x_i over cell centers."""
-    return float(np.sum(p.mass * p.centers))
+def stationary_grid(pot: Potential, h: float, target: GridDensity) -> GridDensity:
+    """Fixed point of ula_step_grid from target, iterated until successive TV < 1e-10.
 
-
-def stationary_grid(pot: Potential, h: float, x_min: float, x_max: float, n: int) -> GridDensity:
-    """Fixed point of ula_step_grid from the target, iterated until successive TV < 1e-10.
-
+    target is pot's target_density_grid; the fixed point lives on its grid.
     An empirical estimate: nothing beyond the stopping rule certifies it.
     """
-    q = target_density_grid(pot, x_min, x_max, n)
+    q = target
     gap = math.inf
     for _ in range(_STATIONARY_MAX_STEPS):
         q2 = ula_step_grid(q, pot, h)
@@ -358,19 +353,19 @@ def stationary_grid(pot: Potential, h: float, x_min: float, x_max: float, n: int
     raise RuntimeError(f"no fixed point within {_STATIONARY_MAX_STEPS} steps (last TV gap {gap:.3g})")
 
 
-def estimate_h_prime(pot: Potential, c1: float, x_min: float, x_max: float, n: int) -> float:
+def estimate_h_prime(pot: Potential, c1: float, target: GridDensity) -> float:
     """Largest stepsize (halving search from 1/L) keeping W2(pi_h, p*) <= c1.
 
-    The search starts at 1/L, the monotone-drift limit of the grid kernel,
-    and halves until the stationary estimate fits the radius. Empirical, not
-    certified.
+    target is pot's target_density_grid, the p* every stationary estimate
+    starts from and is measured against. The search starts at 1/L, the
+    monotone-drift limit of the grid kernel, and halves until the stationary
+    estimate fits the radius. Empirical, not certified.
     """
     if not c1 > 0:
         raise ValueError(f"c1 must be positive, got {c1}")
-    target = target_density_grid(pot, x_min, x_max, n)
     h = 1.0 / pot.L
     for _ in range(24):
-        pi_h = stationary_grid(pot, h, x_min, x_max, n)
+        pi_h = stationary_grid(pot, h, target)
         if w2_grid_1d(pi_h, target) <= c1:
             return h
         h *= 0.5

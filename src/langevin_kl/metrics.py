@@ -9,15 +9,15 @@ import numpy as np
 
 from .gaussian_oracle import GaussianLaw
 
-__all__ = ["MomentSummary", "summarize", "empirical_w2_1d", "z_scores_vs_oracle"]
+__all__ = ["MomentSummary", "summarize", "z_scores_vs_oracle"]
 
 
 @dataclass(frozen=True)
 class MomentSummary:
     """Unbiased moment estimates with standard errors.
 
-    second_moment is defined as tr(cov) + ||mean||^2 so the identity holds
-    exactly by construction.
+    second_moment is the mean of |x|^2 over the samples, and second_moment_se
+    its standard error.
     """
 
     mean: np.ndarray  # (d,)
@@ -29,9 +29,10 @@ class MomentSummary:
     second_moment_se: float
 
 
-def se_of_mean(values: np.ndarray) -> float:
-    """Standard error of the mean of a 1-D sample of at least two values."""
-    return float(values.std(ddof=1) / math.sqrt(values.size))
+def mean_and_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean of a per-chain quantity (1-D) and its standard error, 0 for a single chain."""
+    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+    return float(values.mean()), se
 
 
 def summarize(e) -> MomentSummary:
@@ -45,7 +46,7 @@ def summarize(e) -> MomentSummary:
     mean = x.mean(axis=0)
     xc = x - mean
     cov = xc.T @ xc / (n - 1)
-    second = float(np.trace(cov) + mean @ mean)
+    second, second_se = mean_and_se(np.sum(x * x, axis=1))
 
     mean_se = np.sqrt(np.clip(np.diagonal(cov), 0.0, None) / n)
     # var of a covariance entry: Var[(x_a - mu_a)(x_b - mu_b)] / n
@@ -61,19 +62,8 @@ def summarize(e) -> MomentSummary:
         n=n,
         mean_se=mean_se,
         cov_se=cov_se,
-        second_moment_se=se_of_mean(np.sum(x * x, axis=1)),
+        second_moment_se=second_se,
     )
-
-
-def empirical_w2_1d(samples_a, samples_b) -> float:
-    """1-D Wasserstein-2 between equal-size samples via the sorted coupling."""
-    a = np.sort(np.asarray(samples_a, dtype=float).ravel())
-    b = np.sort(np.asarray(samples_b, dtype=float).ravel())
-    if a.size != b.size:
-        raise ValueError(f"sample counts differ: {a.size} vs {b.size}")
-    if a.size == 0:
-        raise ValueError("need at least one sample")
-    return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
 def _safe_z(diff: np.ndarray, se: np.ndarray) -> np.ndarray:

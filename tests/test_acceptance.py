@@ -153,7 +153,7 @@ def test_a6_weak_convexity_properties():
     _report("A6(ii) weak second-moment bound", sm_ok, f"cap 4(C1^2+C2^2) = {cap:.3f}")
 
     # (iii) planned weak run with grid-estimated h' and kl0
-    h_prime = lk.estimate_h_prime(hub, c1, lo, hi, n)
+    h_prime = lk.estimate_h_prime(hub, c1, tgt)
     plan = lk.plan_weak(lk.WeakPlanInputs(c1, c2, h_prime, kl0), hub.L, 1, 0.2)
     p = p0
     for _ in range(min(plan.k, 100_000)):

@@ -460,6 +460,14 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
                 ("kind = point\nx = -1e61, 0", "[init] x"),
             )
         ],
+        *[
+            (
+                f"regime = weak\ngrid_max_steps = {v}\n[potential]\nkind = huber\ndelta = 1\n"
+                "[init]\nkind = gaussian\nmean = 0\ncov_diag = 4\n[oracles]\ngrid = true\n",
+                "run.grid_max_steps must be >= 1",
+            )
+            for v in (0, -5)
+        ],
     ],
     ids=[
         "no-potential",
@@ -485,6 +493,8 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
         "init-cov-diag-above-1e120",
         "init-cov-diag-inf",
         "init-point-above-1e60",
+        "grid-max-steps-0",
+        "grid-max-steps-negative",
     ],
 )
 def test_run_bad_config_is_usage_error(tmp_path, capsys, body, message):
@@ -546,6 +556,25 @@ def test_run_extreme_inputs_fail_without_output(tmp_path, capsys, edits):
     err = capsys.readouterr().err
     assert err.startswith("run failed: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_refuses_a_plan_too_long_to_finish_before_writing(tmp_path):
+    """k of about 1.5e210 steps is refused at once, not stepped until the process is killed."""
+    cfg = tmp_path / "long.ini"
+    out = tmp_path / "out"
+    cfg.write_text(
+        f"[run]\nepsilon = 1e-200\nn_chains = 2\nout_dir = {out}\n"
+        "[potential]\nkind = quadratic-diagonal\ndiag = 1e-3, 1\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-m", "langevin_kl.cli", "run", str(cfg)],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("run failed: the plan takes a 211-digit number of steps, more than 2**53")
+    assert not out.exists()
 
 
 def test_run_missing_file_is_usage_error(capsys):

@@ -107,6 +107,7 @@ _OUT_OF_RANGE = [
     ("run", "n_chains", ["1", "-3"]),
     ("run", "seed", ["-1", "18446744073709551616"]),
     ("run", "record_every", ["0", "1000000"]),
+    ("run", "grid_max_steps", ["0", "-5"]),
     ("potential", "diag", ["0, 1", "1e-300"]),
     ("potential", "matrix", ["1 2 | 3 4", "1"]),
     ("potential", "delta", ["-1", "inf"]),
