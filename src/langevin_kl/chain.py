@@ -291,6 +291,7 @@ def run(
     """
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
+    workers = _workers(workers)
     rows = [trace_row(e)]
     cur = e
     bufs = (np.empty_like(e.states, order="C"), np.empty_like(e.states, order="C"))
@@ -338,6 +339,7 @@ def coupled_run(
         raise ValueError(f"need at least one step, got k={k}")
     if h > 1.0 / p.L:
         raise ValueError(f"coupled run requires h <= 1/L = {1.0 / p.L}, got h={h}")
+    workers = _workers(workers)
     ea = init_ensemble(p, init_a, n, seed)
     eb = init_ensemble(p, init_b, n, seed)
     rms = np.empty(k + 1)

@@ -53,6 +53,7 @@ from .gaussian_oracle import (
     w2_gaussian,
 )
 from .grid_oracle import (
+    _ula_steps,
     default_grid,
     discretize_law,
     estimate_h_prime,
@@ -489,10 +490,7 @@ class _GridTracker:
         self.boundary = max(self.p.mass[0], self.p.mass[-1])  # over every law held
 
     def advance(self, h: float, steps: int) -> None:
-        for _ in range(steps):
-            self.p = ula_step_grid(self.p, self.pot, h)
-            self.drift += abs(self.p.renorm_drift)
-            self.boundary = max(self.boundary, self.p.mass[0], self.p.mass[-1])
+        self.p, self.drift, self.boundary = _ula_steps(self.p, self.pot, h, steps, self.drift, self.boundary)
 
     def error_budget(self) -> dict:
         """The numerical error the grid law built up: mass renormalised away and boundary-cell mass."""
@@ -548,8 +546,8 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
     try:
         # values the grammar lets through but the library rejects (a negative
         # Huber delta, an init of the wrong length, a grid of 4 cells) are config
-        # errors, and so is a LANGEVIN_KL_THREADS that is not a positive integer
-        _workers()
+        # errors, and so is a bad LANGEVIN_KL_THREADS, read here once for every step
+        workers = _workers()
         pot = construct_potential(cfg.potential_kind, **cfg.potential_params)
         init = _build_init(cfg)
         trackers = [_GaussianTracker(pot, init)] if cfg.gaussian_oracle else []
@@ -596,7 +594,7 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
             # up to the next multiple of record_every, or to the end of the stage
             n = min(end, (done // cfg.record_every + 1) * cfg.record_every) - done
             for _ in range(n):
-                ens, spare = step(ens, plan.h, out=spare), ens.states
+                ens, spare = step(ens, plan.h, workers=workers, out=spare), ens.states
             for t in trackers:
                 t.advance(plan.h, n)
             done += n
@@ -636,7 +634,7 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
             "environment": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "workers": _workers(),
+                "workers": workers,
                 THREADS_ENV: os.environ.get(THREADS_ENV),
             },
         }

@@ -74,11 +74,7 @@ class GridDensity:
         total = float(mass.sum())
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"total mass {total} is not 1 within 1e-6")
-        if mass[0] >= _BOUNDARY_TOL or mass[-1] >= _BOUNDARY_TOL:
-            raise GridCoverageError(
-                f"boundary cells carry mass {mass[0]:.3g}/{mass[-1]:.3g} >= {_BOUNDARY_TOL}; "
-                "grid too small"
-            )
+        _check_boundary(mass)
         object.__setattr__(self, "x_min", float(self.x_min))
         object.__setattr__(self, "x_max", float(self.x_max))
         object.__setattr__(self, "n", int(self.n))
@@ -94,17 +90,30 @@ class GridDensity:
         return self.x_min + (np.arange(self.n) + 0.5) * self.dx
 
 
+def _check_boundary(mass: np.ndarray) -> None:
+    if mass[0] >= _BOUNDARY_TOL or mass[-1] >= _BOUNDARY_TOL:
+        raise GridCoverageError(
+            f"boundary cells carry mass {mass[0]:.3g}/{mass[-1]:.3g} >= {_BOUNDARY_TOL}; grid too small"
+        )
+
+
 def default_grid(pot: Potential) -> tuple[float, float, int]:
     """Grid bounds wide enough for both the strongly convex and the Huber case."""
     half = 12.0 / math.sqrt(max(pot.m, 0.25))
     return -half, half, 4096
 
 
-def _normalized(x_min: float, x_max: float, n: int, raw: np.ndarray) -> GridDensity:
+def _rescaled(raw: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """raw / raw.sum() (into out if given) and the sum; fails on a density that lost all mass."""
     total = float(raw.sum())
     if not total > 0:
         raise ValueError("density lost all mass")
-    return GridDensity(x_min, x_max, n, raw / total, renorm_drift=1.0 - total)
+    return np.divide(raw, total, out=out), total
+
+
+def _normalized(x_min: float, x_max: float, n: int, raw: np.ndarray) -> GridDensity:
+    mass, total = _rescaled(raw)
+    return GridDensity(x_min, x_max, n, mass, renorm_drift=1.0 - total)
 
 
 def _split(z: np.ndarray, x_min: float, x_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,23 +209,6 @@ class _StepOperator:
     kern: np.ndarray  # N(0, 2h) noise binned over cells, K = 2*half + 1 taps
     slabs: np.ndarray  # _toeplitz_slabs(kern), shape (Q, B, B)
 
-    def convolve(self, x: np.ndarray) -> np.ndarray:
-        """np.convolve(x, kern, mode="same") as Q matrix products on contiguous views of padded x.
-
-        Every term is a product of non-negative numbers when x is, so no cell
-        loses relative precision; the sums run in another order than
-        np.convolve's, so cells differ from it at rounding level.
-        """
-        n, q_count = x.size, self.slabs.shape[0]
-        nb = -(-n // _BLOCK)
-        pad = np.zeros((nb + q_count - 1) * _BLOCK)
-        half = self.kern.size // 2
-        pad[half : half + n] = x
-        mixed = pad[: nb * _BLOCK].reshape(nb, _BLOCK) @ self.slabs[0]
-        for q in range(1, q_count):
-            mixed += pad[q * _BLOCK : (q + nb) * _BLOCK].reshape(nb, _BLOCK) @ self.slabs[q]
-        return mixed.reshape(-1)[:n]
-
 
 # the operator of the last (grid, potential, h): every caller steps at one h until
 # it moves on (a stationary law, a stepsize search, a run stage), so one slot
@@ -250,6 +242,45 @@ def _step_operator(p: GridDensity, pot: Potential, h: float) -> _StepOperator:
     return op
 
 
+def _ula_steps(
+    p: GridDensity, pot: Potential, h: float, steps: int, drift: float = 0.0, boundary: float = 0.0
+) -> tuple[GridDensity, float, float]:
+    """p after steps >= 1 grid ULA steps at (pot, h); drift and boundary carry on over them.
+
+    A step pushes the mass through the drift map by the operator's cell
+    splitting, takes np.convolve(pushed, kern, mode="same") as Q products of
+    contiguous views of the zero-padded cells with the operator's slabs, and
+    renormalises. Between steps the law is a bare mass array in buffers owned
+    here; one GridDensity is built at the end. Every step still adds its
+    |1 - total| to drift, raises boundary to its largest boundary-cell mass,
+    and fails as GridDensity would on lost mass or on a boundary cell at 1e-9.
+    Products of non-negative numbers lose no relative precision; the sums
+    differ from np.convolve's at rounding level.
+    """
+    op = _step_operator(p, pot, h)
+    n, (q_count, b, _) = p.n, op.slabs.shape
+    nb = -(-n // b)
+    pad = np.zeros((nb + q_count - 1) * b)
+    pushed = pad[op.kern.size // 2 :][:n]
+    mixed, term = np.empty((nb, b)), np.empty((nb, b))
+    raw = mixed.reshape(-1)[:n]
+    weights, out, mass = np.empty(n), np.empty(n), p.mass
+    for _ in range(steps):
+        np.add(
+            np.bincount(op.j, weights=np.multiply(mass, op.g, out=weights), minlength=n),
+            np.bincount(op.j1, weights=np.multiply(mass, op.f, out=weights), minlength=n),
+            out=pushed,
+        )
+        np.matmul(pad[: nb * b].reshape(nb, b), op.slabs[0], out=mixed)
+        for q in range(1, q_count):
+            mixed += np.matmul(pad[q * b : (q + nb) * b].reshape(nb, b), op.slabs[q], out=term)
+        mass, total = _rescaled(raw, out)
+        drift += abs(1.0 - total)
+        _check_boundary(mass)
+        boundary = max(boundary, mass[0], mass[-1])
+    return GridDensity(p.x_min, p.x_max, n, mass, renorm_drift=1.0 - total), drift, boundary
+
+
 def ula_step_grid(p: GridDensity, pot: Potential, h: float) -> GridDensity:
     """One ULA step as a Markov kernel on the grid.
 
@@ -264,10 +295,7 @@ def ula_step_grid(p: GridDensity, pot: Potential, h: float) -> GridDensity:
         raise ValueError(f"grid oracle is 1-D only, potential has d={pot.d}")
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
-    op = _step_operator(p, pot, float(h))
-    pushed = np.bincount(op.j, weights=p.mass * op.g, minlength=p.n)
-    pushed += np.bincount(op.j1, weights=p.mass * op.f, minlength=p.n)
-    return _normalized(p.x_min, p.x_max, p.n, op.convolve(pushed))
+    return _ula_steps(p, pot, float(h), 1)[0]
 
 
 def target_density_grid(pot: Potential, x_min: float, x_max: float, n: int) -> GridDensity:

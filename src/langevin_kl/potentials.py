@@ -181,7 +181,8 @@ def grad_u(p: Potential, x) -> np.ndarray:
     if p.kind == "quadratic-full":
         return x @ p.matrix
     if p.kind == "huber":
-        return np.clip(x, -p.delta, p.delta)
+        # np.clip's bits without its Python wrapper, NaN included
+        return np.minimum(np.maximum(x, -p.delta), p.delta)
     g = np.asarray(p.grad_fn(x), dtype=float)
     if g.shape != x.shape:
         raise ValueError(f"custom gradient returned shape {g.shape}, expected {x.shape}")

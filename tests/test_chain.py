@@ -400,6 +400,19 @@ def test_coupled_huber_rms_nonincreasing():
     assert np.all(tr.rms[1:] <= tr.rms[:-1] + 5.0 * tr.se[:-1])
 
 
+def test_run_loops_check_the_worker_count_before_any_step(monkeypatch):
+    pot = quadratic_diagonal([1.0])
+    e = init_ensemble(pot, PointInit(np.zeros(1)), 2, seed=0)
+    stepped = []
+    monkeypatch.setattr(chain_mod, "step", lambda *a, **kw: stepped.append(1))
+    monkeypatch.setenv(chain_mod.THREADS_ENV, "0")
+    with pytest.raises(ValueError, match=chain_mod.THREADS_ENV):
+        run(e, StepPlan(h=0.1, k=3, epsilon=1.0, regime="strong"))
+    with pytest.raises(ValueError, match=chain_mod.THREADS_ENV):
+        coupled_run(pot, GAUSSIAN_1_OVER_M, GAUSSIAN_1_OVER_M, 0.1, 3, 10, 0)
+    assert stepped == []
+
+
 def test_coupled_run_requires_small_step():
     pot = huber(1.0)
     init = PointInit(np.zeros(1))

@@ -249,6 +249,30 @@ def test_run_weak_records_estimated_h_prime(tmp_path, capsys):
     assert 0.0 <= budget["boundary_mass_max"] < 1e-9
 
 
+def test_grid_interval_matches_single_grid_steps(tmp_path):
+    # a record interval is one kernel call: it leaves the law and the error budget
+    # exactly where as many ula_step_grid calls do, across a halving of h
+    from langevin_kl.grid_oracle import ula_step_grid
+
+    cfg_path = tmp_path / "weak.ini"
+    cfg_path.write_text(WEAK_INI.format(out=tmp_path / "out"))
+    cfg = cli.load_config(str(cfg_path))
+    pot = construct_potential(cfg.potential_kind, **cfg.potential_params)
+    tracker = cli._GridTracker(cfg, pot, cli._build_init(cfg))
+    p = tracker.p
+    drift, boundary = 0.0, max(p.mass[0], p.mass[-1])
+    for h, k in [(0.02, 37), (0.02, 1), (0.01, 50)]:
+        tracker.advance(h, k)
+        for _ in range(k):
+            p = ula_step_grid(p, pot, h)
+            drift += abs(p.renorm_drift)
+            boundary = max(boundary, p.mass[0], p.mass[-1])
+        assert np.array_equal(tracker.p.mass, p.mass)
+        assert tracker.p.renorm_drift == p.renorm_drift
+        assert tracker.error_budget() == {"renorm_drift_abs_sum": drift, "boundary_mass_max": float(boundary)}
+    assert drift > 0.0 and boundary > 0.0
+
+
 def test_run_halving_checks_stage_targets(tmp_path, capsys):
     cfg = tmp_path / "halving.ini"
     out = tmp_path / "out"

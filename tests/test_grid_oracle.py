@@ -182,19 +182,54 @@ def test_ula_step_grid_memo_is_bit_exact_and_keyed_per_operator():
         (quadratic_diagonal([1.0]), -8.0, 8.0, 1000, 0.49, 991),  # nearly as wide as the grid
     ],
 )
-def test_blocked_convolution_matches_np_convolve(pot, lo, hi, n, h, taps):
+def test_blocked_convolution_matches_np_convolve(pot, lo, hi, n, h, taps, monkeypatch):
+    import dataclasses
+
     import langevin_kl.grid_oracle as grid_mod
 
     op = grid_mod._step_operator(discretize_gaussian(0.0, 1.0, lo, hi, n), pot, h)
     assert op.kern.size == taps
+    # the identity push (the last cell through its right-hand split), so that one
+    # kernel step is the blocked convolution and its renormalisation alone
+    j = np.minimum(np.arange(n), n - 2)
+    f = (np.arange(n) == n - 1).astype(float)
+    convolve_only = dataclasses.replace(op, j=j, j1=j + 1, f=f, g=1.0 - f)
+    monkeypatch.setattr(grid_mod, "_step_operator", lambda *args: convolve_only)
+    # wide kernels spill mass past the grid ends, as mode="same" truncates it;
+    # the coverage check would refuse the boundary cells that mass crosses
+    monkeypatch.setattr(grid_mod, "_check_boundary", lambda mass: None)
     rng = np.random.default_rng(taps)
     # non-negative cells over 30 decades, with an empty stretch at each end
     x = rng.uniform(size=n) * 10.0 ** rng.uniform(-30.0, 0.0, size=n)
     x[: n // 10] = 0.0
     x[-n // 7 :] = 0.0
-    got = op.convolve(x)
-    assert got.shape == (n,)
-    np.testing.assert_allclose(got, np.convolve(x, op.kern, mode="same"), rtol=1e-13, atol=0.0)
+    x /= x.sum()
+    got, _, _ = grid_mod._ula_steps(GridDensity(lo, hi, n, x), pot, h, 1)
+    want = np.convolve(x, op.kern, mode="same")
+    np.testing.assert_allclose(got.mass, want / want.sum(), rtol=1e-13, atol=0.0)
+
+
+def test_kernel_fails_on_coverage_at_the_step_single_steps_do():
+    import langevin_kl.grid_oracle as grid_mod
+
+    # the law spreads until a boundary cell crosses 1e-9, partway through an interval
+    pot, h = huber(1.0), 0.02
+    p = discretize_gaussian(0.5, 0.25, -4.0, 5.0, 288)
+    q, fails_at = p, None
+    for s in range(1, 40):
+        try:
+            q = ula_step_grid(q, pot, h)
+        except GridCoverageError as exc:
+            fails_at, message = s, str(exc)
+            break
+    assert fails_at is not None and fails_at > 2
+    before, _, _ = grid_mod._ula_steps(p, pot, h, fails_at - 1)
+    assert np.array_equal(before.mass, q.mass)
+    for steps in (fails_at, fails_at + 5):
+        with pytest.raises(GridCoverageError) as caught:
+            grid_mod._ula_steps(p, pot, h, steps)
+        assert str(caught.value) == message
+
 
 def test_mass_conservation_per_step():
     pot = quadratic_diagonal([1.0])

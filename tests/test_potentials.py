@@ -160,3 +160,14 @@ def test_quadratic_diagonal_gradient_is_bit_identical_to_the_broadcast(d):
         assert g.shape == x.shape and np.array_equal(g, x * diag), shape
     x = rng.normal(size=(9001, 2 * d))[:, ::2]  # not contiguous
     assert np.array_equal(grad_u(p, x), x * diag)
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.3])
+def test_huber_gradient_is_np_clip_bit_for_bit(delta):
+    # signed zeros, the thresholds, infinities and NaN, in one and in three coordinates
+    edges = [0.0, -0.0, delta, -delta, np.nextafter(delta, 0.0), np.nextafter(-delta, -1.0), np.inf, -np.inf, np.nan]
+    x = np.array(edges + list(np.random.default_rng(5).normal(scale=2.0, size=7)))
+    for p, pts in [(huber(delta), x[:, None]), (huber(delta, dim=3), np.stack([x, -x, x[::-1]], axis=1))]:
+        g = grad_u(p, pts)
+        assert g.shape == pts.shape
+        assert g.tobytes() == np.clip(pts, -delta, delta).tobytes()
