@@ -8,7 +8,7 @@ from .metrics import *  # noqa: F403
 from .planner import *  # noqa: F403
 from .potentials import *  # noqa: F403
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # each public name is declared once, in its module's __all__
 __all__ = [

@@ -1,13 +1,13 @@
 """ULA ensemble engine with block-addressed noise streams.
 
 An ensemble's chains fall into blocks of ceil(65536 / d) whole chains. Block
-b of the (seed, purpose, step) slot holds numpy's ziggurat normals from the
-Philox stream with key (seed, 0) and counter (0, b, step, purpose), so its
-noise depends on its address alone. Threads split the work only at block
-boundaries: results are independent of worker count, replayable from the seed
-(bit-exact for a given numpy version, which fixes the ziggurat), and two
-ensembles on one seed draw identical blocks, the synchronous coupling the
-contraction experiments need.
+b of the (seed, purpose, step) slot holds numpy's ziggurat normals from an
+SFC64 seeded by the Philox words at key (seed, 0), counter
+(0, b, step, purpose), so its noise depends on its address alone. Threads
+split the work only at block boundaries: results are independent of worker
+count, replayable from the seed (bit-exact for a given numpy version, which
+fixes the ziggurat), and two ensembles on one seed draw identical blocks, the
+synchronous coupling the contraction experiments need.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, Philox
 
 from .metrics import mean_and_se
 from .planner import StepPlan
@@ -103,44 +103,75 @@ def check_seed(seed) -> int:
     return seed
 
 
-# one Generator per thread, its Philox re-pointed for every block: building one
-# costs more than setting its state, and seeds itself from OS entropy first
-_GENERATORS = threading.local()
+class _BlockStream:
+    """One thread's bit generators, and the state dicts that point them at a block.
+
+    The dicts hold lists that are rewritten in place for every block; the
+    setters copy them, and read lists faster than arrays. Building a bit
+    generator costs more than setting its state, so each thread builds its
+    Philox, SFC64 and Generator once.
+    """
+
+    def __init__(self):
+        self.key = [0, 0]
+        self.counter = [0, 0, 0, 0]
+        self.philox = Philox(0)
+        self.philox_state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self.counter, "key": self.key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,  # the buffer is empty: the next word is the first of `counter`
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self.words = [0, 0, 0, 1]  # numpy's sfc64_set_seed: (w0, w1, w2, 1)
+        self.sfc64 = SFC64(0)
+        self.sfc64_state = {
+            "bit_generator": "SFC64",
+            "state": {"state": self.words},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self.normal = Generator(self.sfc64)
+
+    def at(self, seed: int, purpose: int, step: int, b: int) -> Generator:
+        """The Generator at the start of block b's stream.
+
+        The first three words of Philox key (seed, 0) from counter
+        (0, b, step, purpose) seed the SFC64 as numpy's sfc64_set_seed does:
+        state (w0, w1, w2, 1), then 12 outputs discarded.
+        """
+        self.key[0] = seed
+        self.counter[1:] = b, step, purpose
+        self.philox.state = self.philox_state
+        self.words[:3] = self.philox.random_raw(3).tolist()
+        self.sfc64.state = self.sfc64_state
+        self.sfc64.random_raw(12)  # as output=False would, at a third of its cost
+        return self.normal
 
 
-def _generator(key: np.ndarray, counter: np.ndarray) -> Generator:
-    """This thread's Generator, its Philox set to the start of (key, counter) with an empty buffer."""
-    gen = getattr(_GENERATORS, "normal", None)
-    if gen is None:
-        gen = _GENERATORS.normal = Generator(Philox(key=key))
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": counter, "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,  # the buffer is empty: the next word is the first of `counter`
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen
+_STREAMS = threading.local()  # each thread's _BlockStream, built for its first block
 
 
 def _normals(seed: int, purpose: int, step: int, lo: int, out: np.ndarray) -> None:
     """Write the standard normals of chains [lo, lo + len(out)) into out, shape (chains, d).
 
-    lo starts a block. Block b of the (seed, purpose, step) slot is the
-    ziggurat stream of Philox key (seed, 0) from counter (0, b, step, purpose);
-    a block cut short by the end of the ensemble holds its stream's first
-    normals.
+    lo starts a block. Block b of the (seed, purpose, step) slot is numpy's
+    ziggurat on an SFC64 seeded by the first three words of Philox key
+    (seed, 0) from counter (0, b, step, purpose): the counter-based Philox
+    hashes the address, the cheaper SFC64 draws the bulk. A block cut short by
+    the end of the ensemble holds its stream's first normals.
     """
     if not out.flags.c_contiguous:
         raise ValueError("normals are written into C-contiguous rows only")
     per = -(-_BLOCK_NORMALS // out.shape[1])  # chains per block
     if lo % per:
         raise ValueError(f"chain {lo} does not start a block of {per} chains")
-    key = np.array([seed, 0], dtype=np.uint64)
+    stream = getattr(_STREAMS, "stream", None)
+    if stream is None:
+        stream = _STREAMS.stream = _BlockStream()
     for a in range(0, out.shape[0], per):
-        counter = np.array([0, (lo + a) // per, step, purpose], dtype=np.uint64)
-        _generator(key, counter).standard_normal(out=out[a : a + per])
+        stream.at(seed, purpose, step, (lo + a) // per).standard_normal(out=out[a : a + per])
 
 
 def _workers(explicit=None) -> int:
@@ -164,9 +195,9 @@ def _workers(explicit=None) -> int:
 def _chunks(n: int, d: int, workers: int) -> list[tuple[int, int]]:
     """Contiguous chain ranges of whole blocks, one per worker, each holding at least one full block."""
     per = -(-_BLOCK_NORMALS // d)
-    w = max(1, min(workers, n // per))
-    if w == 1:
+    if workers == 1 or n < 2 * per:
         return [(0, n)]
+    w = min(workers, n // per)
     edges = np.linspace(0, -(-n // per), w + 1).astype(int) * per
     return [(int(a), min(int(b), n)) for a, b in zip(edges[:-1], edges[1:])]
 

@@ -630,7 +630,8 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
             "verdicts": [vars(v) for v in verdicts],
             "outputs": outputs,
             # what the chain noise depends on besides the seed (numpy fixes the
-            # ziggurat stream) and what set the speed (the worker count)
+            # ziggurat; the Philox and SFC64 words are fixed by their
+            # algorithms) and what set the speed (the worker count)
             "environment": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
