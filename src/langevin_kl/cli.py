@@ -17,6 +17,7 @@ import math
 import os
 import platform
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,6 +90,10 @@ _INIT_COND = 1e12
 # the most steps a run takes: planner._step_count holds step counts exactly up
 # to 2**53, far below the 2**64 step indices of the Philox counter
 _MAX_STEPS = 2**53
+# a run whose first record interval projects the rest of its steps past this
+# many seconds says so on stderr: a finite plan may still outlast anyone's wait
+_ETA_SECONDS = 60.0
+_ETA_UNITS = (("years", 365.25 * 86400.0), ("days", 86400.0), ("h", 3600.0), ("min", 60.0))
 
 
 class ConfigError(ValueError):
@@ -541,6 +546,18 @@ def _resolve_plans(cfg: RunConfig, pot, grid: _GridTracker | None, resolved: dic
     return _stages("weak", pot.m, pot.L, pot.d, cfg.epsilon, None, weak, resolved)
 
 
+def _print_eta(step_s: float, left: int) -> None:
+    """One eta: line on stderr if left steps at step_s seconds each take over _ETA_SECONDS."""
+    eta = left * step_s
+    if eta > _ETA_SECONDS:
+        unit, size = next((u, s) for u, s in _ETA_UNITS if eta >= s)
+        print(
+            f"eta: {left} steps left at {step_s * 1e3:.3g} ms per step, about {eta / size:.3g} {unit}",
+            file=sys.stderr,
+            flush=True,
+        )
+
+
 def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
     """Plan, set up the trackers, step to every record point, judge, write."""
     try:
@@ -583,6 +600,7 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
         t.row(0)
     stages = []  # (epsilon, last step) of every stage that ran
     done = 0
+    started = time.perf_counter()
     for plan in plans:
         k = plan.k if budget is None else min(plan.k, budget - done)
         if k < plan.k:
@@ -601,6 +619,8 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
             chain_rows.append(trace_row(ens))
             for t in trackers:
                 t.row(done)
+            if len(chain_rows) == 2:  # the first record point
+                _print_eta((time.perf_counter() - started) / done, steps - done)
         stages.append((plan.epsilon, done))
 
     verdicts = [v for t in trackers for v in t.verdicts(cfg, plans, resolved, stages, chain_rows, ens)]

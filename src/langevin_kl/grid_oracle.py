@@ -176,25 +176,27 @@ def discretize_law(init, x_min: float, x_max: float, n: int) -> GridDensity:
     raise TypeError(f"unsupported init spec {init!r}")
 
 
-# side B of the square slabs the noise convolution is cut into: a narrow
-# kernel multiplies few zero entries, a wide one takes few matrix products
+# side B of the output blocks the noise convolution is cut into: each block's
+# window of the padded cells is B + K - 1 long, so a narrow kernel multiplies
+# few zero entries and a wide one still fills a matrix product
 _BLOCK = 32
+# bytes of the column buffer a step copies its windows into: a grid of 4,096
+# cells takes one product up to K = 97 taps, and the widest kernels a run
+# builds (about 2,000 taps) take products of 8 output blocks
+_COLUMN_BYTES = 128 * 1024
 
 
-def _toeplitz_slabs(kern: np.ndarray) -> np.ndarray:
-    """The band of the convolution matrix of kern, cut into Q = ceil((B + K - 1) / B) slabs of B x B.
+def _band(kern: np.ndarray) -> np.ndarray:
+    """The band of the convolution matrix of kern for one output block: (B + K - 1) x B.
 
-    Slab q carries input block b + q of the zero-padded cells into output
-    block b: entry (u, r) is kern[K - 1 - (q*B + u - r)] where that index
-    lies in the kernel, else 0. Row t = q*B + u is therefore the B-long
-    window of the zero-padded kernel that starts at K - 1 - t, and the slabs
-    are gathered in one pass, with no temporary of their size.
+    A block's window of the zero-padded cells feeds its output cell r through
+    entry (t, r) = kern[K - 1 - (t - r)] where that index lies in the kernel,
+    else 0. Row t is therefore the B-long window of the zero-padded kernel
+    that starts at K - 1 - t, and the band is gathered in one pass.
     """
     k = kern.size
-    q_count = -(-(_BLOCK + k - 1) // _BLOCK)
-    padded = np.concatenate([np.zeros(2 * _BLOCK), kern, np.zeros(2 * _BLOCK)])
-    rows = sliding_window_view(padded, _BLOCK)[2 * _BLOCK + k - 1 - np.arange(q_count * _BLOCK)]
-    return rows.reshape(q_count, _BLOCK, _BLOCK)
+    padded = np.concatenate([np.zeros(_BLOCK), kern, np.zeros(_BLOCK)])
+    return sliding_window_view(padded, _BLOCK)[_BLOCK + k - 1 - np.arange(_BLOCK + k - 1)]
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,7 @@ class _StepOperator:
     f: np.ndarray  # fraction of each center's mass moved to cell j + 1
     g: np.ndarray  # 1 - f
     kern: np.ndarray  # N(0, 2h) noise binned over cells, K = 2*half + 1 taps
-    slabs: np.ndarray  # _toeplitz_slabs(kern), shape (Q, B, B)
+    band: np.ndarray  # _band(kern), shape (B + K - 1, B)
 
 
 # the operator of the last (grid, potential, h): every caller steps at one h until
@@ -237,7 +239,7 @@ def _step_operator(p: GridDensity, pot: Potential, h: float) -> _StepOperator:
     offs = np.arange(-half, half + 1) * p.dx
     kern = _ndtr((offs + 0.5 * p.dx) / sd) - _ndtr((offs - 0.5 * p.dx) / sd)
     kern /= kern.sum()
-    op = _StepOperator(pot, j, j + 1, f, 1.0 - f, kern, _toeplitz_slabs(kern))
+    op = _StepOperator(pot, j, j + 1, f, 1.0 - f, kern, _band(kern))
     _STEP_SLOT = (key, op)
     return op
 
@@ -248,21 +250,25 @@ def _ula_steps(
     """p after steps >= 1 grid ULA steps at (pot, h); drift and boundary carry on over them.
 
     A step pushes the mass through the drift map by the operator's cell
-    splitting, takes np.convolve(pushed, kern, mode="same") as Q products of
-    contiguous views of the zero-padded cells with the operator's slabs, and
-    renormalises. Between steps the law is a bare mass array in buffers owned
-    here; one GridDensity is built at the end. Every step still adds its
-    |1 - total| to drift, raises boundary to its largest boundary-cell mass,
-    and fails as GridDensity would on lost mass or on a boundary cell at 1e-9.
-    Products of non-negative numbers lose no relative precision; the sums
-    differ from np.convolve's at rounding level.
+    splitting, takes np.convolve(pushed, kern, mode="same") as one product of
+    the blocks' windows of the zero-padded cells with the operator's band, and
+    renormalises. The windows (stride B, length B + K - 1) are copied into a
+    column buffer of at most _COLUMN_BYTES, a chunk of output blocks at a time.
+    Between steps the law is a bare mass array in buffers owned here; one
+    GridDensity is built at the end. Every step still adds its |1 - total| to
+    drift, raises boundary to its largest boundary-cell mass, and fails as
+    GridDensity would on lost mass or on a boundary cell at 1e-9. Each output
+    cell is one dot product of B + K - 1 non-negative terms, which loses no
+    relative precision; the sums differ from np.convolve's at rounding level.
     """
     op = _step_operator(p, pot, h)
-    n, (q_count, b, _) = p.n, op.slabs.shape
+    n, (width, b) = p.n, op.band.shape
     nb = -(-n // b)
-    pad = np.zeros((nb + q_count - 1) * b)
+    pad = np.zeros(nb * b + width - b)
     pushed = pad[op.kern.size // 2 :][:n]
-    mixed, term = np.empty((nb, b)), np.empty((nb, b))
+    windows = sliding_window_view(pad, width)[::b]
+    chunk = max(1, min(nb, _COLUMN_BYTES // (width * pad.itemsize)))
+    columns, mixed = np.empty((chunk, width)), np.empty((nb, b))
     raw = mixed.reshape(-1)[:n]
     weights, out, mass = np.empty(n), np.empty(n), p.mass
     for _ in range(steps):
@@ -271,9 +277,10 @@ def _ula_steps(
             np.bincount(op.j1, weights=np.multiply(mass, op.f, out=weights), minlength=n),
             out=pushed,
         )
-        np.matmul(pad[: nb * b].reshape(nb, b), op.slabs[0], out=mixed)
-        for q in range(1, q_count):
-            mixed += np.matmul(pad[q * b : (q + nb) * b].reshape(nb, b), op.slabs[q], out=term)
+        for lo in range(0, nb, chunk):
+            hi = min(nb, lo + chunk)
+            np.copyto(columns[: hi - lo], windows[lo:hi])
+            np.matmul(columns[: hi - lo], op.band, out=mixed[lo:hi])
         mass, total = _rescaled(raw, out)
         drift += abs(1.0 - total)
         _check_boundary(mass)
@@ -349,12 +356,23 @@ def w2_grid_1d(p: GridDensity, q: GridDensity) -> float:
     cq = np.cumsum(q.mass)
     cp /= cp[-1]
     cq /= cq[-1]
-    # np.union1d's sort-and-dedup without its np.unique, which imports numpy.ma
-    both = np.sort(np.concatenate([cp, cq]))
-    breaks = both[np.concatenate([[True], both[1:] != both[:-1]])]
+    # the breaks are np.union1d(cp, cq), from one merge of the two sorted
+    # CDFs (a stable argsort finds the two runs) and no np.unique, which
+    # imports numpy.ma; ip, iq count the entries of each CDF below a break
+    both = np.concatenate([cp, cq])
+    order = np.argsort(both, kind="stable")
+    both = both[order]
+    first = np.flatnonzero(np.concatenate([[True], both[1:] != both[:-1]]))
+    breaks = both[first]
     seg = np.diff(breaks, prepend=0.0)
-    ip = np.minimum(np.searchsorted(cp, breaks, side="left"), p.n - 1)
-    iq = np.minimum(np.searchsorted(cq, breaks, side="left"), p.n - 1)
+    # the merge keeps each side's entries in their order, so a break's first
+    # copy, entry k of its side, comes after exactly k entries of that side
+    # and first - k of the other: all of them below the break
+    k = order[first]
+    ip = np.where(k < p.n, k, first - (k - p.n))
+    iq = first - ip
+    ip = np.minimum(ip, p.n - 1)
+    iq = np.minimum(iq, p.n - 1)
     return math.sqrt(float(np.sum(seg * (c[ip] - c[iq]) ** 2)))
 
 

@@ -195,6 +195,7 @@ def test_run_strong_writes_report_and_verdicts(tmp_path, capsys):
     assert verdicts["second_moment_bound"] is True
     assert (out / "chain.csv").read_text().splitlines()[0] == "step,second_moment,mean_norm"
     assert (out / "gaussian.csv").read_text().splitlines()[0] == "step,kl,w2,fisher,second_moment"
+    assert "eta:" not in capsys.readouterr().err  # a run this short prints no ETA
 
 
 def test_report_records_the_environment(tmp_path, monkeypatch, capsys):
@@ -601,6 +602,42 @@ def test_run_refuses_a_plan_too_long_to_finish_before_writing(tmp_path):
     assert not out.exists()
 
 
+def test_run_prints_an_eta_for_a_plan_that_will_not_finish_soon(tmp_path):
+    """k of about 6.9e14 steps is below 2**53, so it runs; its first record point says how long it would take."""
+    import select
+
+    cfg = tmp_path / "long.ini"
+    cfg.write_text(
+        f"[run]\nepsilon = 1e-6\nn_chains = 2\nrecord_every = 100\nout_dir = {tmp_path / 'out'}\n"
+        "[potential]\nkind = quadratic-diagonal\ndiag = 1e-3, 1\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "langevin_kl.cli", "run", str(cfg)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        ready, _, _ = select.select([proc.stderr], [], [], 20.0)
+        line = proc.stderr.readline() if ready else ""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    left = 685325216560204 - 100
+    assert line.startswith(f"eta: {left} steps left at ") and " ms per step, about " in line
+    assert line.rstrip().endswith(" years")
+
+
+@pytest.mark.parametrize("workload", ["strong-d2", "huber-weak-grid"])
+def test_benchmark_workloads_print_no_eta(tmp_path, capsys, workload):
+    text = _perfbench("workloads").config_text(workload, 1)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text.replace("out_dir = out", f"out_dir = {tmp_path / 'out'}"))
+    assert main(["run", str(cfg)]) == 0
+    assert "eta:" not in capsys.readouterr().err
+
+
 def test_run_missing_file_is_usage_error(capsys):
     assert main(["run", "/nonexistent/nope.ini"]) == 2
 
@@ -702,17 +739,18 @@ def test_cli_runs_load_no_scipy(tmp_path):
     assert lines[-1] == "[]"
 
 
-def _probe_boundaries():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
-    spec = importlib.util.spec_from_file_location("perfbench_probe", path)
-    probe = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probe)
-    return probe.BOUNDARIES
+def _perfbench(name):
+    """The benchmark's module perfbench/<name>.py, loaded from the source checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_hooks_resolve():
     """The benchmark wraps each (caller, name) boundary where the caller module references it."""
-    for caller, name, _ in _probe_boundaries():
+    for caller, name, _ in _perfbench("probe").BOUNDARIES:
         assert hasattr(importlib.import_module(f"langevin_kl.{caller}"), name), (caller, name)
 
 

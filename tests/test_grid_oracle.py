@@ -126,6 +126,17 @@ def test_w2_breaks_match_union1d():
         p, q = (GridDensity(-4.0, 4.0, 64, r / r.sum()) for r in raw)
         assert w2_grid_1d(p, q) == w2_union1d(p, q)
     assert w2_grid_1d(p, p) == 0.0
+    # the huber-weak-grid run's own 4,096-cell laws, where the merge runs
+    import langevin_kl.grid_oracle as grid_mod
+
+    pot = huber(1.0)
+    lo, hi, n = default_grid(pot)
+    target = target_density_grid(pot, lo, hi, n)
+    start = discretize_gaussian(0.0, 4.0, lo, hi, n)
+    later, _, _ = grid_mod._ula_steps(start, pot, 0.00144, 500)
+    for p in (start, later):
+        assert w2_grid_1d(p, target) == w2_union1d(p, target) > 0.0
+    assert w2_grid_1d(target, target) == w2_union1d(target, target) == 0.0
 
 
 def test_ula_step_grid_memo_is_bit_exact_and_keyed_per_operator():
@@ -147,16 +158,14 @@ def test_ula_step_grid_memo_is_bit_exact_and_keyed_per_operator():
         # the convolution's band built column by column: row i of a block's
         # window of padded cells feeds its output cell r with kern[K - 1 - (i - r)]
         B, K = grid_mod._BLOCK, kern.size
-        nb, q_count = -(-p.n // B), -(-(B + K - 1) // B)
-        band = np.zeros((q_count * B, B))
+        nb = -(-p.n // B)
+        band = np.zeros((B + K - 1, B))
         for r in range(B):
             band[r : r + K, r] = kern[::-1]
-        pad = np.zeros((nb + q_count - 1) * B)
+        pad = np.zeros(nb * B + K - 1)
         pad[K // 2 : K // 2 + p.n] = pushed
-        mixed = pad[: nb * B].reshape(nb, B) @ band[:B]
-        for q in range(1, q_count):
-            mixed += pad[q * B : (q + nb) * B].reshape(nb, B) @ band[q * B : (q + 1) * B]
-        mixed = mixed.ravel()[: p.n]
+        windows = np.array([pad[b * B : b * B + B + K - 1] for b in range(nb)])
+        mixed = (windows @ band).ravel()[: p.n]
         return mixed / mixed.sum()
 
     p = discretize_gaussian(0.5, 2.0, -12.0, 12.0, 1024)
@@ -207,6 +216,30 @@ def test_blocked_convolution_matches_np_convolve(pot, lo, hi, n, h, taps, monkey
     got, _, _ = grid_mod._ula_steps(GridDensity(lo, hi, n, x), pot, h, 1)
     want = np.convolve(x, op.kern, mode="same")
     np.testing.assert_allclose(got.mass, want / want.sum(), rtol=1e-13, atol=0.0)
+
+
+def test_grid_step_memory_stays_small_at_the_widest_kernel():
+    """A step at estimate_h_prime's 1,933-tap kernel allocates well under 0.5 MB beyond its operator.
+
+    The column buffer of the windows is capped, so the widest kernel a run
+    builds takes its band product in row chunks; one uncapped product would
+    need a 2 MB buffer here.
+    """
+    import tracemalloc
+
+    import langevin_kl.grid_oracle as grid_mod
+
+    pot = huber(1.0)
+    lo, hi, n = default_grid(pot)
+    p = discretize_gaussian(0.0, 4.0, lo, hi, n)
+    assert grid_mod._step_operator(p, pot, 1.0).kern.size == 1933
+    tracemalloc.start()
+    try:
+        grid_mod._ula_steps(p, pot, 1.0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_kernel_fails_on_coverage_at_the_step_single_steps_do():
