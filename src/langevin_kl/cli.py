@@ -54,7 +54,6 @@ from .gaussian_oracle import (
     w2_gaussian,
 )
 from .grid_oracle import (
-    _ula_steps,
     default_grid,
     discretize_law,
     estimate_h_prime,
@@ -182,7 +181,7 @@ class RunConfig:
     grid_oracle: bool
     grid_x_min: float | None
     grid_x_max: float | None
-    grid_n: int
+    grid_n: int | None
     grid_max_steps: int
     weak: dict = field(default_factory=dict)
     halving_kl0: float | None = None
@@ -246,7 +245,7 @@ def load_config(path: str) -> RunConfig:
             grid_oracle=cp.getboolean("oracles", "grid", fallback=False),
             grid_x_min=cp.getfloat("oracles", "grid_x_min", fallback=None),
             grid_x_max=cp.getfloat("oracles", "grid_x_max", fallback=None),
-            grid_n=cp.getint("oracles", "grid_n", fallback=4096),
+            grid_n=cp.getint("oracles", "grid_n", fallback=None),
             grid_max_steps=run.getint("grid_max_steps", fallback=100_000),
             weak=weak,
             halving_kl0=cp.getfloat("halving", "kl0", fallback=None),
@@ -264,7 +263,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("run.record_every must be >= 1")
     if cfg.grid_max_steps < 1:
         raise ConfigError("run.grid_max_steps must be >= 1")
-    if cfg.grid_n < 8:
+    if cfg.grid_n is not None and cfg.grid_n < 8:
         raise ConfigError(f"oracles.grid_n must be at least 8 cells, got {cfg.grid_n}")
     for key, values in cfg.init_params.items():
         what = "sqrt(cov_diag)" if key == "cov_diag" else f"|{key}|"
@@ -470,36 +469,33 @@ class _GaussianTracker:
 class _GridTracker:
     """Cell masses of the law of a 1-D chain: rows of KL, TV, W2 and second moment.
 
-    Its error budget sums the mass each step renormalised away and keeps the
-    largest mass a boundary cell held.
+    Its error budget is the grid law's own: the mass each step renormalised
+    away and the largest mass a boundary cell held.
     """
 
     csv = ("grid_csv", "grid.csv", "step,kl,tv,w2,second_moment")
 
     def __init__(self, cfg, pot, init):
-        if pot.d != 1:
-            raise ConfigError("the grid oracle supports d = 1 only")
-        lo, hi, _ = default_grid(pot)
-        box = (
-            cfg.grid_x_min if cfg.grid_x_min is not None else lo,
-            cfg.grid_x_max if cfg.grid_x_max is not None else hi,
-            cfg.grid_n,
-        )
+        # a bound or cell count the config leaves out is default_grid's
+        given = (cfg.grid_x_min, cfg.grid_x_max, cfg.grid_n)
+        box = tuple(d if g is None else g for g, d in zip(given, default_grid(pot)))
         self.target = target_density_grid(pot, *box)
-        if isinstance(init, str):
-            init = GaussianInit(mean=np.zeros(1), cov_diag=np.full(1, 1.0 / pot.m))
+        if isinstance(init, str):  # after the target, so that a bad grid is reported first
+            raise ConfigError(
+                f"the default {GAUSSIAN_1_OVER_M} init is N(0, 1/m), the target itself on the 1-D quadratic "
+                "the grid oracle needs, so the run could only move away from it; set an explicit [init]"
+            )
         self.p = discretize_law(init, *box)
         self.pot = pot
         self.rows = []
-        self.drift = 0.0  # sum of |renorm_drift| over the steps
-        self.boundary = max(self.p.mass[0], self.p.mass[-1])  # over every law held
 
     def advance(self, h: float, steps: int) -> None:
-        self.p, self.drift, self.boundary = _ula_steps(self.p, self.pot, h, steps, self.drift, self.boundary)
+        self.p = ula_step_grid(self.p, self.pot, h, steps)
 
     def error_budget(self) -> dict:
         """The numerical error the grid law built up: mass renormalised away and boundary-cell mass."""
-        return {"renorm_drift_abs_sum": self.drift, "boundary_mass_max": float(self.boundary)}
+        p = self.p
+        return {"renorm_drift_abs_sum": p.renorm_drift_abs_sum, "boundary_mass_max": p.boundary_mass_max}
 
     def row(self, step_idx: int) -> None:
         p, tgt = self.p, self.target

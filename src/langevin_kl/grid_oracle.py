@@ -51,7 +51,8 @@ class GridDensity:
 
     Mass lives at cell centers. Operations renormalize and record the mass
     drift they removed; boundary cells above 1e-9 mass flag the grid as too
-    small.
+    small. The error budget of the steps that led here: the sum of their
+    |renorm_drift|, and the largest boundary-cell mass held (a fresh law's own).
     """
 
     x_min: float
@@ -59,6 +60,8 @@ class GridDensity:
     n: int
     mass: np.ndarray
     renorm_drift: float = 0.0
+    renorm_drift_abs_sum: float = 0.0
+    boundary_mass_max: float | None = None
 
     def __post_init__(self):
         if not self.x_max > self.x_min:
@@ -80,6 +83,9 @@ class GridDensity:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "renorm_drift", float(self.renorm_drift))
+        object.__setattr__(self, "renorm_drift_abs_sum", float(self.renorm_drift_abs_sum))
+        boundary = max(mass[0], mass[-1]) if self.boundary_mass_max is None else self.boundary_mass_max
+        object.__setattr__(self, "boundary_mass_max", float(boundary))
 
     @property
     def dx(self) -> float:
@@ -244,24 +250,30 @@ def _step_operator(p: GridDensity, pot: Potential, h: float) -> _StepOperator:
     return op
 
 
-def _ula_steps(
-    p: GridDensity, pot: Potential, h: float, steps: int, drift: float = 0.0, boundary: float = 0.0
-) -> tuple[GridDensity, float, float]:
-    """p after steps >= 1 grid ULA steps at (pot, h); drift and boundary carry on over them.
+def ula_step_grid(p: GridDensity, pot: Potential, h: float, k: int = 1) -> GridDensity:
+    """The law after k >= 1 ULA steps at (pot, h), a Markov kernel on the grid.
 
-    A step pushes the mass through the drift map by the operator's cell
-    splitting, takes np.convolve(pushed, kern, mode="same") as one product of
-    the blocks' windows of the zero-padded cells with the operator's band, and
-    renormalises. The windows (stride B, length B + K - 1) are copied into a
-    column buffer of at most _COLUMN_BYTES, a chunk of output blocks at a time.
-    Between steps the law is a bare mass array in buffers owned here; one
-    GridDensity is built at the end. Every step still adds its |1 - total| to
-    drift, raises boundary to its largest boundary-cell mass, and fails as
-    GridDensity would on lost mass or on a boundary cell at 1e-9. Each output
-    cell is one dot product of B + K - 1 non-negative terms, which loses no
-    relative precision; the sums differ from np.convolve's at rounding level.
+    A step pushes the mass through T(x) = x - h U'(x) by conservative linear
+    cell splitting (T must be monotone on the grid, which h <= 1/L
+    guarantees), convolves it with the step's N(0, 2h) noise binned over cells
+    and truncated at 8 standard deviations, and renormalises. The convolution,
+    np.convolve(pushed, kern, mode="same"), is the product of the blocks'
+    windows of the zero-padded cells (stride B, length B + K - 1, copied into a
+    column buffer of at most _COLUMN_BYTES a chunk of blocks at a time) with
+    the operator's band: each output cell is one dot product of non-negative
+    terms, which loses no relative precision. The operator is built once per
+    (grid, potential, h). Between steps the law is a bare mass array; every
+    step still adds its |1 - total| to renorm_drift_abs_sum, raises
+    boundary_mass_max, and fails as GridDensity would on lost mass or on a
+    boundary cell at 1e-9.
     """
-    op = _step_operator(p, pot, h)
+    if pot.d != 1:
+        raise ValueError(f"grid oracle is 1-D only, potential has d={pot.d}")
+    if not h > 0:
+        raise ValueError(f"step size must be positive, got {h}")
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise ValueError(f"step count must be a positive integer, got {k!r}")
+    op = _step_operator(p, pot, float(h))
     n, (width, b) = p.n, op.band.shape
     nb = -(-n // b)
     pad = np.zeros(nb * b + width - b)
@@ -271,7 +283,8 @@ def _ula_steps(
     columns, mixed = np.empty((chunk, width)), np.empty((nb, b))
     raw = mixed.reshape(-1)[:n]
     weights, out, mass = np.empty(n), np.empty(n), p.mass
-    for _ in range(steps):
+    drift, boundary = p.renorm_drift_abs_sum, p.boundary_mass_max
+    for _ in range(k):
         np.add(
             np.bincount(op.j, weights=np.multiply(mass, op.g, out=weights), minlength=n),
             np.bincount(op.j1, weights=np.multiply(mass, op.f, out=weights), minlength=n),
@@ -285,24 +298,10 @@ def _ula_steps(
         drift += abs(1.0 - total)
         _check_boundary(mass)
         boundary = max(boundary, mass[0], mass[-1])
-    return GridDensity(p.x_min, p.x_max, n, mass, renorm_drift=1.0 - total), drift, boundary
-
-
-def ula_step_grid(p: GridDensity, pot: Potential, h: float) -> GridDensity:
-    """One ULA step as a Markov kernel on the grid.
-
-    Mass is pushed through T(x) = x - h U'(x) by conservative linear cell
-    splitting, then convolved with the step's N(0, 2h) noise binned over cells
-    and truncated at 8 standard deviations, as a blocked matrix product with
-    the convolution's banded Toeplitz matrix. T must be monotone on the grid,
-    which h <= 1/L guarantees. Everything but the mass is computed once per
-    (grid, potential, h) and reused by the steps that follow at the same h.
-    """
-    if pot.d != 1:
-        raise ValueError(f"grid oracle is 1-D only, potential has d={pot.d}")
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    return _ula_steps(p, pot, float(h), 1)[0]
+    return GridDensity(
+        p.x_min, p.x_max, n, mass,
+        renorm_drift=1.0 - total, renorm_drift_abs_sum=drift, boundary_mass_max=boundary,
+    )
 
 
 def target_density_grid(pot: Potential, x_min: float, x_max: float, n: int) -> GridDensity:

@@ -493,6 +493,20 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
             )
             for v in (0, -5)
         ],
+        (
+            "[potential]\nkind = quadratic-diagonal\ndiag = 2.0\n[oracles]\ngrid = true\n",
+            "init is N(0, 1/m), the target itself",
+        ),
+        (
+            "[potential]\nkind = huber\ndelta = 1\ndim = 2\n[init]\nkind = point\nx = 0, 0\n"
+            "[oracles]\ngrid = true\n",
+            "grid oracle is 1-D only, potential has d=2",
+        ),
+        (
+            "[potential]\nkind = quadratic-diagonal\ndiag = 1\n[init]\nkind = point\nx = 0.5\n"
+            "[oracles]\ngaussian = true\n",
+            "point laws are degenerate",
+        ),
     ],
     ids=[
         "no-potential",
@@ -520,6 +534,9 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
         "init-point-above-1e60",
         "grid-max-steps-0",
         "grid-max-steps-negative",
+        "grid-default-init-is-the-target",
+        "grid-huber-d2",
+        "gaussian-oracle-point-init",
     ],
 )
 def test_run_bad_config_is_usage_error(tmp_path, capsys, body, message):
@@ -770,6 +787,24 @@ def test_run_steps_through_the_cli_step_name(tmp_path, monkeypatch, capsys):
     assert main(["run", str(cfg)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert len(calls) == sum(p["k"] for p in report["plan"])
+
+
+def test_run_advances_the_grid_oracle_through_the_cli_name(tmp_path, monkeypatch, capsys):
+    """The grid law takes each record interval as one cli.ula_step_grid call, where the benchmark times it."""
+    calls = []
+    original = cli.ula_step_grid
+
+    def counting_step(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ula_step_grid", counting_step)
+    cfg = tmp_path / "weak.ini"
+    out = tmp_path / "out"
+    cfg.write_text(WEAK_INI.format(out=out))
+    assert main(["run", str(cfg)]) == 0
+    rows = (out / "grid.csv").read_text().splitlines()[1:]
+    assert len(calls) == len(rows) - 1 > 1
 
 
 ROTATED_HALVING_INI = """

@@ -106,6 +106,50 @@ def test_ula_step_grid_monotonicity_guard():
         ula_step_grid(p, pot, 3.0)
 
 
+@pytest.mark.parametrize("k", [0, -1, 2.5])
+def test_ula_step_grid_needs_a_positive_integer_step_count(k):
+    p = discretize_gaussian(0.0, 1.0, -8.0, 8.0, 1024)
+    with pytest.raises(ValueError, match="step count must be a positive integer"):
+        ula_step_grid(p, quadratic_diagonal([1.0]), 0.1, k)
+
+
+def test_fresh_grid_laws_start_an_empty_error_budget():
+    pot = huber(1.0)
+    lo, hi, n = default_grid(pot)
+    raw = np.ones(64)
+    raw[[0, -1]] = 1e-10, 3e-10  # boundary cells below the 1e-9 coverage limit
+    for p in (
+        discretize_gaussian(0.5, 4.0, lo, hi, n),
+        discretize_point(1.3, lo, hi, n),
+        target_density_grid(pot, lo, hi, n),
+        GridDensity(-3.0, 3.0, 64, raw / raw.sum()),
+    ):
+        assert p.renorm_drift_abs_sum == 0.0
+        assert p.boundary_mass_max == max(p.mass[0], p.mass[-1])
+    assert p.boundary_mass_max > 0.0
+
+
+@pytest.mark.parametrize(
+    "pot, lo, hi, n, mean, var, h, k",
+    [
+        (huber(1.0), -24.0, 24.0, 4096, 0.0, 4.0, 0.00144, 100),  # the huber-weak-grid run's step
+        (huber(0.5), -12.0, 12.0, 1000, 1.0, 0.5, 0.05, 7),  # n not a multiple of the block side
+        (quadratic_diagonal([2.0]), -8.0, 8.0, 512, -0.5, 0.3, 0.2, 3),
+    ],
+)
+def test_ula_step_grid_k_steps_are_k_single_steps_bit_for_bit(pot, lo, hi, n, mean, var, h, k):
+    # twice from the same law: the second interval carries the first one's budget on
+    p = q = discretize_gaussian(mean, var, lo, hi, n)
+    for _ in range(2):
+        p = ula_step_grid(p, pot, h, k)
+        for _ in range(k):
+            q = ula_step_grid(q, pot, h)
+        assert np.array_equal(p.mass, q.mass)
+        assert p.renorm_drift == q.renorm_drift
+        assert p.renorm_drift_abs_sum == q.renorm_drift_abs_sum
+        assert p.boundary_mass_max == q.boundary_mass_max
+
+
 def test_w2_breaks_match_union1d():
     """w2_grid_1d's sort-and-dedup breaks are np.union1d's, so the distance is bit-exact with it."""
 
@@ -127,13 +171,11 @@ def test_w2_breaks_match_union1d():
         assert w2_grid_1d(p, q) == w2_union1d(p, q)
     assert w2_grid_1d(p, p) == 0.0
     # the huber-weak-grid run's own 4,096-cell laws, where the merge runs
-    import langevin_kl.grid_oracle as grid_mod
-
     pot = huber(1.0)
     lo, hi, n = default_grid(pot)
     target = target_density_grid(pot, lo, hi, n)
     start = discretize_gaussian(0.0, 4.0, lo, hi, n)
-    later, _, _ = grid_mod._ula_steps(start, pot, 0.00144, 500)
+    later = ula_step_grid(start, pot, 0.00144, 500)
     for p in (start, later):
         assert w2_grid_1d(p, target) == w2_union1d(p, target) > 0.0
     assert w2_grid_1d(target, target) == w2_union1d(target, target) == 0.0
@@ -213,7 +255,7 @@ def test_blocked_convolution_matches_np_convolve(pot, lo, hi, n, h, taps, monkey
     x[: n // 10] = 0.0
     x[-n // 7 :] = 0.0
     x /= x.sum()
-    got, _, _ = grid_mod._ula_steps(GridDensity(lo, hi, n, x), pot, h, 1)
+    got = ula_step_grid(GridDensity(lo, hi, n, x), pot, h, 1)
     want = np.convolve(x, op.kern, mode="same")
     np.testing.assert_allclose(got.mass, want / want.sum(), rtol=1e-13, atol=0.0)
 
@@ -235,7 +277,7 @@ def test_grid_step_memory_stays_small_at_the_widest_kernel():
     assert grid_mod._step_operator(p, pot, 1.0).kern.size == 1933
     tracemalloc.start()
     try:
-        grid_mod._ula_steps(p, pot, 1.0, 1)
+        ula_step_grid(p, pot, 1.0, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -243,8 +285,6 @@ def test_grid_step_memory_stays_small_at_the_widest_kernel():
 
 
 def test_kernel_fails_on_coverage_at_the_step_single_steps_do():
-    import langevin_kl.grid_oracle as grid_mod
-
     # the law spreads until a boundary cell crosses 1e-9, partway through an interval
     pot, h = huber(1.0), 0.02
     p = discretize_gaussian(0.5, 0.25, -4.0, 5.0, 288)
@@ -256,11 +296,11 @@ def test_kernel_fails_on_coverage_at_the_step_single_steps_do():
             fails_at, message = s, str(exc)
             break
     assert fails_at is not None and fails_at > 2
-    before, _, _ = grid_mod._ula_steps(p, pot, h, fails_at - 1)
+    before = ula_step_grid(p, pot, h, fails_at - 1)
     assert np.array_equal(before.mass, q.mass)
     for steps in (fails_at, fails_at + 5):
         with pytest.raises(GridCoverageError) as caught:
-            grid_mod._ula_steps(p, pot, h, steps)
+            ula_step_grid(p, pot, h, steps)
         assert str(caught.value) == message
 
 
