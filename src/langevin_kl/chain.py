@@ -3,10 +3,10 @@
 An ensemble's chains fall into blocks of ceil(65536 / d) whole chains. Block
 b of the (seed, purpose, step) slot holds numpy's ziggurat normals from an
 SFC64 seeded by the Philox words at key (seed, 0), counter
-(0, b, step, purpose), so its noise depends on its address alone. Threads
-split the work only at block boundaries: results are independent of worker
-count, replayable from the seed (bit-exact for a given numpy version, which
-fixes the ziggurat), and two ensembles on one seed draw identical blocks, the
+(0, b, step, purpose), so its noise depends on its address alone. Every
+chain of an ensemble takes its step in one vectorised pass: results are
+replayable from the seed (bit-exact for a given numpy version, which fixes the
+ziggurat), and two ensembles on one seed draw identical blocks, the
 synchronous coupling the contraction experiments need.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 import threading
 from dataclasses import dataclass
 
@@ -40,12 +39,10 @@ __all__ = [
     "coupled_run",
 ]
 
-THREADS_ENV = "LANGEVIN_KL_THREADS"
-
 _PURPOSE_INIT = 0
 _PURPOSE_STEP = 1
-# a block holds ceil(_BLOCK_NORMALS / d) whole chains; a thread costs more to
-# start than it saves on fewer normals, so below two full blocks steps run serially
+# a block holds ceil(_BLOCK_NORMALS / d) whole chains; the size is part of the
+# stream layout, so changing it changes every chain trajectory
 _BLOCK_NORMALS = 65_536
 
 
@@ -174,34 +171,6 @@ def _normals(seed: int, purpose: int, step: int, lo: int, out: np.ndarray) -> No
         stream.at(seed, purpose, step, (lo + a) // per).standard_normal(out=out[a : a + per])
 
 
-def _workers(explicit=None) -> int:
-    """The worker count: explicit if given, else LANGEVIN_KL_THREADS, else 1.
-
-    ValueError unless the count is a positive integer.
-    """
-    if explicit is None:
-        name, raw = THREADS_ENV, os.environ.get(THREADS_ENV, "1")
-    else:
-        name, raw = "workers", explicit
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
-    return n
-
-
-def _chunks(n: int, d: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous chain ranges of whole blocks, one per worker, each holding at least one full block."""
-    per = -(-_BLOCK_NORMALS // d)
-    if workers == 1 or n < 2 * per:
-        return [(0, n)]
-    w = min(workers, n // per)
-    edges = np.linspace(0, -(-n // per), w + 1).astype(int) * per
-    return [(int(a), min(int(b), n)) for a, b in zip(edges[:-1], edges[1:])]
-
-
 def init_ensemble(p: Potential, init, n: int, seed: int) -> Ensemble:
     """Draw n independent chains from the chosen initial law.
 
@@ -242,30 +211,26 @@ def init_ensemble(p: Potential, init, n: int, seed: int) -> Ensemble:
     return Ensemble(states, 0, seed, p)
 
 
-def _step_chunk(e: Ensemble, h: float, lo: int, hi: int, out: np.ndarray) -> None:
-    x = e.states[lo:hi]
-    xi = out[lo:hi]
-    _normals(e.seed, _PURPOSE_STEP, e.step_index, lo, xi)
-    xi *= math.sqrt(2.0 * h)
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught in step
-        # a custom grad_fn may return its input, so the drift gets its own array
-        drift = h * grad_u(e.potential, x)
-        np.subtract(x, drift, out=drift)
-        xi += drift
-
-
-def step(e: Ensemble, h: float, workers: int | None = None, out: np.ndarray | None = None) -> Ensemble:
+def step(e: Ensemble, h: float, workers: int = 1, out: np.ndarray | None = None) -> Ensemble:
     """Advance every chain one update x' = x - h grad U(x) + sqrt(2h) xi.
 
-    The per-chain noise slot is (seed, step_index), so parallel and serial
-    execution produce bit-identical states. The new states are written into
-    out if given: a C-contiguous float64 array of e.states' shape that shares
-    no memory with it. A loop that alternates two such buffers stops the
-    allocator from handing back, and faulting in, fresh pages every step.
+    The per-chain noise slot is (seed, step_index). The new states are written
+    into out if given: a C-contiguous float64 array of e.states' shape that
+    shares no memory with it. A loop that alternates two such buffers stops
+    the allocator from handing back, and faulting in, fresh pages every step.
+
+    Steps are serial. workers must be a positive integer and has no other
+    effect: it is kept only because perfbench/run.py still times
+    step(e, h, workers=1) against workers=2, and can go once it stops.
     """
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    n = e.n_chains
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"step size must be positive and finite, got {h}")
+    try:
+        count = int(workers)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     if out is None:
         out = np.empty_like(e.states, order="C")
     elif (
@@ -277,16 +242,14 @@ def step(e: Ensemble, h: float, workers: int | None = None, out: np.ndarray | No
         raise ValueError(f"out must be a writeable C-contiguous float64 array of shape {e.states.shape}")
     elif np.shares_memory(out, e.states):
         raise ValueError("out overlaps the states it is computed from")
-    bounds = _chunks(n, e.d, _workers(workers))
-    if len(bounds) == 1:
-        _step_chunk(e, h, 0, n, out)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # imported on first use: serial runs skip it
-
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            futures = [pool.submit(_step_chunk, e, h, lo, hi, out) for lo, hi in bounds]
-            for f in futures:
-                f.result()
+    x = e.states
+    _normals(e.seed, _PURPOSE_STEP, e.step_index, 0, out)
+    out *= math.sqrt(2.0 * h)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
+        # a custom grad_fn may return its input, so the drift gets its own array
+        drift = h * grad_u(e.potential, x)
+        np.subtract(x, drift, out=drift)
+        out += drift
     if not np.isfinite(out).all():
         bad = np.flatnonzero(~np.isfinite(out).all(axis=1))[0]
         raise DivergedError(int(bad), e.step_index, e.states[bad].copy())
@@ -312,9 +275,7 @@ def trace_row(e: Ensemble) -> TraceRow:
     )
 
 
-def run(
-    e: Ensemble, plan: StepPlan, record_every: int = 1, workers: int | None = None
-) -> tuple[Ensemble, list[TraceRow]]:
+def run(e: Ensemble, plan: StepPlan, record_every: int = 1) -> tuple[Ensemble, list[TraceRow]]:
     """Execute plan.k steps at plan.h, recording summary rows.
 
     Rows are recorded at step 0, at every record_every-th step, and at the
@@ -322,12 +283,11 @@ def run(
     """
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
-    workers = _workers(workers)
     rows = [trace_row(e)]
     cur = e
     bufs = (np.empty_like(e.states, order="C"), np.empty_like(e.states, order="C"))
     for i in range(plan.k):
-        cur = step(cur, plan.h, workers=workers, out=bufs[i % 2])
+        cur = step(cur, plan.h, out=bufs[i % 2])
         if cur.step_index % record_every == 0 or i == plan.k - 1:
             rows.append(trace_row(cur))
     return cur, rows
@@ -358,9 +318,7 @@ def _coupled_stats(ea: Ensemble, eb: Ensemble) -> tuple[float, float]:
     return r, (se / (2.0 * r) if r > 0 else 0.0)
 
 
-def coupled_run(
-    p: Potential, init_a, init_b, h: float, k: int, n: int, seed: int, workers: int | None = None
-) -> CoupledTrace:
+def coupled_run(p: Potential, init_a, init_b, h: float, k: int, n: int, seed: int) -> CoupledTrace:
     """Drive two ensembles with identical noise and record their RMS distance.
 
     Requires h <= 1/L, the regime in which a single convex smooth ULA step
@@ -370,14 +328,13 @@ def coupled_run(
         raise ValueError(f"need at least one step, got k={k}")
     if h > 1.0 / p.L:
         raise ValueError(f"coupled run requires h <= 1/L = {1.0 / p.L}, got h={h}")
-    workers = _workers(workers)
     ea = init_ensemble(p, init_a, n, seed)
     eb = init_ensemble(p, init_b, n, seed)
     rms = np.empty(k + 1)
     se = np.empty(k + 1)
     rms[0], se[0] = _coupled_stats(ea, eb)
     for i in range(k):
-        ea = step(ea, h, workers=workers)
-        eb = step(eb, h, workers=workers)
+        ea = step(ea, h)
+        eb = step(eb, h)
         rms[i + 1], se[i + 1] = _coupled_stats(ea, eb)
     return CoupledTrace(rms=rms, se=se)

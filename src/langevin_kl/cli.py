@@ -14,7 +14,6 @@ import argparse
 import configparser
 import json
 import math
-import os
 import platform
 import sys
 import time
@@ -26,10 +25,8 @@ import numpy as np
 from . import __version__
 from .chain import (
     GAUSSIAN_1_OVER_M,
-    THREADS_ENV,
     GaussianInit,
     PointInit,
-    _workers,
     check_seed,
     coupled_run,
     init_ensemble,
@@ -558,9 +555,7 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
     """Plan, set up the trackers, step to every record point, judge, write."""
     try:
         # values the grammar lets through but the library rejects (a negative
-        # Huber delta, an init of the wrong length, a grid of 4 cells) are config
-        # errors, and so is a bad LANGEVIN_KL_THREADS, read here once for every step
-        workers = _workers()
+        # Huber delta, an init of the wrong length, a grid of 4 cells) are config errors
         pot = construct_potential(cfg.potential_kind, **cfg.potential_params)
         init = _build_init(cfg)
         trackers = [_GaussianTracker(pot, init)] if cfg.gaussian_oracle else []
@@ -608,7 +603,7 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
             # up to the next multiple of record_every, or to the end of the stage
             n = min(end, (done // cfg.record_every + 1) * cfg.record_every) - done
             for _ in range(n):
-                ens, spare = step(ens, plan.h, workers=workers, out=spare), ens.states
+                ens, spare = step(ens, plan.h, out=spare), ens.states
             for t in trackers:
                 t.advance(plan.h, n)
             done += n
@@ -646,14 +641,8 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
             "verdicts": [vars(v) for v in verdicts],
             "outputs": outputs,
             # what the chain noise depends on besides the seed (numpy fixes the
-            # ziggurat; the Philox and SFC64 words are fixed by their
-            # algorithms) and what set the speed (the worker count)
-            "environment": {
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "workers": workers,
-                THREADS_ENV: os.environ.get(THREADS_ENV),
-            },
+            # ziggurat; the Philox and SFC64 words are fixed by their algorithms)
+            "environment": {"python": platform.python_version(), "numpy": np.__version__},
         }
         if grid is not None:
             report["grid_error_budget"] = grid.error_budget()
@@ -822,11 +811,6 @@ def cmd_verify(args) -> int:
         check_seed(args.seed)
     except ValueError as exc:
         print(f"error: --{exc}", file=sys.stderr)
-        return 2
-    try:
-        _workers()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     checks = SUITES[args.suite](args.seed)
     failed = False

@@ -269,8 +269,8 @@ def ula_step_grid(p: GridDensity, pot: Potential, h: float, k: int = 1) -> GridD
     """
     if pot.d != 1:
         raise ValueError(f"grid oracle is 1-D only, potential has d={pot.d}")
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"step size must be positive and finite, got {h}")
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ValueError(f"step count must be a positive integer, got {k!r}")
     op = _step_operator(p, pot, float(h))

@@ -198,26 +198,13 @@ def test_run_strong_writes_report_and_verdicts(tmp_path, capsys):
     assert "eta:" not in capsys.readouterr().err  # a run this short prints no ETA
 
 
-def test_report_records_the_environment(tmp_path, monkeypatch, capsys):
+def test_report_records_the_environment(tmp_path, capsys):
     cfg = tmp_path / "strong.ini"
     out = tmp_path / "out"
     cfg.write_text(STRONG_INI.format(out=out))
-    runs = []
-    for threads, workers in ((None, 1), ("3", 3), (" 2 ", 2)):
-        if threads is None:
-            monkeypatch.delenv("LANGEVIN_KL_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("LANGEVIN_KL_THREADS", threads)
-        assert main(["run", str(cfg)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["environment"] == {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "workers": workers,
-            "LANGEVIN_KL_THREADS": threads,
-        }
-        runs.append((out / "chain.csv").read_bytes())
-    assert runs[0] == runs[1] == runs[2]
+    assert main(["run", str(cfg)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["environment"] == {"python": platform.python_version(), "numpy": np.__version__}
     keys = {"version", "seed", "config", "potential", "plan", "resolved", "verdicts", "outputs"}
     assert set(report) == keys | {"environment"}
 
@@ -697,17 +684,22 @@ def test_run_seed_outside_philox_key_range_is_config_error(tmp_path, capsys, see
     assert "[0, 2**64)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threads", ["x", "0", "-2", "1.5"])
-def test_invalid_threads_env_is_config_error(tmp_path, monkeypatch, capsys, threads):
-    monkeypatch.setenv("LANGEVIN_KL_THREADS", threads)
+@pytest.mark.parametrize("threads", ["x", "0", "-2", "1.5", "3"])
+def test_threads_env_is_inert(tmp_path, monkeypatch, capsys, threads):
+    """Steps are serial: LANGEVIN_KL_THREADS, set to anything, changes no output of run."""
     cfg = tmp_path / "strong.ini"
-    cfg.write_text(STRONG_INI.format(out=tmp_path / "out"))
-    assert main(["run", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"config error: LANGEVIN_KL_THREADS must be a positive integer, got {threads!r}\n"
-    assert not (tmp_path / "out").exists()  # rejected before anything is written
-    assert main(["verify", "contraction"]) == 2
-    assert "LANGEVIN_KL_THREADS" in capsys.readouterr().err
+    out = tmp_path / "out"
+    cfg.write_text(STRONG_INI.format(out=out))
+    runs = []
+    for value in (None, threads):
+        if value is None:
+            monkeypatch.delenv("LANGEVIN_KL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LANGEVIN_KL_THREADS", value)
+        assert main(["run", str(cfg)]) == 0
+        files = [(out / name).read_bytes() for name in ("chain.csv", "gaussian.csv", "report.json")]
+        runs.append([capsys.readouterr().out.encode(), *files])
+    assert runs[0] == runs[1]
 
 
 def test_run_accepts_both_ends_of_the_seed_range(tmp_path, capsys):
@@ -728,7 +720,7 @@ def test_cli_runs_load_no_scipy(tmp_path):
 
     numpy is the only runtime dependency; the Gaussian run computes tv_target
     in closed form. numpy.f2py and numpy.ma (which scipy.special loads) stay
-    unloaded too, and concurrent.futures is needed by multi-worker steps only.
+    unloaded too, and so is concurrent.futures: steps are serial.
     """
     weak = tmp_path / "weak.ini"
     small = WEAK_INI.format(out=tmp_path / "grid").replace("n_chains = 500", "n_chains = 20\ngrid_max_steps = 30")
@@ -745,7 +737,6 @@ def test_cli_runs_load_no_scipy(tmp_path):
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    env.pop("LANGEVIN_KL_THREADS", None)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     lines = done.stdout.splitlines()
     assert lines[0] == "[]"

@@ -113,6 +113,16 @@ def test_ula_step_grid_needs_a_positive_integer_step_count(k):
         ula_step_grid(p, quadratic_diagonal([1.0]), 0.1, k)
 
 
+@pytest.mark.parametrize("h", [math.inf, math.nan])
+def test_grid_steps_reject_a_non_finite_step_size(h):
+    pot = quadratic_diagonal([1.0])
+    p = discretize_gaussian(0.0, 1.0, -8.0, 8.0, 1024)
+    with pytest.raises(ValueError, match="positive and finite"):
+        ula_step_grid(p, pot, h)
+    with pytest.raises(ValueError, match="positive and finite"):
+        stationary_grid(pot, h, target_density_grid(pot, -8.0, 8.0, 1024))
+
+
 def test_fresh_grid_laws_start_an_empty_error_budget():
     pot = huber(1.0)
     lo, hi, n = default_grid(pot)
