@@ -18,6 +18,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -179,7 +180,6 @@ class RunConfig:
     grid_x_min: float | None
     grid_x_max: float | None
     grid_n: int | None
-    grid_max_steps: int
     weak: dict = field(default_factory=dict)
     halving_kl0: float | None = None
     raw: dict = field(default_factory=dict)
@@ -194,11 +194,37 @@ def _matrix(text: str) -> list[list[float]]:
     return [_floats(row) for row in text.replace("|", "\n").splitlines() if row.strip()]
 
 
+_WEAK_INPUTS = ("c1", "c2", "h_prime", "kl0")
+# the keys each section of a run config may set; any other section or key is a config error
+_CONFIG_KEYS = {
+    "run": ("regime", "epsilon", "n_chains", "seed", "record_every", "out_dir"),
+    "potential": ("kind", "diag", "matrix", "delta", "dim"),
+    "init": ("kind", "mean", "cov_diag", "x"),
+    "oracles": ("gaussian", "grid", "grid_x_min", "grid_x_max", "grid_n"),
+    "weak": _WEAK_INPUTS,
+    "halving": ("kl0",),
+}
+
+
+def _check_keys(cp: configparser.ConfigParser) -> None:
+    """Refuse a section or key outside _CONFIG_KEYS; a [DEFAULT] key would be set in every section."""
+    for key in cp.defaults():
+        raise ConfigError(f"unknown key [{cp.default_section}] {key}: set each key in its own section")
+    for section in cp.sections():
+        if section not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown section [{section}]; the sections are [{'], ['.join(_CONFIG_KEYS)}]")
+        keys = _CONFIG_KEYS[section]
+        for key in cp[section]:
+            if key not in keys:
+                raise ConfigError(f"unknown key [{section}] {key}; [{section}] takes {', '.join(keys)}")
+
+
 def load_config(path: str) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         if not cp.read(path):
             raise ConfigError(f"cannot read config file {path}")
+        _check_keys(cp)
         run = cp["run"]
         regime = run.get("regime", "strong")
         if regime not in ("strong", "weak", "halving"):
@@ -243,7 +269,6 @@ def load_config(path: str) -> RunConfig:
             grid_x_min=cp.getfloat("oracles", "grid_x_min", fallback=None),
             grid_x_max=cp.getfloat("oracles", "grid_x_max", fallback=None),
             grid_n=cp.getint("oracles", "grid_n", fallback=None),
-            grid_max_steps=run.getint("grid_max_steps", fallback=100_000),
             weak=weak,
             halving_kl0=cp.getfloat("halving", "kl0", fallback=None),
             raw={s: dict(cp[s]) for s in cp.sections()},
@@ -258,8 +283,6 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("run.n_chains must be >= 2")
     if cfg.record_every < 1:
         raise ConfigError("run.record_every must be >= 1")
-    if cfg.grid_max_steps < 1:
-        raise ConfigError("run.grid_max_steps must be >= 1")
     if cfg.grid_n is not None and cfg.grid_n < 8:
         raise ConfigError(f"oracles.grid_n must be at least 8 cells, got {cfg.grid_n}")
     for key, values in cfg.init_params.items():
@@ -284,9 +307,6 @@ def _build_init(cfg: RunConfig):
             cov_diag=np.asarray(cfg.init_params["cov_diag"], dtype=float),
         )
     return PointInit(x=np.asarray(cfg.init_params["x"], dtype=float))
-
-
-_WEAK_INPUTS = ("c1", "c2", "h_prime", "kl0")
 
 
 def _weak_value(text: str, key: str):
@@ -433,7 +453,7 @@ class _GaussianTracker:
         fisher = fisher_info_relative(GaussianLaw(self.path.mean, self.path.cov), self.basis_A)
         self.rows.append((step_idx, kl, w2, fisher, self.second))
 
-    def verdicts(self, cfg, plans, resolved, stages, chain_rows, ens) -> list[Verdict]:
+    def verdicts(self, cfg, plans, resolved, chain_rows, ens) -> list[Verdict]:
         pot = self.pot
         _, kl_final, w2_final, _, _ = self.rows[-1]  # the last row is taken at the final law
         eps = plans[-1].epsilon if plans else cfg.epsilon
@@ -442,9 +462,10 @@ class _GaussianTracker:
             verdicts.append(_verdict("kl_init_bound", kl_init_bound(pot.m, pot.L, pot.d) - self.rows[0][1]))
         name = "strong_kl_final" if cfg.regime != "halving" else "halving_kl_final"
         verdicts.append(_verdict(name, eps - kl_final))
-        if cfg.regime == "halving" and stages:
-            kl_at = {r[0]: r[1] for r in self.rows}
-            verdicts.append(_verdict("halving_stage_targets", min(e - kl_at[s] for e, s in stages)))
+        if cfg.regime == "halving" and plans:
+            kl_at = {r[0]: r[1] for r in self.rows}  # each stage ends at a record point
+            margins = [p.epsilon - kl_at[end] for p, end in zip(plans, accumulate(p.k for p in plans))]
+            verdicts.append(_verdict("halving_stage_targets", min(margins)))
         law = self.law
         if pot.d == 1:  # a 1 x 1 A needs no decomposition
             verdicts.append(_verdict("tv_target", math.sqrt(eps) - tv_gaussian_1d(law, target_law(self.A))))
@@ -500,7 +521,7 @@ class _GridTracker:
             (step_idx, kl_grid(p, tgt), tv_grid(p, tgt), w2_grid_1d(p, tgt), second_moment_grid(p))
         )
 
-    def verdicts(self, cfg, plans, resolved, stages, chain_rows, ens) -> list[Verdict]:
+    def verdicts(self, cfg, plans, resolved, chain_rows, ens) -> list[Verdict]:
         kls = [r[1] for r in self.rows]
         diffs = np.diff(kls)
         verdicts = [
@@ -570,18 +591,17 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
         raise ConfigError(str(exc)) from exc
     resolved: dict = {}
     plans = _resolve_plans(cfg, pot, grid, resolved)
-    # with the grid oracle in lockstep the whole run is capped at grid_max_steps
-    budget = cfg.grid_max_steps if cfg.grid_oracle else None
     steps = sum(p.k for p in plans)
-    if budget is not None:
-        steps = min(steps, budget)
     if steps > _MAX_STEPS:
         raise PlanningError(
             f"the plan takes a {len(str(steps))}-digit number of steps, more than 2**53 = {_MAX_STEPS}: "
             "no run can finish it"
         )
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path under one
+        raise ConfigError(f"[run] out_dir: {exc}") from exc
     if grid is not None:
         trackers.append(grid)
 
@@ -589,16 +609,10 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
     spare = np.empty_like(ens.states)  # the loop alternates it with the states it steps from
     for t in trackers:
         t.row(0)
-    stages = []  # (epsilon, last step) of every stage that ran
     done = 0
     started = time.perf_counter()
     for plan in plans:
-        k = plan.k if budget is None else min(plan.k, budget - done)
-        if k < plan.k:
-            resolved["steps_capped_at"] = budget
-        if k <= 0:
-            break
-        end = done + k
+        end = done + plan.k
         while done < end:
             # up to the next multiple of record_every, or to the end of the stage
             n = min(end, (done // cfg.record_every + 1) * cfg.record_every) - done
@@ -612,9 +626,8 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
                 t.row(done)
             if len(chain_rows) == 2:  # the first record point
                 _print_eta((time.perf_counter() - started) / done, steps - done)
-        stages.append((plan.epsilon, done))
 
-    verdicts = [v for t in trackers for v in t.verdicts(cfg, plans, resolved, stages, chain_rows, ens)]
+    verdicts = [v for t in trackers for v in t.verdicts(cfg, plans, resolved, chain_rows, ens)]
 
     written: list[Path] = []
     try:
@@ -663,7 +676,7 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (PlanningError, ValueError, RuntimeError, MemoryError) as exc:
+    except (PlanningError, ValueError, RuntimeError, MemoryError, OSError) as exc:  # OSError: a failed write
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     for v in report["verdicts"]:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -472,14 +473,31 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
                 ("kind = point\nx = -1e61, 0", "[init] x"),
             )
         ],
+        # grid_max_steps capped grid runs once; a config that still sets it must not run uncapped unnoticed
         *[
             (
                 f"regime = weak\ngrid_max_steps = {v}\n[potential]\nkind = huber\ndelta = 1\n"
                 "[init]\nkind = gaussian\nmean = 0\ncov_diag = 4\n[oracles]\ngrid = true\n",
-                "run.grid_max_steps must be >= 1",
+                "unknown key [run] grid_max_steps; [run] takes regime, epsilon, n_chains,",
             )
             for v in (0, -5)
         ],
+        (
+            "reocrd_every = 10\n[potential]\nkind = quadratic-diagonal\ndiag = 1\n",
+            "unknown key [run] reocrd_every",
+        ),
+        (
+            "[potential]\nkind = quadratic-diagonal\ndiag = 1\n[oracles]\ngausian = true\n",
+            "unknown key [oracles] gausian; [oracles] takes gaussian, grid, grid_x_min, grid_x_max, grid_n",
+        ),
+        (
+            "[potential]\nkind = quadratic-diagonal\ndiag = 1\n[oracels]\ngaussian = true\n",
+            "unknown section [oracels]; the sections are [run], [potential], [init], [oracles], [weak], [halving]",
+        ),
+        (
+            "[DEFAULT]\nseed = 1\n[potential]\nkind = quadratic-diagonal\ndiag = 1\n",
+            "unknown key [DEFAULT] seed: set each key in its own section",
+        ),
         (
             "[potential]\nkind = quadratic-diagonal\ndiag = 2.0\n[oracles]\ngrid = true\n",
             "init is N(0, 1/m), the target itself",
@@ -521,6 +539,10 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
         "init-point-above-1e60",
         "grid-max-steps-0",
         "grid-max-steps-negative",
+        "misspelled-run-key",
+        "misspelled-oracles-key",
+        "misspelled-section",
+        "default-section-key",
         "grid-default-init-is-the-target",
         "grid-huber-d2",
         "gaussian-oracle-point-init",
@@ -606,15 +628,10 @@ def test_run_refuses_a_plan_too_long_to_finish_before_writing(tmp_path):
     assert not out.exists()
 
 
-def test_run_prints_an_eta_for_a_plan_that_will_not_finish_soon(tmp_path):
-    """k of about 6.9e14 steps is below 2**53, so it runs; its first record point says how long it would take."""
+def _first_stderr_line(cfg: Path) -> str:
+    """The first stderr line of `run cfg` in a subprocess (waiting at most 20 s), which is then killed."""
     import select
 
-    cfg = tmp_path / "long.ini"
-    cfg.write_text(
-        f"[run]\nepsilon = 1e-6\nn_chains = 2\nrecord_every = 100\nout_dir = {tmp_path / 'out'}\n"
-        "[potential]\nkind = quadratic-diagonal\ndiag = 1e-3, 1\n"
-    )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.Popen(
@@ -623,14 +640,82 @@ def test_run_prints_an_eta_for_a_plan_that_will_not_finish_soon(tmp_path):
     )
     try:
         ready, _, _ = select.select([proc.stderr], [], [], 20.0)
-        line = proc.stderr.readline() if ready else ""
+        return proc.stderr.readline() if ready else ""
     finally:
         proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+def test_run_prints_an_eta_for_a_plan_that_will_not_finish_soon(tmp_path):
+    """k of about 6.9e14 steps is below 2**53, so it runs; its first record point says how long it would take."""
+    cfg = tmp_path / "long.ini"
+    cfg.write_text(
+        f"[run]\nepsilon = 1e-6\nn_chains = 2\nrecord_every = 100\nout_dir = {tmp_path / 'out'}\n"
+        "[potential]\nkind = quadratic-diagonal\ndiag = 1e-3, 1\n"
+    )
+    line = _first_stderr_line(cfg)
     left = 685325216560204 - 100
     assert line.startswith(f"eta: {left} steps left at ") and " ms per step, about " in line
     assert line.rstrip().endswith(" years")
+
+
+def test_run_with_the_grid_oracle_takes_its_whole_plan(tmp_path):
+    """A grid-oracle run is not cut short: its 9.6e13 planned steps get the same eta line as any run."""
+    cfg = tmp_path / "long.ini"
+    cfg.write_text(
+        "[run]\nregime = weak\nepsilon = 1e-4\nn_chains = 2\nrecord_every = 100\n"
+        f"out_dir = {tmp_path / 'out'}\n"
+        "[potential]\nkind = huber\ndelta = 1.0\n"
+        "[init]\nkind = gaussian\nmean = 0.0\ncov_diag = 4.0\n"
+        "[oracles]\ngrid = true\ngrid_n = 256\n"
+        "[weak]\nc1 = 1\nc2 = 1\nh_prime = 1\nkl0 = 1\n"
+    )
+    line = _first_stderr_line(cfg)
+    left = 96000000000000 - 100  # plan_weak's k for these inputs
+    assert line.startswith(f"eta: {left} steps left at ") and " ms per step, about " in line
+    assert line.rstrip().endswith(" years")
+
+
+@pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+def test_run_out_dir_that_cannot_be_made_is_config_error(tmp_path, capsys, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(STRONG_INI.format(out=blocker if where == "a-file" else blocker / "out"))
+    assert main(["run", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: [run] out_dir: ") and "Traceback" not in err and out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "run.ini"]  # nothing written
+    assert blocker.read_text() == "kept\n"
+
+
+def test_run_write_failure_removes_what_it_wrote(tmp_path, capsys):
+    """A write that fails after the steps is a run failure; the files this run wrote are removed."""
+    out_dir = tmp_path / "out"
+    (out_dir / "gaussian.csv").mkdir(parents=True)  # chain.csv is written, then gaussian.csv cannot be
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(STRONG_INI.format(out=out_dir).replace("n_chains = 2000", "n_chains = 20"))
+    assert main(["run", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("run failed: ") and "gaussian.csv" in err and "Traceback" not in err
+    assert out == ""
+    assert [p.name for p in out_dir.iterdir()] == ["gaussian.csv"]
+
+
+def test_readme_config_grammar_shows_the_declared_keys():
+    """Each key README's ini grammar block shows, commented out or not, is declared, and each one declared is shown."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    shown, section = set(), None
+    for line in block.splitlines():
+        if m := re.match(r"\[(\w+)\]", line):
+            section = m.group(1)
+        elif m := re.match(r";?\s*(\w+)\s*=", line):
+            shown.add((section, m.group(1)))
+    declared = {(section, key) for section, keys in cli._CONFIG_KEYS.items() for key in keys}
+    assert shown - declared == set()
+    assert declared - shown == set()
 
 
 @pytest.mark.parametrize("workload", ["strong-d2", "huber-weak-grid"])
@@ -723,7 +808,7 @@ def test_cli_runs_load_no_scipy(tmp_path):
     unloaded too, and so is concurrent.futures: steps are serial.
     """
     weak = tmp_path / "weak.ini"
-    small = WEAK_INI.format(out=tmp_path / "grid").replace("n_chains = 500", "n_chains = 20\ngrid_max_steps = 30")
+    small = WEAK_INI.format(out=tmp_path / "grid").replace("n_chains = 500", "n_chains = 20")
     weak.write_text(small.replace("grid_n = 2048", "grid_n = 256"))
     gauss = tmp_path / "gauss.ini"
     gauss.write_text(STRONG_INI.format(out=tmp_path / "gauss").replace("diag = 1.0, 2.0", "diag = 2.0"))

@@ -19,7 +19,6 @@ _PLAUSIBLE = {
         "seed": ["0", "7"],
         "record_every": ["1", "10"],
         "out_dir": ["out"],
-        "grid_max_steps": ["100"],
     },
     "potential": {
         "kind": ["quadratic-diagonal", "quadratic-full", "huber"],
@@ -92,8 +91,8 @@ def test_any_ini_loads_or_is_a_config_error(tmp_path_factory, text):
     assert isinstance(cfg, RunConfig)
 
 
-# small runs: few chains, a coarse epsilon and both oracles; grid runs are
-# capped at 40 steps on 64 cells. Most draws are consistent configs that run;
+# small runs: few chains, a coarse epsilon and both oracles; grid runs take
+# their whole plan on 64 cells. Most draws are consistent configs that run;
 # up to two values are then replaced by an out-of-range one
 _POTENTIALS = [
     ({"kind": "quadratic-diagonal", "diag": "1, 2"}, 2),
@@ -107,7 +106,6 @@ _OUT_OF_RANGE = [
     ("run", "n_chains", ["1", "-3"]),
     ("run", "seed", ["-1", "18446744073709551616"]),
     ("run", "record_every", ["0", "1000000"]),
-    ("run", "grid_max_steps", ["0", "-5"]),
     ("potential", "diag", ["0, 1", "1e-300"]),
     ("potential", "matrix", ["1 2 | 3 4", "1"]),
     ("potential", "delta", ["-1", "inf"]),
@@ -139,7 +137,6 @@ def _small_run(draw, out_dir):
             "seed": draw(st.sampled_from(["0", "18446744073709551615"])),
             "record_every": draw(st.sampled_from(["1", "7", "100"])),
             "out_dir": out_dir,
-            "grid_max_steps": "40",
         },
         "potential": dict(potential),
         "init": dict(init),

@@ -66,6 +66,25 @@ def test_construction_errors_name_constraint(kind, params, match):
         construct_potential(kind, **params)
 
 
+@pytest.mark.parametrize(
+    "params, match",
+    [
+        ({"m": 2.0, "L": 1.0, "d": 1}, "need 0 <= m <= L"),
+        ({"m": 0.0, "L": 1.0, "d": 0}, "dimension must be >= 1"),
+        (
+            {"m": 0.0, "L": 1.0, "d": 2, "grad_fn": lambda x: x[..., 0]},
+            r"custom gradient returned shape \(3,\), expected \(3, 2\)",
+        ),
+    ],
+    ids=["m-above-L", "d-below-1", "gradient-shape"],
+)
+def test_custom_potential_checks_its_inputs(params, match):
+    """construct_potential("custom") refuses bad constants, and grad_u a gradient of the wrong shape."""
+    params = {"u_fn": lambda x: 0.5 * np.sum(x * x, axis=-1), "grad_fn": lambda x: x, **params}
+    with pytest.raises(ValueError, match=match):
+        grad_u(construct_potential("custom", **params), np.zeros((3, 2)))
+
+
 def test_construct_unknown_kind():
     with pytest.raises(ValueError, match="unknown potential kind"):
         construct_potential("cauchy")
