@@ -145,7 +145,8 @@ def cmd_plan(args) -> int:
         print(f"planning error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        doc = _plan_dict(plans[0]) if len(plans) == 1 else {"stages": [_plan_dict(p) for p in plans]}
+        # a halving schedule is a list of stages, however many its numbers give
+        doc = {"stages": [_plan_dict(p) for p in plans]} if args.regime == "halving" else _plan_dict(plans[0])
         print(json.dumps(doc, sort_keys=True))
         return 0
     if not plans:
@@ -283,8 +284,6 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("run.n_chains must be >= 2")
     if cfg.record_every < 1:
         raise ConfigError("run.record_every must be >= 1")
-    if cfg.grid_n is not None and cfg.grid_n < 8:
-        raise ConfigError(f"oracles.grid_n must be at least 8 cells, got {cfg.grid_n}")
     for key, values in cfg.init_params.items():
         what = "sqrt(cov_diag)" if key == "cov_diag" else f"|{key}|"
         if not all((math.sqrt(abs(v)) if key == "cov_diag" else abs(v)) <= _INIT_MAX for v in values):

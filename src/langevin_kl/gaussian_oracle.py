@@ -325,8 +325,8 @@ def exact_flow_law(A, init: GaussianLaw, t: float) -> GaussianLaw:
     e^(-w t) mean_0 and the covariance e^(-(w_i + w_l) t) C_0[i, l]
     + delta_il (1 - e^(-2 w_i t)) / w_i.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     p = GaussianPath(init, A)
     e = np.exp(-p.w * t)
     C = np.outer(e, e) * p.cov

@@ -49,25 +49,21 @@ class GridCoverageError(ValueError):
 class GridDensity:
     """Cell probabilities of a density on n uniform cells over [x_min, x_max].
 
-    Mass lives at cell centers. Operations renormalize and record the mass
-    drift they removed; boundary cells above 1e-9 mass flag the grid as too
-    small. The error budget of the steps that led here: the sum of their
-    |renorm_drift|, and the largest boundary-cell mass held (a fresh law's own).
+    Mass lives at cell centers; boundary cells above 1e-9 mass flag the grid
+    as too small. The error budget of the steps that led here: the sum of the
+    |1 - total| each renormalised away (0.0 for a fresh law), and the largest
+    boundary-cell mass held (a fresh law's own).
     """
 
     x_min: float
     x_max: float
     n: int
     mass: np.ndarray
-    renorm_drift: float = 0.0
     renorm_drift_abs_sum: float = 0.0
     boundary_mass_max: float | None = None
 
     def __post_init__(self):
-        if not self.x_max > self.x_min:
-            raise ValueError(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
-        if self.n < 8:
-            raise ValueError(f"need at least 8 cells, got {self.n}")
+        _cell_width(self.x_min, self.x_max, self.n)
         mass = np.asarray(self.mass, dtype=float)
         if mass.shape != (self.n,):
             raise ValueError(f"mass shape {mass.shape} does not match n={self.n}")
@@ -82,18 +78,26 @@ class GridDensity:
         object.__setattr__(self, "x_max", float(self.x_max))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "renorm_drift", float(self.renorm_drift))
         object.__setattr__(self, "renorm_drift_abs_sum", float(self.renorm_drift_abs_sum))
         boundary = max(mass[0], mass[-1]) if self.boundary_mass_max is None else self.boundary_mass_max
         object.__setattr__(self, "boundary_mass_max", float(boundary))
 
     @property
     def dx(self) -> float:
-        return (self.x_max - self.x_min) / self.n
+        return _cell_width(self.x_min, self.x_max, self.n)
 
     @property
     def centers(self) -> np.ndarray:
         return self.x_min + (np.arange(self.n) + 0.5) * self.dx
+
+
+def _cell_width(x_min: float, x_max: float, n: int) -> float:
+    """The cell width of the box [x_min, x_max] cut into n cells; fails on a box no law can live on."""
+    if not x_max > x_min:
+        raise ValueError(f"need x_max > x_min, got [{x_min}, {x_max}]")
+    if n < 8:
+        raise ValueError(f"need at least 8 cells, got {n}")
+    return (x_max - x_min) / n
 
 
 def _check_boundary(mass: np.ndarray) -> None:
@@ -117,14 +121,8 @@ def _rescaled(raw: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarra
     return np.divide(raw, total, out=out), total
 
 
-def _normalized(x_min: float, x_max: float, n: int, raw: np.ndarray) -> GridDensity:
-    mass, total = _rescaled(raw)
-    return GridDensity(x_min, x_max, n, mass, renorm_drift=1.0 - total)
-
-
-def _split(z: np.ndarray, x_min: float, x_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _split(z: np.ndarray, x_min: float, dx: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Left bracketing cell center j of each position z and its weight fraction f on j + 1."""
-    dx = (x_max - x_min) / n
     pos = (z - x_min) / dx - 0.5
     j = np.clip(np.floor(pos).astype(int), 0, n - 2)
     return j, np.clip(pos - j, 0.0, 1.0)
@@ -135,6 +133,7 @@ def discretize_gaussian(mean: float, var: float, x_min: float, x_max: float, n: 
 
     The grid must cover mean +/- 8 standard deviations.
     """
+    dx = _cell_width(x_min, x_max, n)
     if not var > 0:
         raise ValueError(f"variance must be positive, got {var}")
     sd = math.sqrt(var)
@@ -143,7 +142,6 @@ def discretize_gaussian(mean: float, var: float, x_min: float, x_max: float, n: 
             f"grid [{x_min}, {x_max}] must cover mean +/- 8 sd = "
             f"[{mean - 8.0 * sd}, {mean + 8.0 * sd}]"
         )
-    dx = (x_max - x_min) / n
     edges = x_min + np.arange(n + 1) * dx
     raw = np.diff(_ndtr((edges - mean) / sd))
     # deep-tail CDF differences cancel to 0 in floats; midpoint pdf mass keeps
@@ -151,7 +149,7 @@ def discretize_gaussian(mean: float, var: float, x_min: float, x_max: float, n: 
     mids = (edges[:-1] + 0.5 * dx - mean) / sd
     tail = np.exp(-0.5 * mids * mids) / math.sqrt(2.0 * math.pi) * (dx / sd)
     raw = np.where(raw > 0, raw, tail)
-    return _normalized(x_min, x_max, n, raw)
+    return GridDensity(x_min, x_max, n, _rescaled(raw)[0])
 
 
 def discretize_point(x: float, x_min: float, x_max: float, n: int) -> GridDensity:
@@ -160,10 +158,12 @@ def discretize_point(x: float, x_min: float, x_max: float, n: int) -> GridDensit
     The split keeps the mass and the first moment exactly; a point already on
     a center occupies a single cell.
     """
+    dx = _cell_width(x_min, x_max, n)
     if not (x_min < x < x_max):
         raise GridCoverageError(f"point {x} outside the grid [{x_min}, {x_max}]")
-    (j,), (f,) = _split(np.array([float(x)]), x_min, x_max, n)
-    return _normalized(x_min, x_max, n, np.bincount([j, j + 1], weights=[1.0 - f, f], minlength=n))
+    (j,), (f,) = _split(np.array([float(x)]), x_min, dx, n)
+    raw = np.bincount([j, j + 1], weights=[1.0 - f, f], minlength=n)
+    return GridDensity(x_min, x_max, n, _rescaled(raw)[0])
 
 
 def discretize_law(init, x_min: float, x_max: float, n: int) -> GridDensity:
@@ -236,7 +236,7 @@ def _step_operator(p: GridDensity, pot: Potential, h: float) -> _StepOperator:
     scale = max(1.0, float(np.abs(z).max()))
     if np.any(np.diff(z) < -1e-12 * scale):
         raise ValueError(f"drift map not monotone on the grid; need h <= 1/L = {1.0 / pot.L}")
-    j, f = _split(z, p.x_min, p.x_max, p.n)
+    j, f = _split(z, p.x_min, p.dx, p.n)
 
     sd = math.sqrt(2.0 * h)
     half = math.ceil(8.0 * sd / p.dx)
@@ -298,32 +298,22 @@ def ula_step_grid(p: GridDensity, pot: Potential, h: float, k: int = 1) -> GridD
         drift += abs(1.0 - total)
         _check_boundary(mass)
         boundary = max(boundary, mass[0], mass[-1])
-    return GridDensity(
-        p.x_min, p.x_max, n, mass,
-        renorm_drift=1.0 - total, renorm_drift_abs_sum=drift, boundary_mass_max=boundary,
-    )
+    return GridDensity(p.x_min, p.x_max, n, mass, renorm_drift_abs_sum=drift, boundary_mass_max=boundary)
 
 
 def target_density_grid(pot: Potential, x_min: float, x_max: float, n: int) -> GridDensity:
     """Normalized cell masses of exp(-U) at the cell centers.
 
-    Fails if the unnormalized boundary cells hold a 1e-9 fraction of the mass,
-    i.e. the tails do not fit.
+    Fails, as every GridDensity does, if a boundary cell holds a 1e-9
+    fraction of the mass, i.e. the tails do not fit.
     """
     if pot.d != 1:
         raise ValueError(f"grid oracle is 1-D only, potential has d={pot.d}")
-    if not x_max > x_min:
-        raise ValueError(f"need x_max > x_min, got [{x_min}, {x_max}]")
-    dx = (x_max - x_min) / n
+    dx = _cell_width(x_min, x_max, n)
     c = x_min + (np.arange(n) + 0.5) * dx
     u = u_value(pot, c[:, None])
     raw = np.exp(-(u - u.min())) * dx
-    total = float(raw.sum())
-    if raw[0] / total >= _BOUNDARY_TOL or raw[-1] / total >= _BOUNDARY_TOL:
-        raise GridCoverageError(
-            f"target tails do not fit: boundary mass {raw[0] / total:.3g}/{raw[-1] / total:.3g}"
-        )
-    return _normalized(x_min, x_max, n, raw)
+    return GridDensity(x_min, x_max, n, _rescaled(raw)[0])
 
 
 def _same_grid(p: GridDensity, q: GridDensity) -> None:

@@ -219,7 +219,7 @@ def discretization_error_bound(L: float, h: float, d: int, second_moment: float)
     Returns 2*L^2*h*sqrt(second_moment) + 2*L*sqrt(h*d), where second_moment
     bounds E||x||^2 at the step boundary.
     """
-    if L < 0 or h < 0 or d < 0 or second_moment < 0:
+    if not (L >= 0 and h >= 0 and d >= 0 and second_moment >= 0):  # NaN fails too
         raise ValueError("all inputs must be nonnegative")
     return 2.0 * L * L * h * math.sqrt(second_moment) + 2.0 * L * math.sqrt(h * d)
 

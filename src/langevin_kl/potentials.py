@@ -80,8 +80,8 @@ def huber(delta: float, dim: int = 1) -> Potential:
     """
     if not delta > 0:
         raise ValueError(f"huber threshold delta must be positive, got {delta}")
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
+    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
+        raise ValueError(f"dimension must be an integer >= 1, got {dim!r}")
     return Potential(kind="huber", m=0.0, L=1.0, d=int(dim), delta=float(delta))
 
 

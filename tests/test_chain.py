@@ -471,3 +471,25 @@ def test_coupled_run_requires_small_step():
     init = PointInit(np.zeros(1))
     with pytest.raises(ValueError, match="1/L"):
         coupled_run(pot, init, init, h=1.5, k=1, n=2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: init_ensemble(huber(1.0), PointInit(np.zeros(1)), 0, 0), "need at least one chain"),
+        (
+            lambda: init_ensemble(huber(1.0), GaussianInit(mean=np.zeros(1), cov_diag=np.zeros(1)), 4, 0),
+            "init variances must be positive",
+        ),
+        (lambda: init_ensemble(huber(1.0), PointInit(np.zeros(2)), 4, 0), "init point has 2 coordinates"),
+        (lambda: init_ensemble(huber(1.0), "gaussian", 4, 0), "unsupported init spec"),
+        (
+            lambda: coupled_run(huber(1.0), PointInit(np.zeros(1)), PointInit(np.ones(1)), h=0.5, k=0, n=2, seed=0),
+            "need at least one step",
+        ),
+    ],
+    ids=["no-chains", "zero-variance", "point-length", "unsupported-init", "coupled-no-steps"],
+)
+def test_chain_inputs_are_checked(call, message):
+    with pytest.raises((ValueError, TypeError), match=message):
+        call()

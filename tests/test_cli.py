@@ -112,6 +112,12 @@ def test_plan_missing_m_is_usage_error(capsys):
     assert main(["plan", "--regime", "strong", "--L", "2", "--d", "2", "--eps", "0.1"]) == 2
 
 
+@pytest.mark.parametrize("target", ["tv", "w2"])
+def test_plan_tv_or_w2_target_without_delta_is_usage_error(capsys, target):
+    assert main(["plan", "--regime", "strong", "--m", "1", "--L", "2", "--d", "2", "--target", target]) == 2
+    assert capsys.readouterr().err == f"error: --delta is required for --target {target}\n"
+
+
 def test_plan_unknown_regime_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["plan", "--regime", "bogus"])
@@ -148,6 +154,10 @@ def test_plan_halving_prints_every_stage(capsys):
     assert main(_HALVING_PLAN + ["--kl0", "1", "--json"]) == 0
     stages = json.loads(capsys.readouterr().out)["stages"]
     assert [(s["h"], s["k"], s["epsilon"]) for s in stages] == [(0.03125, 23, 0.5), (0.015625, 45, 0.25)]
+    # one stage keeps the halving shape: the shape follows the regime, not the stage count
+    assert main(_HALVING_PLAN + ["--kl0", "0.4", "--json"]) == 0
+    (stage,) = json.loads(capsys.readouterr().out)["stages"]
+    assert (stage["regime"], stage["epsilon"]) == ("halving-stage", 0.2)
 
 
 def test_plan_halving_kl0_defaults_to_the_init_bound(capsys):
@@ -249,15 +259,14 @@ def test_grid_interval_matches_single_grid_steps(tmp_path):
     pot = construct_potential(cfg.potential_kind, **cfg.potential_params)
     tracker = cli._GridTracker(cfg, pot, cli._build_init(cfg))
     p = tracker.p
-    drift, boundary = 0.0, max(p.mass[0], p.mass[-1])
+    boundary = max(p.mass[0], p.mass[-1])
     for h, k in [(0.02, 37), (0.02, 1), (0.01, 50)]:
         tracker.advance(h, k)
         for _ in range(k):
             p = ula_step_grid(p, pot, h)
-            drift += abs(p.renorm_drift)
             boundary = max(boundary, p.mass[0], p.mass[-1])
         assert np.array_equal(tracker.p.mass, p.mass)
-        assert tracker.p.renorm_drift == p.renorm_drift
+        drift = p.renorm_drift_abs_sum
         assert tracker.error_budget() == {"renorm_drift_abs_sum": drift, "boundary_mass_max": float(boundary)}
     assert drift > 0.0 and boundary > 0.0
 
@@ -512,6 +521,7 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
             "[oracles]\ngaussian = true\n",
             "point laws are degenerate",
         ),
+        ("record_every = 0\n[potential]\nkind = quadratic-diagonal\ndiag = 1\n", "run.record_every must be >= 1"),
     ],
     ids=[
         "no-potential",
@@ -546,6 +556,7 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
         "grid-default-init-is-the-target",
         "grid-huber-d2",
         "gaussian-oracle-point-init",
+        "record-every-0",
     ],
 )
 def test_run_bad_config_is_usage_error(tmp_path, capsys, body, message):

@@ -570,3 +570,42 @@ def test_zero_steps_and_bad_counts():
         ula_step_law(law, np.array([[1.0]]), 0.1, -1)
     with pytest.raises(ValueError, match="positive definite"):
         ula_step_law(GaussianLaw(np.zeros(2), np.eye(2)), np.diag([1.0, -1.0]), 0.1)
+
+
+_LAW1 = GaussianLaw([0.0], [1.0])
+_LAW2 = GaussianLaw(np.zeros(2), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: target_law(np.ones((2, 3))), "expected a square matrix"),
+        (lambda: target_law(np.array([[1.0, 0.5], [0.0, 1.0]])), "matrix must be symmetric"),
+        (lambda: ula_step_law(_LAW1, np.eye(1), 0.0), "step size must be positive"),
+        (lambda: GaussianPath(_LAW2, np.eye(1)), "dimension mismatch: law d=2"),
+        (lambda: GaussianPath(_LAW1, np.eye(1)).stats(0.1, 2, first=3), "need 0 <= first <= k"),
+        *[
+            (lambda t=t: exact_flow_law(np.eye(1), _LAW1, t), "time must be finite and nonnegative")
+            for t in (-1.0, math.nan, math.inf)
+        ],
+        (lambda: kl_gaussian(_LAW1, _LAW2), "dimension mismatch: 1 vs 2"),
+        (lambda: w2_gaussian(_LAW1, _LAW2), "dimension mismatch: 1 vs 2"),
+        (lambda: fisher_info_relative(_LAW1, np.eye(2)), "dimension mismatch: law d=1"),
+    ],
+    ids=[
+        "not-square",
+        "not-symmetric",
+        "zero-step",
+        "path-dimension",
+        "first-after-k",
+        "flow-time-negative",
+        "flow-time-nan",
+        "flow-time-inf",
+        "kl-dimension",
+        "w2-dimension",
+        "fisher-dimension",
+    ],
+)
+def test_gaussian_oracle_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -81,3 +81,9 @@ def test_z_scores_dimension_mismatch():
         z_scores_vs_oracle(
             summarize(np.zeros((10, 2)) + [[1.0, 2.0]]), GaussianLaw(np.zeros(3), np.eye(3))
         )
+
+
+@pytest.mark.parametrize("samples", [np.zeros(5), np.zeros((2, 2, 2))], ids=["1-d", "3-d"])
+def test_summarize_needs_an_n_by_d_sample(samples):
+    with pytest.raises(ValueError, match=r"expected samples of shape \(n, d\)"):
+        summarize(samples)

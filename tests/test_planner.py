@@ -213,3 +213,21 @@ def test_weak_plan_matches_printed_caps(c1, c2, hp, kl0, L, d, eps):
     cap = min(eps / (c1 * (c1 + c2) * L * L), eps * eps / (c1 * c1 * d * L * L), hp)
     assert plan.h == cap / 48.0
     assert plan.h <= hp
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: plan_strong(1.0, 2.0, 2, 0.0), "epsilon must be positive"),
+        (lambda: plan_strong_tv(1.0, 2.0, 2, 0.0), "TV target delta must be positive"),
+        (lambda: discretization_error_bound(-1.0, 0.1, 1, 1.0), "all inputs must be nonnegative"),
+        *[
+            (lambda args=args: discretization_error_bound(*args), "all inputs must be nonnegative")
+            for args in ((math.nan, 0.1, 1, 1.0), (1.0, math.nan, 1, 1.0), (1.0, 0.1, 1, math.nan))
+        ],
+    ],
+    ids=["strong-epsilon-zero", "tv-delta-zero", "bound-negative-L", "bound-nan-L", "bound-nan-h", "bound-nan-moment"],
+)
+def test_planner_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -190,3 +190,23 @@ def test_huber_gradient_is_np_clip_bit_for_bit(delta):
         g = grad_u(p, pts)
         assert g.shape == pts.shape
         assert g.tobytes() == np.clip(pts, -delta, delta).tobytes()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: quadratic_full([[1.0, 0.0]]), "matrix must be square and non-empty"),
+        (lambda: quadratic_full(np.zeros((0, 0))), "matrix must be square and non-empty"),
+        (lambda: huber(1.0, dim=0), "dimension must be an integer >= 1, got 0"),
+        (lambda: huber(1.0, dim=2.5), "dimension must be an integer >= 1, got 2.5"),
+        (lambda: huber(1.0, dim=2.0), "dimension must be an integer >= 1, got 2.0"),
+    ],
+    ids=["full-not-square", "full-empty", "huber-dim-0", "huber-dim-2.5", "huber-dim-float"],
+)
+def test_potential_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_huber_dim_may_be_a_numpy_integer():
+    assert huber(1.0, dim=np.int64(3)).d == 3
