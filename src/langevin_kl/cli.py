@@ -17,7 +17,8 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
 
@@ -115,30 +116,22 @@ def _stages(regime: str, m, L, d, eps, kl0, weak: WeakPlanInputs | None, resolve
 def _plan_from_args(args):
     for name in {"strong": "m L d", "weak": "L d eps c1 c2 kl0", "halving": "m L d eps"}[args.regime].split():
         if getattr(args, name) is None:
-            raise UsageError(f"--{name} is required for the {args.regime} regime")
+            raise ConfigError(f"--{name} is required for the {args.regime} regime")
     if args.regime == "strong" and args.target != "kl":
         if args.delta is None:
-            raise UsageError(f"--delta is required for --target {args.target}")
+            raise ConfigError(f"--delta is required for --target {args.target}")
         fn = plan_strong_tv if args.target == "tv" else plan_strong_w2
         return [fn(args.m, args.L, args.d, args.delta)]
     if args.eps is None:
-        raise UsageError("--eps is required for --target kl")
+        raise ConfigError("--eps is required for --target kl")
     weak = WeakPlanInputs(args.c1, args.c2, args.h_prime, args.kl0) if args.regime == "weak" else None
     return _stages(args.regime, args.m, args.L, args.d, args.eps, args.kl0, weak, {})
-
-
-class UsageError(Exception):
-    pass
-
-
-def _plan_dict(p) -> dict:
-    return {"h": p.h, "k": p.k, "epsilon": p.epsilon, "regime": p.regime, "notes": p.notes}
 
 
 def cmd_plan(args) -> int:
     try:
         plans = _plan_from_args(args)
-    except UsageError as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PlanningError as exc:
@@ -146,7 +139,7 @@ def cmd_plan(args) -> int:
         return 1
     if args.json:
         # a halving schedule is a list of stages, however many its numbers give
-        doc = {"stages": [_plan_dict(p) for p in plans]} if args.regime == "halving" else _plan_dict(plans[0])
+        doc = {"stages": [asdict(p) for p in plans]} if args.regime == "halving" else asdict(plans[0])
         print(json.dumps(doc, sort_keys=True))
         return 0
     if not plans:
@@ -357,8 +350,9 @@ def _verdict(name: str, margin: float, tol: float = MARGIN_TOL) -> Verdict:
     return Verdict(name=name, claim=_CLAIMS[name], margin=float(margin), passed=bool(margin >= tol))
 
 
-def _fmt_row(values) -> str:
-    return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in values)
+def _csv_text(header: str, rows) -> str:
+    lines = [header] + [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in r) for r in rows]
+    return "".join(line + "\n" for line in lines)
 
 
 def _json_safe(obj):
@@ -544,13 +538,13 @@ def _resolve_plans(cfg: RunConfig, pot, grid: _GridTracker | None, resolved: dic
             raise ConfigError(f"weak inputs {need} say 'estimate' but the grid oracle is off")
     c1 = cfg.weak.get("c1", "estimate")
     if c1 == "estimate":
-        c1 = w2_grid_1d(grid.p, grid.target)
+        c1 = grid.rows[0][3]  # the w2 of grid.csv's step-0 row
     c2 = cfg.weak.get("c2", "estimate")
     if c2 == "estimate":
         c2 = math.sqrt(second_moment_grid(grid.target))
     kl0 = cfg.weak.get("kl0", "estimate")
     if kl0 == "estimate":
-        kl0 = kl_grid(grid.p, grid.target)
+        kl0 = grid.rows[0][1]  # the kl of grid.csv's step-0 row
     h_prime = cfg.weak.get("h_prime", "estimate")
     if h_prime == "estimate":
         h_prime = estimate_h_prime(pot, c1, grid.target)
@@ -588,6 +582,10 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
         grid = _GridTracker(cfg, pot, init) if cfg.grid_oracle else None
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    if grid is not None:
+        trackers.append(grid)
+    for t in trackers:
+        t.row(0)
     resolved: dict = {}
     plans = _resolve_plans(cfg, pot, grid, resolved)
     steps = sum(p.k for p in plans)
@@ -601,13 +599,9 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # an existing file, or a path under one
         raise ConfigError(f"[run] out_dir: {exc}") from exc
-    if grid is not None:
-        trackers.append(grid)
 
     chain_rows = [trace_row(ens)]
     spare = np.empty_like(ens.states)  # the loop alternates it with the states it steps from
-    for t in trackers:
-        t.row(0)
     done = 0
     started = time.perf_counter()
     for plan in plans:
@@ -628,39 +622,34 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
 
     verdicts = [v for t in trackers for v in t.verdicts(cfg, plans, resolved, chain_rows, ens)]
 
+    # (output key, file name, text): each text is built just before its file is written
+    files = [("chain_csv", "chain.csv", lambda: trace_csv(chain_rows))]
+    for t in trackers:
+        key, name, header = t.csv
+        files.append((key, name, partial(_csv_text, header, t.rows)))
+    report = {
+        "version": __version__,
+        "seed": cfg.seed,
+        "config": cfg.raw,
+        "potential": {"kind": pot.kind, "m": pot.m, "L": pot.L, "d": pot.d},
+        "plan": [asdict(p) for p in plans],
+        "resolved": resolved,
+        "verdicts": [vars(v) for v in verdicts],
+        "outputs": {key: str(out_dir / name) for key, name, _ in files},
+        # what the chain noise depends on besides the seed (numpy fixes the
+        # ziggurat; the Philox and SFC64 words are fixed by their algorithms)
+        "environment": {"python": platform.python_version(), "numpy": np.__version__},
+    }
+    if grid is not None:
+        report["grid_error_budget"] = grid.error_budget()
+    text = json.dumps(_json_safe(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    files.append(("report_json", "report.json", lambda: text))
     written: list[Path] = []
     try:
-        chain_path = out_dir / "chain.csv"
-        chain_path.write_text(trace_csv(chain_rows))
-        written.append(chain_path)
-        outputs = {"chain_csv": str(chain_path)}
-        for t in trackers:
-            key, name, header = t.csv
+        for _, name, text_of in files:
             path = out_dir / name
-            with path.open("w") as fh:
-                fh.write(header + "\n")
-                for r in t.rows:
-                    fh.write(_fmt_row(r) + "\n")
+            path.write_text(text_of())
             written.append(path)
-            outputs[key] = str(path)
-        report = {
-            "version": __version__,
-            "seed": cfg.seed,
-            "config": cfg.raw,
-            "potential": {"kind": pot.kind, "m": pot.m, "L": pot.L, "d": pot.d},
-            "plan": [_plan_dict(p) for p in plans],
-            "resolved": resolved,
-            "verdicts": [vars(v) for v in verdicts],
-            "outputs": outputs,
-            # what the chain noise depends on besides the seed (numpy fixes the
-            # ziggurat; the Philox and SFC64 words are fixed by their algorithms)
-            "environment": {"python": platform.python_version(), "numpy": np.__version__},
-        }
-        if grid is not None:
-            report["grid_error_budget"] = grid.error_budget()
-        path = out_dir / "report.json"
-        path.write_text(json.dumps(_json_safe(report), sort_keys=True, indent=2, allow_nan=False) + "\n")
-        written.append(path)
     except BaseException:
         for f in written:
             f.unlink(missing_ok=True)

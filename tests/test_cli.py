@@ -894,6 +894,27 @@ def test_run_advances_the_grid_oracle_through_the_cli_name(tmp_path, monkeypatch
     assert len(calls) == len(rows) - 1 > 1
 
 
+def test_run_plans_the_weak_regime_from_the_grids_step_0_row(tmp_path, monkeypatch, capsys):
+    """Estimated c1 and kl0 are grid.csv's step-0 w2 and kl: the run measures each grid row once."""
+    calls = {"w2_grid_1d": 0, "kl_grid": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    cfg = tmp_path / "weak.ini"
+    out = tmp_path / "out"
+    cfg.write_text(WEAK_INI.format(out=out))
+    assert main(["run", str(cfg)]) == 0
+    rows = [line.split(",") for line in (out / "grid.csv").read_text().splitlines()[1:]]
+    assert calls == {"w2_grid_1d": len(rows), "kl_grid": len(rows)}
+    resolved = json.loads((out / "report.json").read_text())["resolved"]
+    assert (resolved["c1"], resolved["kl0"]) == (float(rows[0][3]), float(rows[0][1]))
+
+
 ROTATED_HALVING_INI = """
 [run]
 regime = halving
