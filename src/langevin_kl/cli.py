@@ -113,18 +113,35 @@ def _stages(regime: str, m, L, d, eps, kl0, weak: WeakPlanInputs | None, resolve
     return plan_halving(m, L, d, eps, kl0)
 
 
+# the number flags each regime reads, required then optional, besides its target's:
+# --eps for a KL target, --delta for a TV or W2 one (strong only)
+_PLAN_FLAGS = {"strong": ("m L d", ""), "weak": ("L d c1 c2 kl0", "h_prime"), "halving": ("m L d", "kl0")}
+_PLAN_NUMBERS = ("m", "L", "d", "eps", "delta", "c1", "c2", "h_prime", "kl0")
+
+
 def _plan_from_args(args):
-    for name in {"strong": "m L d", "weak": "L d eps c1 c2 kl0", "halving": "m L d eps"}[args.regime].split():
+    if args.target != "kl" and args.regime != "strong":
+        raise ConfigError(f"--target {args.target} needs --regime strong")
+    required, optional = (names.split() for names in _PLAN_FLAGS[args.regime])
+    for name in required:
         if getattr(args, name) is None:
             raise ConfigError(f"--{name} is required for the {args.regime} regime")
-    if args.regime == "strong" and args.target != "kl":
-        if args.delta is None:
-            raise ConfigError(f"--delta is required for --target {args.target}")
+    by = "eps" if args.target == "kl" else "delta"
+    if getattr(args, by) is None:
+        raise ConfigError(f"--{by} is required for --target {args.target}")
+    reads = [*required, by, *optional]
+    for name in _PLAN_NUMBERS:
+        if name not in reads and getattr(args, name) is not None:
+            flag = {n: "--" + n.replace("_", "-") for n in _PLAN_NUMBERS}
+            raise ConfigError(
+                f"{flag[name]} is not read by --regime {args.regime} --target {args.target}, "
+                f"which takes {', '.join(map(flag.get, reads))}"
+            )
+    if by == "delta":
         fn = plan_strong_tv if args.target == "tv" else plan_strong_w2
         return [fn(args.m, args.L, args.d, args.delta)]
-    if args.eps is None:
-        raise ConfigError("--eps is required for --target kl")
-    weak = WeakPlanInputs(args.c1, args.c2, args.h_prime, args.kl0) if args.regime == "weak" else None
+    h_prime = math.inf if args.h_prime is None else args.h_prime
+    weak = WeakPlanInputs(args.c1, args.c2, h_prime, args.kl0) if args.regime == "weak" else None
     return _stages(args.regime, args.m, args.L, args.d, args.eps, args.kl0, weak, {})
 
 
@@ -189,11 +206,15 @@ def _matrix(text: str) -> list[list[float]]:
 
 
 _WEAK_INPUTS = ("c1", "c2", "h_prime", "kl0")
+# the keys each [potential] and [init] kind reads besides kind; a key its kind does not read is a config error
+_KIND_KEYS = {
+    "potential": {"quadratic-diagonal": ("diag",), "quadratic-full": ("matrix",), "huber": ("delta", "dim")},
+    "init": {"gaussian": ("mean", "cov_diag"), "point": ("x",), GAUSSIAN_1_OVER_M: ()},
+}
 # the keys each section of a run config may set; any other section or key is a config error
 _CONFIG_KEYS = {
     "run": ("regime", "epsilon", "n_chains", "seed", "record_every", "out_dir"),
-    "potential": ("kind", "diag", "matrix", "delta", "dim"),
-    "init": ("kind", "mean", "cov_diag", "x"),
+    **{section: ("kind", *sum(kinds.values(), ())) for section, kinds in _KIND_KEYS.items()},
     "oracles": ("gaussian", "grid", "grid_x_min", "grid_x_max", "grid_n"),
     "weak": _WEAK_INPUTS,
     "halving": ("kl0",),
@@ -213,6 +234,17 @@ def _check_keys(cp: configparser.ConfigParser) -> None:
                 raise ConfigError(f"unknown key [{section}] {key}; [{section}] takes {', '.join(keys)}")
 
 
+def _kind(text, section: str, kind: str) -> str:
+    """A known [potential] or [init] kind, set with only the keys it reads."""
+    if kind not in _KIND_KEYS[section]:
+        raise ConfigError(f"unknown {section} kind {kind!r}")
+    reads = _KIND_KEYS[section][kind]
+    if extra := [key for key in text if key not in ("kind", *reads)]:
+        takes = ", ".join(reads) or "no other key"
+        raise ConfigError(f"[{section}] kind = {kind} does not read {', '.join(extra)}; it takes {takes}")
+    return kind
+
+
 def load_config(path: str) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -224,7 +256,7 @@ def load_config(path: str) -> RunConfig:
         if regime not in ("strong", "weak", "halving"):
             raise ConfigError(f"unknown regime {regime!r}")
         pot = cp["potential"]
-        kind = pot.get("kind")
+        kind = _kind(pot, "potential", pot.get("kind"))
         params: dict = {}
         if kind == "quadratic-diagonal":
             params["diag"] = _floats(pot.get("diag"))
@@ -233,18 +265,14 @@ def load_config(path: str) -> RunConfig:
         elif kind == "huber":
             params["delta"] = float(pot["delta"])
             params["dim"] = pot.getint("dim", fallback=1)
-        else:
-            raise ConfigError(f"unknown potential kind {kind!r}")
         init = cp["init"] if cp.has_section("init") else {}
-        init_kind = init.get("kind", GAUSSIAN_1_OVER_M)
+        init_kind = _kind(init, "init", init.get("kind", GAUSSIAN_1_OVER_M))
         init_params: dict = {}
         if init_kind == "gaussian":
             init_params["mean"] = _floats(init.get("mean"))
             init_params["cov_diag"] = _floats(init.get("cov_diag"))
         elif init_kind == "point":
             init_params["x"] = _floats(init.get("x"))
-        elif init_kind != GAUSSIAN_1_OVER_M:
-            raise ConfigError(f"unknown init kind {init_kind!r}")
         weak_text = cp["weak"] if cp.has_section("weak") else {}
         weak = {key: _weak_value(weak_text.get(key, "estimate"), key) for key in _WEAK_INPUTS}
         cfg = RunConfig(
@@ -480,8 +508,11 @@ class _GaussianTracker:
 class _GridTracker:
     """Cell masses of the law of a 1-D chain: rows of KL, TV, W2 and second moment.
 
-    Its error budget is the grid law's own: the mass each step renormalised
-    away and the largest mass a boundary cell held.
+    Its error budget is the grid law's own (the mass each step renormalised
+    away and the largest mass a boundary cell held) and how coarse the cells
+    are for the steps: the largest dx^2/(8h) over the run's stages, the most
+    variance the linear split of a pushed center can add in a step (dx^2/4)
+    against the step's noise (2h).
     """
 
     csv = ("grid_csv", "grid.csv", "step,kl,tv,w2,second_moment")
@@ -499,14 +530,20 @@ class _GridTracker:
         self.p = discretize_law(init, *box)
         self.pot = pot
         self.rows = []
+        self.split_ratio = 0.0  # no stage, no split
 
     def advance(self, h: float, steps: int) -> None:
+        self.split_ratio = max(self.split_ratio, self.p.dx**2 / (8.0 * h))
         self.p = ula_step_grid(self.p, self.pot, h, steps)
 
     def error_budget(self) -> dict:
-        """The numerical error the grid law built up: mass renormalised away and boundary-cell mass."""
+        """The grid law's numerical error: mass renormalised away, boundary-cell mass, split against noise."""
         p = self.p
-        return {"renorm_drift_abs_sum": p.renorm_drift_abs_sum, "boundary_mass_max": p.boundary_mass_max}
+        return {
+            "renorm_drift_abs_sum": p.renorm_drift_abs_sum,
+            "boundary_mass_max": p.boundary_mass_max,
+            "split_variance_ratio_max": self.split_ratio,
+        }
 
     def row(self, step_idx: int) -> None:
         p, tgt = self.p, self.target
@@ -844,7 +881,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float)
     p.add_argument("--c1", type=float)
     p.add_argument("--c2", type=float)
-    p.add_argument("--h-prime", dest="h_prime", type=float, default=math.inf)
+    p.add_argument("--h-prime", dest="h_prime", type=float)  # none given reads as inf
     p.add_argument("--kl0", type=float)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_plan)

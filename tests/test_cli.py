@@ -1,3 +1,4 @@
+import ast
 import gc
 import importlib
 import importlib.util
@@ -116,6 +117,51 @@ def test_plan_missing_m_is_usage_error(capsys):
 def test_plan_tv_or_w2_target_without_delta_is_usage_error(capsys, target):
     assert main(["plan", "--regime", "strong", "--m", "1", "--L", "2", "--d", "2", "--target", target]) == 2
     assert capsys.readouterr().err == f"error: --delta is required for --target {target}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            "--regime halving --m 1 --L 1 --d 1 --eps 0.25 --kl0 1 --target tv --delta 0.3",
+            "--target tv needs --regime strong",
+        ),
+        ("--regime weak --L 1 --d 1 --eps 0.1 --c1 1 --c2 1 --kl0 2 --target w2", "--target w2 needs --regime strong"),
+        (
+            "--regime halving --m 1 --L 1 --d 1 --eps 0.25 --kl0 1 --delta 0.3",
+            "--delta is not read by --regime halving --target kl, which takes --m, --L, --d, --eps, --kl0",
+        ),
+        (
+            "--regime strong --m 1 --L 2 --d 2 --eps 0.1 --c1 5 --kl0 3",
+            "--c1 is not read by --regime strong --target kl, which takes --m, --L, --d, --eps",
+        ),
+        ("--regime strong --m 1 --L 2 --d 2 --eps 0.1 --h-prime 1", "--h-prime is not read by --regime strong"),
+        (
+            "--regime weak --m 1 --L 1 --d 1 --eps 0.1 --c1 1 --c2 1 --kl0 2",
+            "--m is not read by --regime weak --target kl, which takes --L, --d, --c1, --c2, --kl0, --eps, --h-prime",
+        ),
+        (
+            "--regime strong --m 1 --L 2 --d 2 --target tv --delta 0.3 --eps 0.1",
+            "--eps is not read by --regime strong --target tv, which takes --m, --L, --d, --delta",
+        ),
+        ("--regime strong --m 1 --L 2 --d 2 --target w2 --delta 0.3 --eps 0.1", "--eps is not read by"),
+    ],
+    ids=["halving-tv", "weak-w2", "halving-delta", "strong-c1-kl0", "strong-h-prime", "weak-m", "tv-eps", "w2-eps"],
+)
+def test_plan_flag_its_regime_does_not_read_is_usage_error(capsys, argv, message):
+    assert main(["plan", *argv.split()]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
+
+
+def test_plan_weak_h_prime_defaults_to_inf(capsys):
+    weak = ["plan", "--regime", "weak", "--L", "1", "--d", "1", "--eps", "0.1", "--c1", "1", "--c2", "1", "--kl0", "2"]
+    assert main(weak) == 0
+    default = capsys.readouterr().out
+    assert main(weak + ["--h-prime", "inf"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(weak + ["--h-prime", "1e-3"]) == 0
+    assert "binding cap h_prime" in capsys.readouterr().out
 
 
 def test_plan_unknown_regime_is_usage_error():
@@ -246,6 +292,10 @@ def test_run_weak_records_estimated_h_prime(tmp_path, capsys):
     budget = report["grid_error_budget"]
     assert 0.0 < budget["renorm_drift_abs_sum"] < 1e-9
     assert 0.0 <= budget["boundary_mass_max"] < 1e-9
+    # one stage on 2,048 cells of [-24, 24]: its split adds at most 2.7% of the step's noise
+    dx = 48.0 / 2048
+    assert budget["split_variance_ratio_max"] == pytest.approx(dx * dx / (8.0 * report["plan"][0]["h"]), rel=1e-12)
+    assert budget["split_variance_ratio_max"] < 0.03
 
 
 def test_grid_interval_matches_single_grid_steps(tmp_path):
@@ -267,8 +317,23 @@ def test_grid_interval_matches_single_grid_steps(tmp_path):
             boundary = max(boundary, p.mass[0], p.mass[-1])
         assert np.array_equal(tracker.p.mass, p.mass)
         drift = p.renorm_drift_abs_sum
-        assert tracker.error_budget() == {"renorm_drift_abs_sum": drift, "boundary_mass_max": float(boundary)}
+        budget = tracker.error_budget()
+        assert budget.pop("split_variance_ratio_max") == p.dx**2 / (8.0 * h)  # h only shrinks here
+        assert budget == {"renorm_drift_abs_sum": drift, "boundary_mass_max": float(boundary)}
     assert drift > 0.0 and boundary > 0.0
+
+
+def test_grid_budget_records_the_coarsest_split_against_noise(tmp_path):
+    """split_variance_ratio_max is the largest dx^2/(8h) over the stages, whatever their step counts."""
+    cfg_path = tmp_path / "weak.ini"
+    cfg_path.write_text(WEAK_INI.format(out=tmp_path / "out").replace("grid_n = 2048", "grid_n = 256"))
+    cfg = cli.load_config(str(cfg_path))
+    tracker = cli._GridTracker(cfg, construct_potential("huber", delta=1.0), cli._build_init(cfg))
+    assert tracker.error_budget()["split_variance_ratio_max"] == 0.0  # no step taken, no split
+    dx2 = (48.0 / 256) ** 2
+    for h, k, worst in [(0.04, 5, dx2 / 0.32), (0.01, 1, dx2 / 0.08), (0.02, 30, dx2 / 0.08)]:
+        tracker.advance(h, k)
+        assert tracker.error_budget()["split_variance_ratio_max"] == pytest.approx(worst, rel=1e-15)
 
 
 def test_run_halving_checks_stage_targets(tmp_path, capsys):
@@ -522,6 +587,35 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
             "point laws are degenerate",
         ),
         ("record_every = 0\n[potential]\nkind = quadratic-diagonal\ndiag = 1\n", "run.record_every must be >= 1"),
+        # a key the chosen kind does not read would be echoed in report.json as if it had been used
+        (
+            "[potential]\nkind = quadratic-diagonal\ndiag = 1\ndelta = 5.0\n",
+            "[potential] kind = quadratic-diagonal does not read delta; it takes diag",
+        ),
+        (
+            "[potential]\nkind = quadratic-full\nmatrix = 1\ndiag = 1\ndim = 1\n",
+            "[potential] kind = quadratic-full does not read diag, dim; it takes matrix",
+        ),
+        (
+            "[potential]\nkind = huber\ndelta = 1\nmatrix = 1\n[init]\nkind = point\nx = 0\n",
+            "[potential] kind = huber does not read matrix; it takes delta, dim",
+        ),
+        (
+            "[potential]\nkind = quadratic-diagonal\ndiag = 1\n[init]\nkind = gaussian_1_over_m\nx = 3.0\n",
+            "[init] kind = gaussian_1_over_m does not read x; it takes no other key",
+        ),
+        (
+            "[potential]\nkind = quadratic-diagonal\ndiag = 1\n[init]\ncov_diag = 1\n",
+            "[init] kind = gaussian_1_over_m does not read cov_diag; it takes no other key",
+        ),
+        (
+            "[potential]\nkind = quadratic-diagonal\ndiag = 1\n[init]\nkind = point\nx = 0\nmean = 0\n",
+            "[init] kind = point does not read mean; it takes x",
+        ),
+        (
+            "[potential]\nkind = quadratic-diagonal\ndiag = 1\n[init]\nkind = gaussian\nmean = 0\nx = 0\n",
+            "[init] kind = gaussian does not read x; it takes mean, cov_diag",
+        ),
     ],
     ids=[
         "no-potential",
@@ -557,6 +651,13 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
         "grid-huber-d2",
         "gaussian-oracle-point-init",
         "record-every-0",
+        "quadratic-diagonal-delta",
+        "quadratic-full-diag-dim",
+        "huber-matrix",
+        "default-init-x",
+        "default-init-cov-diag",
+        "point-init-mean",
+        "gaussian-init-x",
     ],
 )
 def test_run_bad_config_is_usage_error(tmp_path, capsys, body, message):
@@ -856,6 +957,25 @@ def test_benchmark_hooks_resolve():
     """The benchmark wraps each (caller, name) boundary where the caller module references it."""
     for caller, name, _ in _perfbench("probe").BOUNDARIES:
         assert hasattr(importlib.import_module(f"langevin_kl.{caller}"), name), (caller, name)
+
+
+def test_src_imports_are_used_or_wrapped_by_the_benchmark():
+    """A name a src module imports is used there, or the probe wraps it there: the probe-only imports are listed."""
+    unused = set()
+    for path in (Path(__file__).resolve().parents[1] / "src" / "langevin_kl").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if alias.name != "*"
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - used}
+    wrapped = {(caller, name) for caller, name, _ in _perfbench("probe").BOUNDARIES}
+    assert unused - wrapped == set()  # a dead import
+    assert unused == {("cli", "stationary_law")}  # imported only for the probe (ROADMAP item 1)
 
 
 def test_run_steps_through_the_cli_step_name(tmp_path, monkeypatch, capsys):

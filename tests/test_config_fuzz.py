@@ -43,6 +43,22 @@ _PLAUSIBLE = {
     "weak": {key: ["estimate", "1", "inf"] for key in ("c1", "c2", "h_prime", "kl0")},
     "halving": {"kl0": ["1", "4"]},
 }
+# the [potential] and [init] keys each kind reads besides kind: a plausible draw sets
+# another key 1 time in 10, so that most draws get past the check that refuses it
+_READS = {
+    "quadratic-diagonal": ("diag",),
+    "quadratic-full": ("matrix",),
+    "huber": ("delta", "dim"),
+    "gaussian": ("mean", "cov_diag"),
+    "point": ("x",),
+}
+
+
+def _read(section: str, keys: dict, key: str) -> bool:
+    """Whether the kind drawn so far for the section reads key; an [init] without kind is gaussian_1_over_m."""
+    return section not in ("potential", "init") or key == "kind" or key in _READS.get(keys.get("kind"), ())
+
+
 _WILD = [
     "", "0", "-1", "inf", "-inf", "nan", "1e308", "1e-320", "18446744073709551616", "1,,2", "1 2 | 3",
     "%(x)s", "%", "estimate", "yes", "x",
@@ -64,7 +80,7 @@ def _ini(draw):
         if section in ("run", "potential") or draw(st.booleans()):
             values[section] = {}
             for key, good in keys.items():
-                if draw(st.integers(0, 3)):
+                if draw(st.integers(0, 3)) and (_read(section, values[section], key) or draw(st.integers(0, 9)) == 9):
                     values[section][key] = draw(st.sampled_from(good))
     for _ in range(draw(st.integers(0, 3))):
         section = draw(st.sampled_from(sorted(_PLAUSIBLE)))
@@ -79,7 +95,7 @@ def _ini(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=2000)
+@settings(derandomize=True, database=None, max_examples=500, deadline=2000)
 @given(text=_ini())
 def test_any_ini_loads_or_is_a_config_error(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.ini"
@@ -185,15 +201,21 @@ _plan_float = st.one_of(
 _PLAN_DIMS = ["1", "2", "0", "-3", "1000000", str(2**53 + 1), "9" * 400, "1e308", "nan"]
 
 
+# the number options each regime reads besides its target's (--eps for kl, --delta for
+# tv and w2): the fuzz gives another one 1 time in 20, so that most draws reach a planner
+_PLAN_READS = {"strong": "--m --L --d", "weak": "--L --d --c1 --c2 --kl0 --h-prime", "halving": "--m --L --d --kl0"}
+
+
 @st.composite
 def _plan_argv(draw):
-    argv = ["plan", "--regime", draw(st.sampled_from(["strong", "weak", "halving"]))]
-    argv.append("--target=" + draw(st.sampled_from(["kl", "tv", "w2"])))
-    for option in ("--m", "--L", "--eps", "--kl0", "--c1", "--c2", "--h-prime", "--delta"):
-        if draw(st.integers(0, 9)):
-            argv.append(f"{option}={draw(_plan_float)}")
-    if draw(st.integers(0, 9)):
-        argv.append("--d=" + draw(st.one_of(st.sampled_from(["1", "2", "10"]), st.sampled_from(_PLAN_DIMS))))
+    regime = draw(st.sampled_from(["strong", "weak", "halving"]))
+    target = draw(st.sampled_from(["kl", "tv", "w2"] if regime == "strong" else ["kl"] * 18 + ["tv", "w2"]))
+    argv = ["plan", "--regime", regime, "--target=" + target]
+    reads = _PLAN_READS[regime].split() + ["--eps" if target == "kl" else "--delta"]
+    for option in ("--m", "--L", "--d", "--eps", "--kl0", "--c1", "--c2", "--h-prime", "--delta"):
+        if draw(st.integers(0, 9)) if option in reads else draw(st.integers(0, 19)) == 19:
+            value = st.one_of(st.sampled_from(["1", "2", "10"]), st.sampled_from(_PLAN_DIMS)) if option == "--d" else _plan_float
+            argv.append(f"{option}={draw(value)}")
     if draw(st.booleans()):
         argv.append("--json")
     return argv
