@@ -685,8 +685,9 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
     try:
         for _, name, text_of in files:
             path = out_dir / name
-            path.write_text(text_of())
-            written.append(path)
+            with path.open("w") as fh:  # once open, the file is this run's, however far its write gets
+                written.append(path)
+                fh.write(text_of())
     except BaseException:
         for f in written:
             f.unlink(missing_ok=True)

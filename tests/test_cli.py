@@ -815,6 +815,38 @@ def test_run_write_failure_removes_what_it_wrote(tmp_path, capsys):
     assert [p.name for p in out_dir.iterdir()] == ["gaussian.csv"]
 
 
+def test_run_write_cut_short_by_a_full_disk_removes_the_partial_file(tmp_path, monkeypatch, capsys):
+    """A file whose write fails part way (the disk fills) is removed with the files written before it."""
+    open_path = Path.open
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    def opening(path, *args, **kwargs):
+        fh = open_path(path, *args, **kwargs)
+        return FullDisk(fh) if path.name == "report.json" else fh
+
+    monkeypatch.setattr(Path, "open", opening)
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(STRONG_INI.format(out=out_dir).replace("n_chains = 2000", "n_chains = 20"))
+    assert main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err == "run failed: [Errno 28] No space left on device\n"
+    assert list(out_dir.iterdir()) == []
+
+
 def test_readme_config_grammar_shows_the_declared_keys():
     """Each key README's ini grammar block shows, commented out or not, is declared, and each one declared is shown."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
