@@ -42,6 +42,7 @@ from .chain import (
 from .gaussian_oracle import (
     GaussianLaw,
     GaussianPath,
+    _check_step,
     exact_flow_law,
     fisher_info_relative,
     gaussian_1d,
@@ -53,6 +54,7 @@ from .gaussian_oracle import (
     w2_gaussian,
 )
 from .grid_oracle import (
+    _step_operator,
     default_grid,
     discretize_law,
     estimate_h_prime,
@@ -116,7 +118,8 @@ def _stages(regime: str, m, L, d, eps, kl0, weak: WeakPlanInputs | None, resolve
 # the number flags each regime reads, required then optional, besides its target's:
 # --eps for a KL target, --delta for a TV or W2 one (strong only)
 _PLAN_FLAGS = {"strong": ("m L d", ""), "weak": ("L d c1 c2 kl0", "h_prime"), "halving": ("m L d", "kl0")}
-_PLAN_NUMBERS = ("m", "L", "d", "eps", "delta", "c1", "c2", "h_prime", "kl0")
+# plan's number flags, by the names they set
+_PLAN_NUMBERS = {name: "--" + name.replace("_", "-") for name in "m L d eps delta c1 c2 h_prime kl0".split()}
 
 
 def _plan_from_args(args):
@@ -130,12 +133,11 @@ def _plan_from_args(args):
     if getattr(args, by) is None:
         raise ConfigError(f"--{by} is required for --target {args.target}")
     reads = [*required, by, *optional]
-    for name in _PLAN_NUMBERS:
+    for name, flag in _PLAN_NUMBERS.items():
         if name not in reads and getattr(args, name) is not None:
-            flag = {n: "--" + n.replace("_", "-") for n in _PLAN_NUMBERS}
             raise ConfigError(
-                f"{flag[name]} is not read by --regime {args.regime} --target {args.target}, "
-                f"which takes {', '.join(map(flag.get, reads))}"
+                f"{flag} is not read by --regime {args.regime} --target {args.target}, "
+                f"which takes {', '.join(map(_PLAN_NUMBERS.get, reads))}"
             )
     if by == "delta":
         fn = plan_strong_tv if args.target == "tv" else plan_strong_w2
@@ -206,15 +208,25 @@ def _matrix(text: str) -> list[list[float]]:
 
 
 _WEAK_INPUTS = ("c1", "c2", "h_prime", "kl0")
-# the keys each [potential] and [init] kind reads besides kind; a key its kind does not read is a config error
+# the keys each [potential] and [init] kind reads besides kind, by the argument or field each parses to;
+# a key its kind does not read is a config error, and so is one it reads left out, unless _OPTIONAL_KEYS
 _KIND_KEYS = {
-    "potential": {"quadratic-diagonal": ("diag",), "quadratic-full": ("matrix",), "huber": ("delta", "dim")},
-    "init": {"gaussian": ("mean", "cov_diag"), "point": ("x",), GAUSSIAN_1_OVER_M: ()},
+    "potential": {
+        "quadratic-diagonal": {"diag": _floats},
+        "quadratic-full": {"matrix": _matrix},
+        "huber": {"delta": float, "dim": int},
+    },
+    "init": {
+        "gaussian": {"mean": _floats, "cov_diag": _floats},
+        "point": {"x": _floats},
+        GAUSSIAN_1_OVER_M: {},
+    },
 }
+_OPTIONAL_KEYS = ("dim",)  # huber's dim defaults to 1
 # the keys each section of a run config may set; any other section or key is a config error
 _CONFIG_KEYS = {
     "run": ("regime", "epsilon", "n_chains", "seed", "record_every", "out_dir"),
-    **{section: ("kind", *sum(kinds.values(), ())) for section, kinds in _KIND_KEYS.items()},
+    **{s: ("kind", *(key for keys in kinds.values() for key in keys)) for s, kinds in _KIND_KEYS.items()},
     "oracles": ("gaussian", "grid", "grid_x_min", "grid_x_max", "grid_n"),
     "weak": _WEAK_INPUTS,
     "halving": ("kl0",),
@@ -234,15 +246,17 @@ def _check_keys(cp: configparser.ConfigParser) -> None:
                 raise ConfigError(f"unknown key [{section}] {key}; [{section}] takes {', '.join(keys)}")
 
 
-def _kind(text, section: str, kind: str) -> str:
-    """A known [potential] or [init] kind, set with only the keys it reads."""
+def _kind(text, section: str, kind: str) -> dict:
+    """The parsed keys of a known [potential] or [init] kind that sets every key it needs and no other."""
     if kind not in _KIND_KEYS[section]:
         raise ConfigError(f"unknown {section} kind {kind!r}")
-    reads = _KIND_KEYS[section][kind]
-    if extra := [key for key in text if key not in ("kind", *reads)]:
-        takes = ", ".join(reads) or "no other key"
+    parsers = _KIND_KEYS[section][kind]
+    takes = ", ".join(parsers) or "no other key"
+    if extra := [key for key in text if key not in ("kind", *parsers)]:
         raise ConfigError(f"[{section}] kind = {kind} does not read {', '.join(extra)}; it takes {takes}")
-    return kind
+    if missing := [key for key in parsers if key not in text and key not in _OPTIONAL_KEYS]:
+        raise ConfigError(f"[{section}] kind = {kind} needs {', '.join(missing)}; it takes {takes}")
+    return {key: parse(text[key]) for key, parse in parsers.items() if key in text}
 
 
 def load_config(path: str) -> RunConfig:
@@ -256,23 +270,11 @@ def load_config(path: str) -> RunConfig:
         if regime not in ("strong", "weak", "halving"):
             raise ConfigError(f"unknown regime {regime!r}")
         pot = cp["potential"]
-        kind = _kind(pot, "potential", pot.get("kind"))
-        params: dict = {}
-        if kind == "quadratic-diagonal":
-            params["diag"] = _floats(pot.get("diag"))
-        elif kind == "quadratic-full":
-            params["matrix"] = _matrix(pot.get("matrix"))
-        elif kind == "huber":
-            params["delta"] = float(pot["delta"])
-            params["dim"] = pot.getint("dim", fallback=1)
+        kind = pot.get("kind")
+        params = _kind(pot, "potential", kind)
         init = cp["init"] if cp.has_section("init") else {}
-        init_kind = _kind(init, "init", init.get("kind", GAUSSIAN_1_OVER_M))
-        init_params: dict = {}
-        if init_kind == "gaussian":
-            init_params["mean"] = _floats(init.get("mean"))
-            init_params["cov_diag"] = _floats(init.get("cov_diag"))
-        elif init_kind == "point":
-            init_params["x"] = _floats(init.get("x"))
+        init_kind = init.get("kind", GAUSSIAN_1_OVER_M)
+        init_params = _kind(init, "init", init_kind)
         weak_text = cp["weak"] if cp.has_section("weak") else {}
         weak = {key: _weak_value(weak_text.get(key, "estimate"), key) for key in _WEAK_INPUTS}
         cfg = RunConfig(
@@ -319,14 +321,11 @@ def load_config(path: str) -> RunConfig:
 
 
 def _build_init(cfg: RunConfig):
+    """The init's name, or its law with each field set from the [init] key of the same name."""
     if cfg.init_kind == GAUSSIAN_1_OVER_M:
         return GAUSSIAN_1_OVER_M
-    if cfg.init_kind == "gaussian":
-        return GaussianInit(
-            mean=np.asarray(cfg.init_params["mean"], dtype=float),
-            cov_diag=np.asarray(cfg.init_params["cov_diag"], dtype=float),
-        )
-    return PointInit(x=np.asarray(cfg.init_params["x"], dtype=float))
+    law = GaussianInit if cfg.init_kind == "gaussian" else PointInit
+    return law(**{key: np.asarray(values, dtype=float) for key, values in cfg.init_params.items()})
 
 
 def _weak_value(text: str, key: str):
@@ -455,6 +454,10 @@ class _GaussianTracker:
     def law(self) -> GaussianLaw:
         return self.path.law
 
+    def check(self, h: float) -> None:
+        """Raise what a step at h would raise: the law diverges unless h*L < 2."""
+        _check_step(self.path.w, h)
+
     def advance(self, h: float, steps: int) -> None:
         if h != self.h:  # a new stage starts here and contracts towards the pi_h of its stepsize
             self.h, self.start, self.j = h, self.path, 0
@@ -532,6 +535,10 @@ class _GridTracker:
         self.rows = []
         self.split_ratio = 0.0  # no stage, no split
 
+    def check(self, h: float) -> None:
+        """Raise what a step at h would raise (a drift map that is not monotone on the grid, past h = 1/L)."""
+        _step_operator(self.p, self.pot, h)
+
     def advance(self, h: float, steps: int) -> None:
         self.split_ratio = max(self.split_ratio, self.p.dx**2 / (8.0 * h))
         self.p = ula_step_grid(self.p, self.pot, h, steps)
@@ -565,29 +572,26 @@ class _GridTracker:
         return verdicts
 
 
+# how the grid oracle estimates each [weak] input a config leaves to "estimate", in the order they are
+# resolved: f(pot, grid, resolved), where the h' search reads the c1 resolved before it
+_WEAK_ESTIMATES = {
+    "c1": lambda pot, grid, resolved: grid.rows[0][3],  # the w2 of grid.csv's step-0 row
+    "c2": lambda pot, grid, resolved: math.sqrt(second_moment_grid(grid.target)),
+    "kl0": lambda pot, grid, resolved: grid.rows[0][1],  # the kl of grid.csv's step-0 row
+    "h_prime": lambda pot, grid, resolved: estimate_h_prime(pot, resolved["c1"], grid.target),
+}
+
+
 def _resolve_plans(cfg: RunConfig, pot, grid: _GridTracker | None, resolved: dict) -> list:
     """The run's stage plans; inputs the program chose go into resolved."""
     if cfg.regime != "weak":
         return _stages(cfg.regime, pot.m, pot.L, pot.d, cfg.epsilon, cfg.halving_kl0, None, resolved)
-    if grid is None:
-        need = [k for k in _WEAK_INPUTS if cfg.weak.get(k, "estimate") == "estimate"]
-        if need:
-            raise ConfigError(f"weak inputs {need} say 'estimate' but the grid oracle is off")
-    c1 = cfg.weak.get("c1", "estimate")
-    if c1 == "estimate":
-        c1 = grid.rows[0][3]  # the w2 of grid.csv's step-0 row
-    c2 = cfg.weak.get("c2", "estimate")
-    if c2 == "estimate":
-        c2 = math.sqrt(second_moment_grid(grid.target))
-    kl0 = cfg.weak.get("kl0", "estimate")
-    if kl0 == "estimate":
-        kl0 = grid.rows[0][1]  # the kl of grid.csv's step-0 row
-    h_prime = cfg.weak.get("h_prime", "estimate")
-    if h_prime == "estimate":
-        h_prime = estimate_h_prime(pot, c1, grid.target)
-    resolved.update({"c1": c1, "c2": c2, "h_prime": h_prime, "kl0": kl0})
-    weak = WeakPlanInputs(c1=c1, c2=c2, h_prime=h_prime, kl0=kl0)
-    return _stages("weak", pot.m, pot.L, pot.d, cfg.epsilon, None, weak, resolved)
+    need = [key for key in _WEAK_INPUTS if cfg.weak[key] == "estimate"]
+    if need and grid is None:
+        raise ConfigError(f"weak inputs {need} say 'estimate' but the grid oracle is off")
+    for key, estimate in _WEAK_ESTIMATES.items():
+        resolved[key] = estimate(pot, grid, resolved) if key in need else cfg.weak[key]
+    return _stages("weak", pot.m, pot.L, pot.d, cfg.epsilon, None, WeakPlanInputs(**resolved), resolved)
 
 
 def _print_eta(step_s: float, left: int) -> None:
@@ -631,6 +635,9 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
             f"the plan takes a {len(str(steps))}-digit number of steps, more than 2**53 = {_MAX_STEPS}: "
             "no run can finish it"
         )
+    for t in trackers:  # a stage an oracle cannot step fails here, before out_dir and the first step
+        for plan in plans:
+            t.check(plan.h)
     out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -874,16 +881,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="print an (h, k) schedule")
     p.add_argument("--regime", choices=["strong", "weak", "halving"], required=True)
-    p.add_argument("--m", type=float)
-    p.add_argument("--L", type=float)
-    p.add_argument("--d", type=int)
-    p.add_argument("--eps", type=float)
     p.add_argument("--target", choices=["kl", "tv", "w2"], default="kl")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--c1", type=float)
-    p.add_argument("--c2", type=float)
-    p.add_argument("--h-prime", dest="h_prime", type=float)  # none given reads as inf
-    p.add_argument("--kl0", type=float)
+    for name, flag in _PLAN_NUMBERS.items():  # a weak plan reads no --h-prime as inf
+        p.add_argument(flag, dest=name, type=int if name == "d" else float)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_plan)
 

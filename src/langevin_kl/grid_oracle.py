@@ -404,4 +404,4 @@ def estimate_h_prime(pot: Potential, c1: float, target: GridDensity) -> float:
         if w2_grid_1d(pi_h, target) <= c1:
             return h
         h *= 0.5
-    raise RuntimeError(f"no stepsize down to {h} kept the stationary law within W2 radius {c1}")
+    raise RuntimeError(f"no stepsize down to {2.0 * h} kept the stationary law within W2 radius {c1}")

@@ -104,6 +104,8 @@ def plan_strong_tv(m: float, L: float, d: int, delta: float) -> StepPlan:
     """Total-variation target: TV(p_k, p*) <= delta via the KL plan at eps = delta^2."""
     if not delta > 0:
         raise PlanningError(f"TV target delta must be positive, got {delta}")
+    if not delta * delta > 0:
+        raise PlanningError(f"TV target delta={delta} is too small: eps = delta^2 underflows to 0")
     base = plan_strong(m, L, d, delta * delta)
     notes = base.notes + f"; targets TV<={delta} via eps=delta^2 and TV<=sqrt(eps)"
     return StepPlan(base.h, base.k, base.epsilon, base.regime, notes)
@@ -119,6 +121,8 @@ def plan_strong_w2(m: float, L: float, d: int, delta: float) -> StepPlan:
     if not delta > 0:
         raise PlanningError(f"W2 target delta must be positive, got {delta}")
     eps = m * delta * delta / 2.0
+    if m > 0 and not eps > 0:
+        raise PlanningError(f"W2 target delta={delta} is too small: eps = m*delta^2/2 underflows to 0")
     base = plan_strong(m, L, d, eps)
     notes = base.notes + (
         f"; targets W2<={delta} via eps=m*delta^2/2={eps} "

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from langevin_kl import cli
+from langevin_kl import cli, grid_oracle
 from langevin_kl.chain import GAUSSIAN_1_OVER_M, GaussianInit
 from langevin_kl.cli import SUITES, main
 from langevin_kl.gaussian_oracle import GaussianLaw, GaussianPath, stationary_law, w2_gaussian
@@ -231,8 +231,21 @@ def test_plan_halving_with_nothing_to_do(capsys):
         "--regime halving --m 1 --L 2 --d 2 --eps 0.1 --kl0 inf",
         "--regime halving --m 1 --L 2 --d 2 --eps 0.1 --kl0 1e308",  # stage 0 targets eps > d*L/m
         "--regime strong --m 1 --L 2 --d " + "9" * 400 + " --eps 0.1",  # d beyond float range
+        "--regime strong --m 1 --L 2 --d 2 --target tv --delta 1e-200",  # delta^2 underflows to 0
+        "--regime strong --m 1 --L 2 --d 2 --target w2 --delta 1e-200",
     ],
-    ids=["m-tiny", "L-huge", "eps-tiny", "weak-eps-tiny", "weak-L-huge", "kl0-inf", "kl0-1e308", "d-huge"],
+    ids=[
+        "m-tiny",
+        "L-huge",
+        "eps-tiny",
+        "weak-eps-tiny",
+        "weak-L-huge",
+        "kl0-inf",
+        "kl0-1e308",
+        "d-huge",
+        "tv-delta-tiny",
+        "w2-delta-tiny",
+    ],
 )
 def test_plan_extreme_inputs_are_planning_errors(capsys, argv):
     assert main(["plan", *argv.split()]) == 1
@@ -616,6 +629,21 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
             "[potential]\nkind = quadratic-diagonal\ndiag = 1\n[init]\nkind = gaussian\nmean = 0\nx = 0\n",
             "[init] kind = gaussian does not read x; it takes mean, cov_diag",
         ),
+        # a key the chosen kind needs and does not find is named with the keys the kind takes
+        ("[potential]\nkind = quadratic-diagonal\n", "[potential] kind = quadratic-diagonal needs diag; it takes diag"),
+        ("[potential]\nkind = quadratic-full\n", "[potential] kind = quadratic-full needs matrix; it takes matrix"),
+        (
+            "[potential]\nkind = huber\ndim = 1\n[init]\nkind = point\nx = 0\n",
+            "[potential] kind = huber needs delta; it takes delta, dim",
+        ),
+        (
+            "[potential]\nkind = quadratic-diagonal\ndiag = 1\n[init]\nkind = gaussian\nmean = 0\n",
+            "[init] kind = gaussian needs cov_diag; it takes mean, cov_diag",
+        ),
+        (
+            "[potential]\nkind = quadratic-diagonal\ndiag = 1\n[init]\nkind = point\n",
+            "[init] kind = point needs x; it takes x",
+        ),
     ],
     ids=[
         "no-potential",
@@ -658,6 +686,11 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
         "default-init-cov-diag",
         "point-init-mean",
         "gaussian-init-x",
+        "quadratic-diagonal-without-diag",
+        "quadratic-full-without-matrix",
+        "huber-without-delta",
+        "gaussian-init-without-cov-diag",
+        "point-init-without-x",
     ],
 )
 def test_run_bad_config_is_usage_error(tmp_path, capsys, body, message):
@@ -696,6 +729,50 @@ def test_run_planning_error_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("run failed") and "Traceback" not in err
     assert not (tmp_path / "o").exists()  # the plan failed before anything is written
+
+
+@pytest.mark.parametrize(
+    "oracle, message",
+    [
+        ("gaussian", "run failed: unstable step: h*L = 10.4"),
+        ("grid", "run failed: drift map not monotone on the grid; need h <= 1/L = 1.0"),
+    ],
+    ids=["gaussian", "grid"],
+)
+def test_run_refuses_a_stage_its_oracle_cannot_step_before_writing(tmp_path, monkeypatch, capsys, oracle, message):
+    """A weak plan of h = 10.41 on a unit quadratic fails as a plan: before out_dir and the first step."""
+    steps = []
+    monkeypatch.setattr(cli, "step", lambda *args, **kwargs: steps.append(1))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        f"[run]\nregime = weak\nepsilon = 0.5\nn_chains = 20\nout_dir = {tmp_path / 'o'}\n"
+        "[potential]\nkind = quadratic-diagonal\ndiag = 1\n"
+        "[init]\nkind = gaussian\nmean = 0\ncov_diag = 2\n"
+        f"[oracles]\n{oracle} = true\n"
+        "[weak]\nc1 = 0.001\nc2 = 1\nh_prime = inf\nkl0 = 1\n"
+    )
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert steps == [] and not (tmp_path / "o").exists()
+
+
+def test_run_whose_h_prime_search_fails_writes_nothing(tmp_path, monkeypatch, capsys):
+    """No stepsize from 1/L down to 2^-23/L keeps a stationary law within the radius: exit 1, nothing written.
+
+    The search's stationary laws are stubbed at an infinite W2 from the target; the run's own W2 rows are not.
+    """
+    monkeypatch.setattr(grid_oracle, "stationary_grid", lambda pot, h, target: target)
+    monkeypatch.setattr(grid_oracle, "w2_grid_1d", lambda p, q: math.inf)
+    steps = []
+    monkeypatch.setattr(cli, "step", lambda *args, **kwargs: steps.append(1))
+    cfg = tmp_path / "weak.ini"
+    out = tmp_path / "out"
+    cfg.write_text(WEAK_INI.format(out=out))
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"run failed: no stepsize down to {2.0**-23} kept the stationary law within W2 radius")
+    assert steps == [] and not out.exists()
 
 
 @pytest.mark.parametrize(

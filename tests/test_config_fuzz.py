@@ -8,6 +8,7 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from langevin_kl import cli
 from langevin_kl.cli import ConfigError, RunConfig, load_config, main
 
 # a plausible value per (section, key); the fuzz mixes these with wild ones
@@ -57,6 +58,16 @@ _READS = {
 def _read(section: str, keys: dict, key: str) -> bool:
     """Whether the kind drawn so far for the section reads key; an [init] without kind is gaussian_1_over_m."""
     return section not in ("potential", "init") or key == "kind" or key in _READS.get(keys.get("kind"), ())
+
+
+def test_the_fuzz_grammar_is_the_declared_one():
+    """_PLAUSIBLE and _READS name exactly the sections, keys and kinds of the run-config grammar, so a key
+    added to the grammar without a fuzz value fails here."""
+    assert {s: set(keys) for s, keys in _PLAUSIBLE.items()} == {s: set(keys) for s, keys in cli._CONFIG_KEYS.items()}
+    for section, kinds in cli._KIND_KEYS.items():
+        assert set(_PLAUSIBLE[section]["kind"]) == set(kinds)
+    kinds = {kind: tuple(keys) for section in cli._KIND_KEYS.values() for kind, keys in section.items()}
+    assert _READS == {kind: keys for kind, keys in kinds.items() if keys}
 
 
 _WILD = [

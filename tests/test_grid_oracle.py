@@ -1,11 +1,13 @@
 import functools
 import math
+import re
 import weakref
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from langevin_kl import grid_oracle
 from langevin_kl.chain import GaussianInit, PointInit
 from langevin_kl.gaussian_oracle import GaussianLaw, gaussian_1d, kl_gaussian, target_law, ula_step_law
 from langevin_kl.grid_oracle import (
@@ -500,3 +502,23 @@ def test_estimate_h_prime_is_usable():
     assert 0 < h <= 1.0 / pot.L
     pi_h = stationary_grid(pot, h, tgt)
     assert w2_grid_1d(pi_h, tgt) <= c1
+
+
+def test_stationary_grid_without_a_fixed_point_raises(monkeypatch):
+    """A law still moving when the step budget runs out is no fixed point (a budget of 3 steps here)."""
+    monkeypatch.setattr(grid_oracle, "_STATIONARY_MAX_STEPS", 3)
+    pot = huber(1.0)
+    with pytest.raises(RuntimeError, match=r"^no fixed point within 3 steps \(last TV gap \d"):
+        stationary_grid(pot, 0.25, target_density_grid(pot, -24.0, 24.0, 1024))
+
+
+def test_estimate_h_prime_without_a_stepsize_raises(monkeypatch):
+    """A search whose every stationary law (stubbed) is outside the radius halves 24 times from 1/L, then fails."""
+    tried = []
+    monkeypatch.setattr(grid_oracle, "stationary_grid", lambda pot, h, target: tried.append(h) or target)
+    monkeypatch.setattr(grid_oracle, "w2_grid_1d", lambda p, q: math.inf)
+    pot = huber(1.0)
+    message = f"no stepsize down to {2.0**-23} kept the stationary law within W2 radius 1.0"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        estimate_h_prime(pot, 1.0, target_density_grid(pot, -24.0, 24.0, 1024))
+    assert tried == [2.0**-j for j in range(24)]

@@ -220,13 +220,24 @@ def test_weak_plan_matches_printed_caps(c1, c2, hp, kl0, L, d, eps):
     [
         (lambda: plan_strong(1.0, 2.0, 2, 0.0), "epsilon must be positive"),
         (lambda: plan_strong_tv(1.0, 2.0, 2, 0.0), "TV target delta must be positive"),
+        (lambda: plan_strong_tv(1.0, 2.0, 2, 1e-200), "TV target delta=1e-200 is too small: .* underflows to 0"),
+        (lambda: plan_strong_w2(1.0, 2.0, 2, 1e-200), "W2 target delta=1e-200 is too small: .* underflows to 0"),
         (lambda: discretization_error_bound(-1.0, 0.1, 1, 1.0), "all inputs must be nonnegative"),
         *[
             (lambda args=args: discretization_error_bound(*args), "all inputs must be nonnegative")
             for args in ((math.nan, 0.1, 1, 1.0), (1.0, math.nan, 1, 1.0), (1.0, 0.1, 1, math.nan))
         ],
     ],
-    ids=["strong-epsilon-zero", "tv-delta-zero", "bound-negative-L", "bound-nan-L", "bound-nan-h", "bound-nan-moment"],
+    ids=[
+        "strong-epsilon-zero",
+        "tv-delta-zero",
+        "tv-delta-squared-underflows",
+        "w2-delta-squared-underflows",
+        "bound-negative-L",
+        "bound-nan-L",
+        "bound-nan-h",
+        "bound-nan-moment",
+    ],
 )
 def test_planner_inputs_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
