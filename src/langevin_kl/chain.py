@@ -246,7 +246,7 @@ def step(e: Ensemble, h: float, workers: int = 1, out: np.ndarray | None = None)
     _normals(e.seed, _PURPOSE_STEP, e.step_index, 0, out)
     out *= math.sqrt(2.0 * h)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
-        # a custom grad_fn may return its input, so the drift gets its own array
+        # h * grad is a new array, so x - h * grad is written into it
         drift = h * grad_u(e.potential, x)
         np.subtract(x, drift, out=drift)
         out += drift

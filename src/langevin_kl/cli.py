@@ -77,7 +77,7 @@ from .planner import (
     plan_strong_w2,
     plan_weak,
 )
-from .potentials import construct_potential, validate_constants
+from .potentials import construct_potential
 
 MARGIN_TOL = -1e-9
 # the largest |mean|, |x| and sqrt(cov_diag) of an [init]: the standard error
@@ -838,9 +838,6 @@ def _suite_moments(seed: int):
     ens = init_ensemble(pot, GAUSSIAN_1_OVER_M, 4000, seed)
     _, rows = run_chain(ens, StepPlan(h=0.01, k=300, epsilon=1.0, regime="strong"), record_every=1)
     checks.append(("empirical_second_moment_le_4d_over_m_5se", _empirical_margin(gauss.bound, rows[1:])))
-
-    rep = validate_constants(pot, 200, seed)
-    checks.append(("potential_constants_hold", -rep.max_violation))
     return checks
 
 

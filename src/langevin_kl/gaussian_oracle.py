@@ -335,15 +335,19 @@ def exact_flow_law(A, init: GaussianLaw, t: float) -> GaussianLaw:
 
 
 def kl_gaussian(p: GaussianLaw, q: GaussianLaw) -> float:
-    """KL(p || q) in nats between Gaussian laws."""
+    """KL(p || q) in nats between Gaussian laws.
+
+    With q.cov = R R' (Cholesky), KL = (|R^-1 dmean|^2 + sum(x - log1p(x))) / 2
+    over the eigenvalues 1 + x of R^-1 p.cov R^-T. The x are the eigenvalues
+    of R^-1 (p.cov - q.cov) R^-T, so no term cancels as p approaches q, where
+    tr - d plus a log-det difference would.
+    """
     if p.d != q.d:
         raise ValueError(f"dimension mismatch: {p.d} vs {q.d}")
-    dm = p.mean - q.mean
-    sol = np.linalg.solve(q.cov, p.cov)
-    quad_term = float(dm @ np.linalg.solve(q.cov, dm))
-    _, ldp = np.linalg.slogdet(p.cov)
-    _, ldq = np.linalg.slogdet(q.cov)
-    return 0.5 * (float(np.trace(sol)) + quad_term - p.d + ldq - ldp)
+    R = np.linalg.cholesky(q.cov)
+    z = np.linalg.solve(R, p.mean - q.mean)
+    x = np.linalg.eigvalsh(np.linalg.solve(R, np.linalg.solve(R, p.cov - q.cov).T))
+    return 0.5 * (float(z @ z) + float(np.sum(x - np.log1p(x))))
 
 
 def w2_gaussian(p: GaussianLaw, q: GaussianLaw) -> float:

@@ -26,7 +26,7 @@ from langevin_kl.grid_oracle import (
     ula_step_grid,
     w2_grid_1d,
 )
-from langevin_kl.potentials import custom_potential, huber, quadratic_diagonal, u_value
+from langevin_kl.potentials import huber, quadratic_diagonal, u_value
 
 
 def test_discretize_gaussian_mass_and_symmetry():
@@ -372,10 +372,6 @@ def test_target_density_grid_too_small():
         target_density_grid(pot, -2.0, 2.0, 256)
 
 
-def _nan_potential():
-    return custom_potential(lambda x: np.full(np.shape(x)[:-1], np.nan), lambda x: x, 0.0, 1.0, 1)
-
-
 _COARSE = discretize_gaussian(0.0, 0.1, -8.0, 8.0, 16)
 _CONSTRUCTORS = {
     "target": lambda lo, hi, n: target_density_grid(huber(1.0), lo, hi, n),
@@ -402,7 +398,7 @@ _BAD_BOXES = {
         (lambda: GridDensity(-1.0, 1.0, 8, np.full(9, 1 / 9)), "does not match n=8"),
         (lambda: GridDensity(-1.0, 1.0, 8, [0.0, 0.5, 0.6, -0.1, 0.0, 0.0, 0.0, 0.0]), "negative cell mass"),
         (lambda: GridDensity(-1.0, 1.0, 8, [0.0, 0.5, 0.6, 0.0, 0.0, 0.0, 0.0, 0.0]), "is not 1 within"),
-        (lambda: target_density_grid(_nan_potential(), -8.0, 8.0, 64), "density lost all mass"),
+        (lambda: grid_oracle._rescaled(np.zeros(8)), "density lost all mass"),
         (lambda: discretize_gaussian(0.0, 0.0, -8.0, 8.0, 64), "variance must be positive"),
         (lambda: discretize_law(GaussianInit(mean=np.zeros(2), cov_diag=np.ones(2)), -8, 8, 64), "1-D only"),
         (lambda: discretize_law(PointInit(x=np.zeros(2)), -8, 8, 64), "1-D only"),
