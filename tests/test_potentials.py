@@ -162,9 +162,7 @@ def test_declared_constants_hold_on_huber_probes():
 def test_probes_flag_a_wrong_L():
     # plain 1-D quadratic with a = 1 but L declared as 0.5
     wrong = dataclasses.replace(quadratic_diagonal([1.0]), m=0.25, L=0.5)
-    rep = probe_constants(wrong, 100, seed=2)
-    assert max(rep["lower"], rep["upper"], rep["cocoercivity"]) > 0
-    assert rep["upper"] > 0
+    assert probe_constants(wrong, 100, seed=2)["upper"] > 0
 
 
 def test_gradient_matches_central_differences():
