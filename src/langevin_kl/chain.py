@@ -333,8 +333,9 @@ def coupled_run(p: Potential, init_a, init_b, h: float, k: int, n: int, seed: in
     rms = np.empty(k + 1)
     se = np.empty(k + 1)
     rms[0], se[0] = _coupled_stats(ea, eb)
+    spare_a, spare_b = np.empty_like(ea.states), np.empty_like(eb.states)  # each alternates with its states
     for i in range(k):
-        ea = step(ea, h)
-        eb = step(eb, h)
+        ea, spare_a = step(ea, h, out=spare_a), ea.states
+        eb, spare_b = step(eb, h, out=spare_b), eb.states
         rms[i + 1], se[i + 1] = _coupled_stats(ea, eb)
     return CoupledTrace(rms=rms, se=se)

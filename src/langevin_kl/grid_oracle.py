@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-9
+_BOX_DOUBLINGS = 64  # how often default_grid may double its box before it gives up
 _STATIONARY_TOL = 1e-10  # successive TV gap at which stationary_grid stops
 _STATIONARY_MAX_STEPS = 200_000
 
@@ -107,10 +108,26 @@ def _check_boundary(mass: np.ndarray) -> None:
         )
 
 
-def default_grid(pot: Potential) -> tuple[float, float, int]:
-    """Grid bounds wide enough for both the strongly convex and the Huber case."""
+def default_grid(pot: Potential, init=None, n: int | None = None) -> tuple[float, float, int]:
+    """The box [-half, half] of n cells (4096 if None) that holds pot's target and init's law, if given.
+
+    half starts at 12/sqrt(max(m, 1/4)): 12 sd of a quadratic's p* = N(0, 1/m), whose edge cells hold about
+    1e-34, so a run's laws, up to pi_h's variance 2/m at h <= 1/L, stay far inside the 1e-9 edge check; the
+    floor 1/4 holds Huber's m = 0 at +/-24, where delta = 1 leaves 2.5e-13 in an edge cell. While the
+    target's or the start's constructor raises GridCoverageError, the box doubles, _BOX_DOUBLINGS times at most.
+    """
+    n = 4096 if n is None else n
     half = 12.0 / math.sqrt(max(pot.m, 0.25))
-    return -half, half, 4096
+    for _ in range(_BOX_DOUBLINGS):
+        try:
+            target_density_grid(pot, -half, half, n)
+            if init is not None:
+                discretize_law(init, -half, half, n)
+            return -half, half, n
+        except GridCoverageError as exc:
+            error = exc
+        half *= 2.0
+    raise GridCoverageError(f"no box up to +/-{half / 2.0:g} of {n} cells holds the target and the start: {error}")
 
 
 def _rescaled(raw: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
@@ -169,17 +186,18 @@ def discretize_point(x: float, x_min: float, x_max: float, n: int) -> GridDensit
 def discretize_law(init, x_min: float, x_max: float, n: int) -> GridDensity:
     """Dispatch a 1-D GaussianInit or PointInit onto the grid."""
     if isinstance(init, GaussianInit):
-        mean = np.atleast_1d(np.asarray(init.mean, dtype=float))
-        var = np.atleast_1d(np.asarray(init.cov_diag, dtype=float))
-        if mean.size != 1 or var.size != 1:
-            raise ValueError("grid densities are 1-D only")
-        return discretize_gaussian(float(mean[0]), float(var[0]), x_min, x_max, n)
+        return discretize_gaussian(_coordinate(init.mean), _coordinate(init.cov_diag), x_min, x_max, n)
     if isinstance(init, PointInit):
-        x = np.atleast_1d(np.asarray(init.x, dtype=float))
-        if x.size != 1:
-            raise ValueError("grid densities are 1-D only")
-        return discretize_point(float(x[0]), x_min, x_max, n)
+        return discretize_point(_coordinate(init.x), x_min, x_max, n)
     raise TypeError(f"unsupported init spec {init!r}")
+
+
+def _coordinate(values) -> float:
+    """The one number of a 1-D law's field."""
+    v = np.atleast_1d(np.asarray(values, dtype=float))
+    if v.size != 1:
+        raise ValueError("grid densities are 1-D only")
+    return float(v[0])
 
 
 # side B of the output blocks the noise convolution is cut into: each block's

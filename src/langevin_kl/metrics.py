@@ -56,13 +56,7 @@ def summarize(e) -> MomentSummary:
     cov_se = np.sqrt(cov_var / n)
 
     return MomentSummary(
-        mean=mean,
-        cov=cov,
-        second_moment=second,
-        n=n,
-        mean_se=mean_se,
-        cov_se=cov_se,
-        second_moment_se=second_se,
+        mean=mean, cov=cov, second_moment=second, n=n, mean_se=mean_se, cov_se=cov_se, second_moment_se=second_se
     )
 
 

@@ -205,15 +205,8 @@ def plan_halving(m: float, L: float, d: int, epsilon: float, kl0: float) -> list
         j = len(plans)
         eps_j = math.ldexp(kl0, -(j + 1))
         h_j, k_j = _strong_schedule(m, L, d, eps_j, math.log(2.0))
-        plans.append(
-            StepPlan(
-                h=h_j,
-                k=k_j,
-                epsilon=eps_j,
-                regime="halving-stage",
-                notes=f"stage {j}: target eps_j = kl0/2^{j + 1}; h_j=m*eps_j/(16*d*L^2)",
-            )
-        )
+        notes = f"stage {j}: target eps_j = kl0/2^{j + 1}; h_j=m*eps_j/(16*d*L^2)"
+        plans.append(StepPlan(h=h_j, k=k_j, epsilon=eps_j, regime="halving-stage", notes=notes))
     return plans
 
 

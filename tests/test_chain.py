@@ -466,6 +466,29 @@ def test_coupled_huber_rms_nonincreasing():
     assert np.all(tr.rms[1:] <= tr.rms[:-1] + 5.0 * tr.se[:-1])
 
 
+@pytest.mark.parametrize(
+    "pot, init_a, init_b",
+    [
+        (huber(1.0), GaussianInit(mean=np.zeros(1), cov_diag=np.full(1, 4.0)), PointInit(np.full(1, 2.0))),
+        (quadratic_diagonal([1.0, 2.0]), GAUSSIAN_1_OVER_M, GaussianInit(mean=np.ones(2), cov_diag=np.ones(2))),
+    ],
+    ids=["huber-gaussian-point", "diag-1-2-default-gaussian"],
+)
+def test_coupled_run_buffers_match_fresh_steps_bit_for_bit(pot, init_a, init_b):
+    """coupled_run steps each ensemble into two buffers it reuses; its rms and se are those of steps into
+    fresh arrays, bit for bit."""
+    h, k, n, seed = 0.3, 25, 500, 11
+    tr = coupled_run(pot, init_a, init_b, h=h, k=k, n=n, seed=seed)
+    ea, eb = init_ensemble(pot, init_a, n, seed), init_ensemble(pot, init_b, n, seed)
+    stats = [chain_mod._coupled_stats(ea, eb)]
+    for _ in range(k):
+        ea, eb = step(ea, h), step(eb, h)
+        stats.append(chain_mod._coupled_stats(ea, eb))
+    rms, se = np.array(stats).T
+    assert tr.rms.tobytes() == rms.tobytes()
+    assert tr.se.tobytes() == se.tobytes()
+
+
 def test_coupled_run_requires_small_step():
     pot = huber(1.0)
     init = PointInit(np.zeros(1))

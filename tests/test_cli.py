@@ -506,6 +506,128 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
     assert report["plan"][0]["regime"] == "weak"
 
 
+def _run_verdicts(tmp_path, capsys, text):
+    """Run the config text with out_dir under tmp_path; its exit code and the names of its verdict lines."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text.replace("out_dir = out\n", f"out_dir = {tmp_path / 'out'}\n"))
+    code = main(["run", str(cfg)])
+    lines = capsys.readouterr().out.splitlines()
+    return code, [line.split()[1] for line in lines if line.startswith(("pass ", "FAIL "))]
+
+
+_GRID_RUN = """
+[run]
+regime = {regime}
+epsilon = {eps}
+n_chains = 20
+seed = 4
+record_every = 100
+out_dir = out
+
+[potential]
+kind = {potential}
+
+[init]
+kind = gaussian
+mean = {mean}
+cov_diag = {var}
+
+[oracles]
+grid = true
+gaussian = {gaussian}
+"""
+
+
+def test_weak_huber_delta_half_runs_on_a_box_it_works_out(tmp_path, capsys):
+    """Huber delta = 0.5 leaves 1.8e-8 in the edge cells of +/-24: the box doubles to +/-48 and the run,
+    its weak inputs estimated from the grid, ends with verdicts instead of a config error."""
+    text = _GRID_RUN.format(regime="weak", eps=0.3, potential="huber\ndelta = 0.5", mean=0, var=4, gaussian="false")
+    code, names = _run_verdicts(tmp_path, capsys, text)
+    assert (code, names) == (0, ["weak_kl_final", "kl_decreasing", "weak_second_moment_bound"])
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["grid_error_budget"]["boundary_mass_max"] < 1e-9
+
+
+def test_grid_run_from_a_start_beyond_the_default_box(tmp_path, capsys):
+    """N(1, 2) needs +/-12.31 on diag = 1, whose box starts at +/-12: the box doubles to +/-24, and the grid
+    law then follows the Gaussian oracle's exact one."""
+    text = _GRID_RUN.format(regime="strong", eps=0.5, potential="quadratic-diagonal\ndiag = 1", mean=1, var=2, gaussian="true")
+    code, names = _run_verdicts(tmp_path, capsys, text)
+    assert code == 0 and "grid_kl_final" in names and "strong_kl_final" in names
+    grid, exact = (
+        np.loadtxt(tmp_path / "out" / name, delimiter=",", skiprows=1) for name in ("grid.csv", "gaussian.csv")
+    )
+    assert np.abs(grid[:, 1] - exact[:, 1]).max() < 1e-4  # kl, row by row
+
+
+_WEAK_QUADRATIC = """
+[run]
+regime = weak
+epsilon = 0.5
+n_chains = 200
+seed = 5
+record_every = 100
+out_dir = out
+
+[potential]
+kind = quadratic-diagonal
+diag = {diag}
+
+[init]
+kind = gaussian
+mean = {mean}
+cov_diag = {var}
+
+[oracles]
+gaussian = true
+grid = {grid}
+
+[weak]
+c1 = 1
+c2 = {c2}
+h_prime = {h_prime}
+kl0 = {kl0}
+"""
+
+
+def test_weak_run_on_the_gaussian_oracle_reports_no_strong_verdict(tmp_path, capsys):
+    """A weak plan is judged by a KL verdict named for the weak regime, not strong_kl_final."""
+    text = _WEAK_QUADRATIC.format(diag="1, 2", mean="0.5, 0.5", var="1, 1", grid="false", c2=2, h_prime=0.1, kl0=1)
+    code, names = _run_verdicts(tmp_path, capsys, text)
+    assert code == 0 and "weak_gaussian_kl_final" in names
+    assert not [name for name in names if name.startswith("strong_")], names
+    claims = {v["name"]: v["claim"] for v in json.loads((tmp_path / "out" / "report.json").read_text())["verdicts"]}
+    assert "weak schedule" in claims["weak_gaussian_kl_final"]
+
+
+def test_weak_run_with_both_oracles_names_each_verdict_once(tmp_path, capsys):
+    """On a 1-D quadratic both oracles judge the weak plan's final KL, under two names."""
+    text = _WEAK_QUADRATIC.format(diag="1", mean="0.5", var="1", grid="true", c2=1, h_prime=0.5, kl0=0.5)
+    code, names = _run_verdicts(tmp_path, capsys, text)
+    assert code == 0 and {"weak_kl_final", "weak_gaussian_kl_final"} <= set(names)
+    assert len(names) == len(set(names)), names
+    assert not [name for name in names if name.startswith("strong_")], names
+
+
+@pytest.mark.parametrize(
+    "workload, names",
+    [
+        (
+            "strong-d2",
+            [
+                "kl_init_bound", "strong_kl_final", "w2_target", "second_moment_bound",
+                "second_moment_bound_empirical", "w2_stationary_contraction", "sampler_matches_oracle",
+            ],
+        ),
+        ("huber-weak-grid", ["weak_kl_final", "kl_decreasing", "weak_second_moment_bound"]),
+    ],
+)
+def test_benchmark_workloads_keep_their_verdict_names(tmp_path, capsys, workload, names):
+    """The names do not depend on the chain count, so the workloads run here on 200 chains."""
+    text = _perfbench("workloads").config_text(workload, 1)
+    code, printed = _run_verdicts(tmp_path, capsys, re.sub(r"n_chains = \d+", "n_chains = 200", text))
+    assert (code, printed) == (0, names)
+
+
 @pytest.mark.parametrize(
     "body, message",
     [
@@ -518,10 +640,16 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
             "do not match d=2",
         ),
         ("[potential]\nkind = quadratic-diagonal\ndiag = 1\n[oracles]\ngrid = true\ngrid_n = 4\n", "8 cells"),
+        # the box is the grid oracle's own: a config that still sets a bound is refused, not obeyed
         (
             "[potential]\nkind = quadratic-diagonal\ndiag = 1\n"
             "[oracles]\ngrid = true\ngrid_x_min = 5\ngrid_x_max = -5\n",
-            "need x_max > x_min",
+            "unknown key [oracles] grid_x_min; [oracles] takes gaussian, grid, grid_n",
+        ),
+        (
+            "[potential]\nkind = quadratic-diagonal\ndiag = 1\n"
+            "[init]\nkind = gaussian\nmean = 1e30\ncov_diag = 1\n[oracles]\ngrid = true\n",
+            "no box up to +/-1.1068e+20 of 4096 cells holds the target and the start: grid",
         ),
         *[
             (
@@ -575,7 +703,7 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
         ),
         (
             "[potential]\nkind = quadratic-diagonal\ndiag = 1\n[oracles]\ngausian = true\n",
-            "unknown key [oracles] gausian; [oracles] takes gaussian, grid, grid_x_min, grid_x_max, grid_n",
+            "unknown key [oracles] gausian; [oracles] takes gaussian, grid, grid_n",
         ),
         (
             "[potential]\nkind = quadratic-diagonal\ndiag = 1\n[oracels]\ngaussian = true\n",
@@ -652,6 +780,7 @@ def test_run_weak_numeric_inputs_and_inf_sentinel(tmp_path, capsys):
         "init-mean-length",
         "grid-n",
         "grid-bounds",
+        "grid-no-box-holds-the-start",
         "grid-n-0",
         "grid-n-negative",
         "grid-n-3",

@@ -37,8 +37,6 @@ _PLAUSIBLE = {
     "oracles": {
         "gaussian": ["true", "false"],
         "grid": ["true", "false"],
-        "grid_x_min": ["-8"],
-        "grid_x_max": ["8"],
         "grid_n": ["64"],
     },
     "weak": {key: ["estimate", "1", "inf"] for key in ("c1", "c2", "h_prime", "kl0")},
@@ -139,7 +137,7 @@ _OUT_OF_RANGE = [
     ("init", "mean", ["1e308", "0, 0, 0"]),
     ("init", "cov_diag", ["0", "1e308"]),
     ("init", "x", ["1e300", "nan"]),
-    ("oracles", "grid_x_min", ["8"]),
+    ("oracles", "grid_n", ["8", "0"]),
     ("weak", "c1", ["0", "inf"]),
     ("halving", "kl0", ["0", "1e308"]),
 ]

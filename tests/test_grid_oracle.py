@@ -372,6 +372,71 @@ def test_target_density_grid_too_small():
         target_density_grid(pot, -2.0, 2.0, 256)
 
 
+@pytest.mark.parametrize(
+    "pot, init, n, half",
+    [
+        (quadratic_diagonal([1.0]), None, None, 12.0),
+        (quadratic_diagonal([4.0]), GaussianInit(mean=np.zeros(1), cov_diag=np.full(1, 0.25)), 2048, 6.0),
+        (quadratic_diagonal([0.1]), None, None, 24.0),
+        (huber(1.0), GaussianInit(mean=np.zeros(1), cov_diag=np.full(1, 4.0)), None, 24.0),
+        (huber(1.0), PointInit(np.full(1, -23.9)), None, 24.0),
+    ],
+    ids=["diag-1", "diag-4-start-n-2048", "diag-0.1", "huber-1-from-N(0,4)", "huber-1-point-near-the-edge"],
+)
+def test_default_grid_keeps_its_box_where_both_laws_fit(pot, init, n, half):
+    """12/sqrt(max(m, 1/4)) is the box wherever it holds the target and the start: bit for bit, at the cells asked for."""
+    assert default_grid(pot, init, n) == (-half, half, 4096 if n is None else n)
+
+
+@pytest.mark.parametrize(
+    "pot, init, half",
+    [
+        (huber(0.5), None, 48.0),
+        (huber(0.3), None, 96.0),
+        (huber(0.1), None, 192.0),
+        (quadratic_diagonal([0.01]), None, 96.0),
+        (quadratic_diagonal([1.0]), GaussianInit(mean=np.ones(1), cov_diag=np.full(1, 2.0)), 24.0),
+        (quadratic_diagonal([1.0]), PointInit(np.full(1, -30.0)), 48.0),
+    ],
+    ids=["huber-0.5", "huber-0.3", "huber-0.1", "diag-0.01", "diag-1-from-N(1,2)", "diag-1-point-at-minus-30"],
+)
+def test_default_grid_doubles_its_box_until_both_laws_fit(pot, init, half):
+    """A heavy target tail or a start beyond +/-12/sqrt(max(m, 1/4)) doubles the box until the target's edge
+    cells hold under 1e-9 and the start is covered as discretize_law demands; both laws then build on it."""
+    lo, hi, n = default_grid(pot, init)
+    assert (lo, hi, n) == (-half, half, 4096)
+    assert target_density_grid(pot, lo, hi, n).boundary_mass_max < 1e-9
+    if init is not None:
+        discretize_law(init, lo, hi, n)
+    with pytest.raises(GridCoverageError):  # the box before the last doubling holds one of them too little
+        target_density_grid(pot, lo / 2, hi / 2, n)
+        if init is not None:
+            discretize_law(init, lo / 2, hi / 2, n)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.3, 0.5])
+def test_target_density_grid_builds_huber_on_its_default_grid(delta):
+    """A Huber target with delta < 1 has tails too heavy for +/-24; its default box holds them."""
+    pot = huber(delta)
+    t = target_density_grid(pot, *default_grid(pot))
+    assert t.boundary_mass_max < 1e-9
+    assert second_moment_grid(t) > second_moment_grid(target_density_grid(huber(1.0), *default_grid(huber(1.0))))
+
+
+@pytest.mark.parametrize(
+    "init, message",
+    [
+        (GaussianInit(mean=np.full(1, 1e30), cov_diag=np.ones(1)), "must cover mean"),
+        (PointInit(np.full(1, -1e30)), "outside the grid"),
+    ],
+    ids=["gaussian", "point"],
+)
+def test_default_grid_fails_on_a_start_no_box_holds(init, message):
+    """After 64 doublings (+/-12 * 2**63) the box gives up with the last constructor's message."""
+    with pytest.raises(GridCoverageError, match=rf"no box up to \+/-1\.1068e\+20 of 4096 cells .*{message}"):
+        default_grid(quadratic_diagonal([1.0]), init)
+
+
 _COARSE = discretize_gaussian(0.0, 0.1, -8.0, 8.0, 16)
 _CONSTRUCTORS = {
     "target": lambda lo, hi, n: target_density_grid(huber(1.0), lo, hi, n),
