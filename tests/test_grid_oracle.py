@@ -414,15 +414,6 @@ def test_default_grid_doubles_its_box_until_both_laws_fit(pot, init, half):
             discretize_law(init, lo / 2, hi / 2, n)
 
 
-@pytest.mark.parametrize("delta", [0.1, 0.3, 0.5])
-def test_target_density_grid_builds_huber_on_its_default_grid(delta):
-    """A Huber target with delta < 1 has tails too heavy for +/-24; its default box holds them."""
-    pot = huber(delta)
-    t = target_density_grid(pot, *default_grid(pot))
-    assert t.boundary_mass_max < 1e-9
-    assert second_moment_grid(t) > second_moment_grid(target_density_grid(huber(1.0), *default_grid(huber(1.0))))
-
-
 @pytest.mark.parametrize(
     "init, message",
     [
