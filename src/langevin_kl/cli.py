@@ -390,6 +390,11 @@ def _json_safe(obj):
     return obj
 
 
+def _final_epsilon(cfg, plans) -> float:
+    """The KL the schedule promises at its end, the target of every final-KL verdict: the last stage's."""
+    return plans[-1].epsilon if plans else cfg.epsilon  # [run] epsilon for a halving run with no stage
+
+
 def _empirical_margin(bound: float, rows) -> float:
     """Worst of bound + 5 SE - ensemble second moment over trace rows."""
     return min(bound + 5.0 * r.second_moment_se - r.second_moment for r in rows)
@@ -477,7 +482,7 @@ class _GaussianTracker:
     def verdicts(self, cfg, plans, resolved, chain_rows, ens) -> list[Verdict]:
         pot = self.pot
         _, kl_final, w2_final, _, _ = self.rows[-1]  # the last row is taken at the final law
-        eps = plans[-1].epsilon if plans else cfg.epsilon
+        eps = _final_epsilon(cfg, plans)
         verdicts = []
         if isinstance(self.init, str):
             verdicts.append(_verdict("kl_init_bound", kl_init_bound(pot.m, pot.L, pot.d) - self.rows[0][1]))
@@ -515,14 +520,12 @@ class _GridTracker:
     csv = ("grid_csv", "grid.csv", "step,kl,tv,w2,second_moment")
 
     def __init__(self, cfg, pot, init):
-        box = default_grid(pot, None if isinstance(init, str) else init, cfg.grid_n)
-        self.target = target_density_grid(pot, *box)
+        self.target, self.p = default_grid(pot, None if isinstance(init, str) else init, cfg.grid_n)
         if isinstance(init, str):  # after the box, so that a bad grid is reported first
             raise ConfigError(
                 f"the default {GAUSSIAN_1_OVER_M} init is N(0, 1/m), the target itself on the 1-D quadratic "
                 "the grid oracle needs, so the run could only move away from it; set an explicit [init]"
             )
-        self.p = discretize_law(init, *box)
         self.pot = pot
         self.rows = []
         self.split_ratio = 0.0  # no stage, no split
@@ -553,8 +556,9 @@ class _GridTracker:
     def verdicts(self, cfg, plans, resolved, chain_rows, ens) -> list[Verdict]:
         kls = [r[1] for r in self.rows]
         diffs = np.diff(kls)
+        name = "weak_kl_final" if cfg.regime == "weak" else "grid_kl_final"
         verdicts = [
-            _verdict("weak_kl_final" if cfg.regime == "weak" else "grid_kl_final", cfg.epsilon - kls[-1]),
+            _verdict(name, _final_epsilon(cfg, plans) - kls[-1]),
             _verdict("kl_decreasing", float(-diffs.max()) if diffs.size else 0.0, tol=-1e-12),
         ]
         if cfg.regime == "weak":

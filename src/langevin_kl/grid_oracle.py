@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-9
+_REACH = 8.0  # standard deviations of a binned normal: a start's coverage and the noise kernel's truncation
 _BOX_DOUBLINGS = 64  # how often default_grid may double its box before it gives up
 _STATIONARY_TOL = 1e-10  # successive TV gap at which stationary_grid stops
 _STATIONARY_MAX_STEPS = 200_000
@@ -108,22 +109,20 @@ def _check_boundary(mass: np.ndarray) -> None:
         )
 
 
-def default_grid(pot: Potential, init=None, n: int | None = None) -> tuple[float, float, int]:
-    """The box [-half, half] of n cells (4096 if None) that holds pot's target and init's law, if given.
+def default_grid(pot: Potential, init=None, n: int | None = None) -> tuple[GridDensity, GridDensity | None]:
+    """pot's target and init's law (None if no init), built on the box of n cells (4096 if None) they prove.
 
-    half starts at 12/sqrt(max(m, 1/4)): 12 sd of a quadratic's p* = N(0, 1/m), whose edge cells hold about
-    1e-34, so a run's laws, up to pi_h's variance 2/m at h <= 1/L, stay far inside the 1e-9 edge check; the
-    floor 1/4 holds Huber's m = 0 at +/-24, where delta = 1 leaves 2.5e-13 in an edge cell. While the
-    target's or the start's constructor raises GridCoverageError, the box doubles, _BOX_DOUBLINGS times at most.
+    The box is [-half, half]. half starts at 12/sqrt(max(m, 1/4)): 12 sd of a quadratic's p* = N(0, 1/m), whose
+    edge cells hold about 1e-34, so a run's laws, up to pi_h's variance 2/m at h <= 1/L, stay far inside the
+    1e-9 edge check; the floor 1/4 holds Huber's m = 0 at +/-24, where delta = 1 leaves 2.5e-13 in an edge cell.
+    While either constructor raises GridCoverageError, the box doubles, _BOX_DOUBLINGS times at most.
     """
     n = 4096 if n is None else n
     half = 12.0 / math.sqrt(max(pot.m, 0.25))
     for _ in range(_BOX_DOUBLINGS):
         try:
-            target_density_grid(pot, -half, half, n)
-            if init is not None:
-                discretize_law(init, -half, half, n)
-            return -half, half, n
+            target = target_density_grid(pot, -half, half, n)
+            return target, None if init is None else discretize_law(init, -half, half, n)
         except GridCoverageError as exc:
             error = exc
         half *= 2.0
@@ -145,22 +144,25 @@ def _split(z: np.ndarray, x_min: float, dx: float, n: int) -> tuple[np.ndarray, 
     return j, np.clip(pos - j, 0.0, 1.0)
 
 
-def discretize_gaussian(mean: float, var: float, x_min: float, x_max: float, n: int) -> GridDensity:
-    """Cell masses of N(mean, var) from exact CDF differences.
+def _binned_normal(edges: np.ndarray, sd: float) -> np.ndarray:
+    """The mass of N(0, sd^2) between successive edges: normal-CDF differences, one _ndtr per edge."""
+    return np.diff(_ndtr(edges / sd))
 
-    The grid must cover mean +/- 8 standard deviations.
+
+def discretize_gaussian(mean: float, var: float, x_min: float, x_max: float, n: int) -> GridDensity:
+    """Cell masses of N(mean, var) from exact CDF differences at the cell edges.
+
+    The grid must cover mean +/- _REACH (8) standard deviations.
     """
     dx = _cell_width(x_min, x_max, n)
     if not var > 0:
         raise ValueError(f"variance must be positive, got {var}")
     sd = math.sqrt(var)
-    if x_min > mean - 8.0 * sd or x_max < mean + 8.0 * sd:
-        raise GridCoverageError(
-            f"grid [{x_min}, {x_max}] must cover mean +/- 8 sd = "
-            f"[{mean - 8.0 * sd}, {mean + 8.0 * sd}]"
-        )
+    lo, hi = mean - _REACH * sd, mean + _REACH * sd
+    if x_min > lo or x_max < hi:
+        raise GridCoverageError(f"grid [{x_min}, {x_max}] must cover mean +/- {_REACH:g} sd = [{lo}, {hi}]")
     edges = x_min + np.arange(n + 1) * dx
-    raw = np.diff(_ndtr((edges - mean) / sd))
+    raw = _binned_normal(edges - mean, sd)
     # deep-tail CDF differences cancel to 0 in floats; midpoint pdf mass keeps
     # every cell strictly positive so KL against this density stays defined
     mids = (edges[:-1] + 0.5 * dx - mean) / sd
@@ -257,11 +259,10 @@ def _step_operator(p: GridDensity, pot: Potential, h: float) -> _StepOperator:
     j, f = _split(z, p.x_min, p.dx, p.n)
 
     sd = math.sqrt(2.0 * h)
-    half = math.ceil(8.0 * sd / p.dx)
+    half = math.ceil(_REACH * sd / p.dx)
     if 2 * half + 1 > p.n:
         raise GridCoverageError(f"noise kernel (sd {sd}) wider than the grid")
-    offs = np.arange(-half, half + 1) * p.dx
-    kern = _ndtr((offs + 0.5 * p.dx) / sd) - _ndtr((offs - 0.5 * p.dx) / sd)
+    kern = _binned_normal((np.arange(-half, half + 2) - 0.5) * p.dx, sd)  # tap t spans offsets (t -/+ 1/2) dx
     kern /= kern.sum()
     op = _StepOperator(pot, j, j + 1, f, 1.0 - f, kern, _band(kern))
     _STEP_SLOT = (key, op)
@@ -274,7 +275,7 @@ def ula_step_grid(p: GridDensity, pot: Potential, h: float, k: int = 1) -> GridD
     A step pushes the mass through T(x) = x - h U'(x) by conservative linear
     cell splitting (T must be monotone on the grid, which h <= 1/L
     guarantees), convolves it with the step's N(0, 2h) noise binned over cells
-    and truncated at 8 standard deviations, and renormalises. The convolution,
+    and truncated at _REACH standard deviations, and renormalises. The convolution,
     np.convolve(pushed, kern, mode="same"), is the product of the blocks'
     windows of the zero-padded cells (stride B, length B + K - 1, copied into a
     column buffer of at most _COLUMN_BYTES a chunk of blocks at a time) with

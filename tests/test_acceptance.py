@@ -49,6 +49,9 @@ def test_a1_strong_kl_convergence_and_tv_w2_targets():
 
 
 def test_a2_moment_bound_exact_and_empirical():
+    """The empirical 5-SE gate failed on 0 of 200 seeds (0-199) at this size: its false-fail rate is at most 1.5%
+    (one-sided 95% Clopper-Pearson bound). Its margin never fell below 6.03: the ensemble's second moment
+    stays near its start's 2 while the bound is 4d/m = 8, so this gate is far from its edge."""
     plan = lk.plan_strong(1, 2, 2, 0.1)
     A = np.diag([1.0, 2.0])
     bound = 4.0 * 2 / 1.0  # 4d/m = 8
@@ -72,6 +75,8 @@ def test_a2_moment_bound_exact_and_empirical():
 
 
 def test_a3_w2_contraction_oracle_and_coupled():
+    """The coupled Huber 5-SE gate failed on 0 of 200 seeds (0-199) at this size: its false-fail rate is at most
+    1.5% (one-sided 95% Clopper-Pearson bound). Its smallest margin over those seeds was 0.0081."""
     plan = lk.plan_strong(1, 2, 2, 0.1)
     A = np.diag([1.0, 2.0])
     pi_h = lk.stationary_law(A, plan.h)
@@ -104,6 +109,8 @@ def test_a3_w2_contraction_oracle_and_coupled():
 
 
 def test_a4_sampler_matches_oracle():
+    """The max |z| <= 5 gate failed on 0 of 200 seeds (0-199) at this size: its false-fail rate is at most 1.5%
+    (one-sided 95% Clopper-Pearson bound). The largest max |z| over those seeds was 3.19."""
     pot = lk.quadratic_diagonal([1.0, 2.0])
     A = np.diag([1.0, 2.0])
     ens = lk.init_ensemble(pot, lk.GAUSSIAN_1_OVER_M, 50_000, seed=4242)
@@ -120,6 +127,30 @@ def test_a4_sampler_matches_oracle():
     _report("A4 sampler vs oracle z-scores", zmax <= 5.0, f"max |z| = {zmax:.3f} <= 5")
 
 
+def test_a4_gate_fails_a_planted_wrong_oracle_at_the_strong_d2_shape():
+    """sampler_matches_oracle (max |z| <= 5) at the strong-d2 run's shape fails an oracle of the wrong target.
+
+    The shape: diag(1, 2) from N(0, I), 20,000 chains, and the h and k of plan_strong(1, 2, 2, 0.75). At seed
+    12345 the right oracle reads max |z| = 0.97, and an oracle on diag(1, 2.2) reads 9.03 and fails.
+    What this gate cannot see at this shape: an oracle stepped at 1.1h reads 0.97, because both laws keep
+    the mean 0 and the mean's z-score leads; one stepped k/2 times reads 3.18. Both pass.
+    """
+    plan = lk.plan_strong(1, 2, 2, 0.75)
+    ens = lk.init_ensemble(lk.quadratic_diagonal([1.0, 2.0]), lk.GAUSSIAN_1_OVER_M, 20_000, seed=12345)
+    summary = lk.summarize(lk.run(ens, plan, record_every=100)[0])
+
+    def zmax(diag):
+        law = lk.GaussianLaw(np.zeros(2), np.eye(2))
+        for _ in range(plan.k):
+            law = lk.ula_step_law(law, np.diag(diag), plan.h)
+        z = lk.z_scores_vs_oracle(summary, law)
+        return max(float(np.max(np.abs(z["mean"]))), float(np.max(np.abs(z["cov"]))), abs(z["second_moment"]))
+
+    right, planted = zmax([1.0, 2.0]), zmax([1.0, 2.2])
+    _report("A4 gate passes the right oracle", right <= 5.0, f"max |z| = {right:.3f} <= 5")
+    _report("A4 gate fails a planted diag(1, 2.2) oracle", planted > 5.0, f"max |z| = {planted:.3f} > 5")
+
+
 def test_a5_oracle_equivalence():
     [(_, margin)] = SUITES["oracle-equivalence"](0)  # 1e-3 minus the worst |dKL|
     _report("A5 grid vs gaussian oracle", margin >= 0.0, f"max |dKL| = {1e-3 - margin:.3e} <= 1e-3")
@@ -127,7 +158,8 @@ def test_a5_oracle_equivalence():
 
 def test_a6_weak_convexity_properties():
     hub = lk.huber(1.0)
-    lo, hi, n = lk.default_grid(hub)
+    target, _ = lk.default_grid(hub)
+    lo, hi, n = target.x_min, target.x_max, target.n
     tgt = lk.target_density_grid(hub, lo, hi, n)
     p0 = lk.discretize_gaussian(0.0, 4.0, lo, hi, n)
     c1 = lk.w2_grid_1d(p0, tgt)

@@ -29,6 +29,12 @@ from langevin_kl.grid_oracle import (
 from langevin_kl.potentials import huber, quadratic_diagonal, u_value
 
 
+def _box(pot, init=None, n=None):
+    """The box default_grid works out, read from the target law it returns."""
+    target, _ = default_grid(pot, init, n)
+    return target.x_min, target.x_max, target.n
+
+
 def test_discretize_gaussian_mass_and_symmetry():
     g = discretize_gaussian(0.0, 1.0, -8.0, 8.0, 4096)
     assert g.mass.sum() == pytest.approx(1.0, abs=1e-12)
@@ -94,7 +100,7 @@ def test_ula_step_grid_tiny_step_is_near_identity():
 
 def test_ula_step_grid_huber_tail_drift():
     pot = huber(1.0)
-    lo, hi, n = default_grid(pot)
+    lo, hi, n = _box(pot)
     p = discretize_point(5.0, lo, hi, n)
     p1 = ula_step_grid(p, pot, 0.1)
     # gradient is exactly delta = 1 in the tail and the kernel is centered
@@ -127,7 +133,7 @@ def test_grid_steps_reject_a_non_finite_step_size(h):
 
 def test_fresh_grid_laws_start_an_empty_error_budget():
     pot = huber(1.0)
-    lo, hi, n = default_grid(pot)
+    lo, hi, n = _box(pot)
     raw = np.ones(64)
     raw[[0, -1]] = 1e-10, 3e-10  # boundary cells below the 1e-9 coverage limit
     for p in (
@@ -183,7 +189,7 @@ def test_w2_breaks_match_union1d():
     assert w2_grid_1d(p, p) == 0.0
     # the huber-weak-grid run's own 4,096-cell laws, where the merge runs
     pot = huber(1.0)
-    lo, hi, n = default_grid(pot)
+    lo, hi, n = _box(pot)
     target = target_density_grid(pot, lo, hi, n)
     start = discretize_gaussian(0.0, 4.0, lo, hi, n)
     later = ula_step_grid(start, pot, 0.00144, 500)
@@ -283,7 +289,7 @@ def test_grid_step_memory_stays_small_at_the_widest_kernel():
     import langevin_kl.grid_oracle as grid_mod
 
     pot = huber(1.0)
-    lo, hi, n = default_grid(pot)
+    lo, hi, n = _box(pot)
     p = discretize_gaussian(0.0, 4.0, lo, hi, n)
     assert grid_mod._step_operator(p, pot, 1.0).kern.size == 1933
     tracemalloc.start()
@@ -342,7 +348,7 @@ def test_kl_grid_support_violation():
 
 def test_kl_grid_self_consistency_for_huber_target():
     pot = huber(1.0)
-    lo, hi, n = default_grid(pot)
+    lo, hi, n = _box(pot)
     t = target_density_grid(pot, lo, hi, n)
     assert kl_grid(t, t) == 0.0
 
@@ -356,7 +362,7 @@ def test_target_density_grid_matches_gaussian_discretization():
 
 def test_target_density_grid_huber_moments():
     pot = huber(1.0)
-    lo, hi, n = default_grid(pot)
+    lo, hi, n = _box(pot)
     t = target_density_grid(pot, lo, hi, n)
     assert np.abs(t.mass - t.mass[::-1]).max() <= 1e-15  # symmetric
     assert np.argmax(t.mass) in (n // 2 - 1, n // 2)  # unimodal peak at 0
@@ -385,7 +391,7 @@ def test_target_density_grid_too_small():
 )
 def test_default_grid_keeps_its_box_where_both_laws_fit(pot, init, n, half):
     """12/sqrt(max(m, 1/4)) is the box wherever it holds the target and the start: bit for bit, at the cells asked for."""
-    assert default_grid(pot, init, n) == (-half, half, 4096 if n is None else n)
+    assert _box(pot, init, n) == (-half, half, 4096 if n is None else n)
 
 
 @pytest.mark.parametrize(
@@ -403,7 +409,7 @@ def test_default_grid_keeps_its_box_where_both_laws_fit(pot, init, n, half):
 def test_default_grid_doubles_its_box_until_both_laws_fit(pot, init, half):
     """A heavy target tail or a start beyond +/-12/sqrt(max(m, 1/4)) doubles the box until the target's edge
     cells hold under 1e-9 and the start is covered as discretize_law demands; both laws then build on it."""
-    lo, hi, n = default_grid(pot, init)
+    lo, hi, n = _box(pot, init)
     assert (lo, hi, n) == (-half, half, 4096)
     assert target_density_grid(pot, lo, hi, n).boundary_mass_max < 1e-9
     if init is not None:
@@ -412,6 +418,74 @@ def test_default_grid_doubles_its_box_until_both_laws_fit(pot, init, half):
         target_density_grid(pot, lo / 2, hi / 2, n)
         if init is not None:
             discretize_law(init, lo / 2, hi / 2, n)
+
+
+@pytest.mark.parametrize(
+    "pot, init",
+    [
+        (huber(1.0), GaussianInit(mean=np.zeros(1), cov_diag=np.full(1, 4.0))),
+        (huber(0.5), None),
+        (quadratic_diagonal([1.0]), GaussianInit(mean=np.ones(1), cov_diag=np.full(1, 2.0))),
+        (quadratic_diagonal([1.0]), PointInit(np.full(1, -30.0))),
+    ],
+    ids=["huber-1-from-N(0,4)", "huber-0.5-no-start", "diag-1-from-N(1,2)", "diag-1-point-at-minus-30"],
+)
+def test_default_grid_returns_the_laws_it_proves_the_box_with(pot, init):
+    """The target and the start default_grid returns are fresh builds on their box, bit for bit; no start, None."""
+    target, start = default_grid(pot, init)
+    box = (target.x_min, target.x_max, target.n)
+    fresh = target_density_grid(pot, *box)
+    assert np.array_equal(target.mass, fresh.mass) and target.boundary_mass_max == fresh.boundary_mass_max
+    if init is None:
+        assert start is None
+    else:
+        fresh = discretize_law(init, *box)
+        assert (start.x_min, start.x_max, start.n) == box
+        assert np.array_equal(start.mass, fresh.mass) and start.boundary_mass_max == fresh.boundary_mass_max
+
+
+def test_step_kernel_evaluates_the_normal_cdf_once_per_edge(monkeypatch):
+    """K taps have K + 1 edges, and building the kernel evaluates _ndtr at those alone, in one call."""
+    points = []
+
+    def counted(x):
+        points.append(x.size)
+        return ndtr(x)
+
+    ndtr = grid_oracle._ndtr
+    monkeypatch.setattr(grid_oracle, "_ndtr", counted)
+    monkeypatch.setattr(grid_oracle, "_STEP_SLOT", None)
+    p = discretize_gaussian(0.0, 4.0, -24.0, 24.0, 4096)
+    points.clear()
+    for h in (0.00144, 1.0):  # the huber-weak-grid run's kernel and estimate_h_prime's first one
+        kern = grid_oracle._step_operator(p, huber(1.0), h).kern
+        assert points == [kern.size + 1]
+        points.clear()
+
+
+_SUITE_STEPS = (1e-4, 7.8125e-4, 0.00144, 0.003125, 0.005859375, 0.01, 0.02, 0.05, 0.1, 0.2, 0.25, 0.49, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("half, n", [(24.0, 4096), (24.0, 2048), (12.0, 1024), (8.0, 4096)])
+def test_kernel_taps_are_the_two_point_cdf_differences_bit_for_bit(half, n):
+    """On boxes whose cell widths are dyadic, the edge rule's taps are _ndtr((offs +/- dx/2)/sd)'s, bit for bit.
+
+    The kernel reaches _REACH sd, the start's coverage, and comes from the start's own rule: CDF differences at
+    successive edges, (t -/+ 1/2) dx for tap t, so each inner edge is evaluated once for the two taps it bounds.
+    """
+    pot = huber(1.0)
+    p = discretize_gaussian(0.0, 1.0, -half, half, n)
+    dx = p.dx
+    for h in _SUITE_STEPS:
+        sd = math.sqrt(2.0 * h)
+        reach = math.ceil(grid_oracle._REACH * sd / dx)
+        if 2 * reach + 1 > n:  # a kernel wider than the grid, refused
+            continue
+        offs = np.arange(-reach, reach + 1) * dx
+        want = grid_oracle._ndtr((offs + 0.5 * dx) / sd) - grid_oracle._ndtr((offs - 0.5 * dx) / sd)
+        edges = (np.arange(-reach, reach + 2) - 0.5) * dx
+        assert np.array_equal(grid_oracle._binned_normal(edges, sd), want), h
+        assert np.array_equal(grid_oracle._step_operator(p, pot, h).kern, want / want.sum()), h
 
 
 @pytest.mark.parametrize(
@@ -530,7 +604,7 @@ def test_stationary_grid_matches_closed_form_variance():
 
 def test_huber_kl_decreases_and_moment_bound_holds():
     pot = huber(1.0)
-    lo, hi, n = default_grid(pot)
+    lo, hi, n = _box(pot)
     tgt = target_density_grid(pot, lo, hi, n)
     p = discretize_gaussian(0.0, 4.0, lo, hi, n)
     c1 = w2_grid_1d(p, tgt)
