@@ -400,6 +400,11 @@ def _empirical_margin(bound: float, rows) -> float:
     return min(bound + 5.0 * r.second_moment_se - r.second_moment for r in rows)
 
 
+def _oracle_moment_margin(second, rows) -> float:
+    """Worst of 5 SE - |ensemble second moment - the law's| over trace rows; second[j] is the law's at step j."""
+    return min(5.0 * r.second_moment_se - abs(r.second_moment - second[r.step]) for r in rows)
+
+
 # A tracker follows one exact oracle law alongside the chain: it holds the
 # law, its worst per-step margins and its recorded rows, and judges its own
 # claims at the end. The oracles never read the chain, so between two record
@@ -834,6 +839,9 @@ def _suite_moments(seed: int):
     ens = init_ensemble(pot, GAUSSIAN_1_OVER_M, 4000, seed)
     _, rows = run_chain(ens, StepPlan(h=0.01, k=300, epsilon=1.0, regime="strong"), record_every=1)
     checks.append(("empirical_second_moment_le_4d_over_m_5se", _empirical_margin(gauss.bound, rows[1:])))
+    # the 4d/m gates sit far from their edge; this one holds the ensemble to the exact law, step by step
+    exact = gauss.start.stats(0.01, 300)[0]  # the law's second moment at steps 0, ..., 300
+    checks.append(("empirical_second_moment_within_5se_of_oracle", _oracle_moment_margin(exact, rows)))
     return checks
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import GaussianInit, PointInit
-from .gaussian_oracle import _ndtr
+from .gaussian_oracle import _binned_normal
 from .potentials import Potential, grad_u, u_value
 
 __all__ = [
@@ -144,13 +144,8 @@ def _split(z: np.ndarray, x_min: float, dx: float, n: int) -> tuple[np.ndarray, 
     return j, np.clip(pos - j, 0.0, 1.0)
 
 
-def _binned_normal(edges: np.ndarray, sd: float) -> np.ndarray:
-    """The mass of N(0, sd^2) between successive edges: normal-CDF differences, one _ndtr per edge."""
-    return np.diff(_ndtr(edges / sd))
-
-
 def discretize_gaussian(mean: float, var: float, x_min: float, x_max: float, n: int) -> GridDensity:
-    """Cell masses of N(mean, var) from exact CDF differences at the cell edges.
+    """Cell masses of N(mean, var), each from its own normal tail at the cell edges (_binned_normal).
 
     The grid must cover mean +/- _REACH (8) standard deviations.
     """
@@ -162,13 +157,7 @@ def discretize_gaussian(mean: float, var: float, x_min: float, x_max: float, n: 
     if x_min > lo or x_max < hi:
         raise GridCoverageError(f"grid [{x_min}, {x_max}] must cover mean +/- {_REACH:g} sd = [{lo}, {hi}]")
     edges = x_min + np.arange(n + 1) * dx
-    raw = _binned_normal(edges - mean, sd)
-    # deep-tail CDF differences cancel to 0 in floats; midpoint pdf mass keeps
-    # every cell strictly positive so KL against this density stays defined
-    mids = (edges[:-1] + 0.5 * dx - mean) / sd
-    tail = np.exp(-0.5 * mids * mids) / math.sqrt(2.0 * math.pi) * (dx / sd)
-    raw = np.where(raw > 0, raw, tail)
-    return GridDensity(x_min, x_max, n, _rescaled(raw)[0])
+    return GridDensity(x_min, x_max, n, _rescaled(_binned_normal(edges - mean, sd))[0])
 
 
 def discretize_point(x: float, x_min: float, x_max: float, n: int) -> GridDensity:
@@ -364,23 +353,14 @@ def w2_grid_1d(p: GridDensity, q: GridDensity) -> float:
     cq = np.cumsum(q.mass)
     cp /= cp[-1]
     cq /= cq[-1]
-    # the breaks are np.union1d(cp, cq), from one merge of the two sorted
-    # CDFs (a stable argsort finds the two runs) and no np.unique, which
-    # imports numpy.ma; ip, iq count the entries of each CDF below a break
-    both = np.concatenate([cp, cq])
-    order = np.argsort(both, kind="stable")
-    both = both[order]
-    first = np.flatnonzero(np.concatenate([[True], both[1:] != both[:-1]]))
-    breaks = both[first]
+    # the breaks are np.union1d(cp, cq), from one sort of both CDFs (stable:
+    # it merges the two sorted runs) and no np.unique, which imports numpy.ma;
+    # ip, iq count the entries of each CDF below a break
+    both = np.sort(np.concatenate([cp, cq]), kind="stable")
+    breaks = both[np.concatenate([[True], both[1:] != both[:-1]])]
     seg = np.diff(breaks, prepend=0.0)
-    # the merge keeps each side's entries in their order, so a break's first
-    # copy, entry k of its side, comes after exactly k entries of that side
-    # and first - k of the other: all of them below the break
-    k = order[first]
-    ip = np.where(k < p.n, k, first - (k - p.n))
-    iq = first - ip
-    ip = np.minimum(ip, p.n - 1)
-    iq = np.minimum(iq, p.n - 1)
+    ip = np.minimum(np.searchsorted(cp, breaks), p.n - 1)
+    iq = np.minimum(np.searchsorted(cq, breaks), p.n - 1)
     return math.sqrt(float(np.sum(seg * (c[ip] - c[iq]) ** 2)))
 
 

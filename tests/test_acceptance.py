@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import langevin_kl as lk
-from langevin_kl.cli import SUITES
+from langevin_kl.cli import SUITES, _oracle_moment_margin
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -51,7 +51,11 @@ def test_a1_strong_kl_convergence_and_tv_w2_targets():
 def test_a2_moment_bound_exact_and_empirical():
     """The empirical 5-SE gate failed on 0 of 200 seeds (0-199) at this size: its false-fail rate is at most 1.5%
     (one-sided 95% Clopper-Pearson bound). Its margin never fell below 6.03: the ensemble's second moment
-    stays near its start's 2 while the bound is 4d/m = 8, so this gate is far from its edge."""
+    stays near its start's 2 while the bound is 4d/m = 8, so this gate is far from its edge.
+
+    The oracle check (the ensemble's second moment within 5 SE of the exact law's at every recorded step)
+    also failed on 0 of 200 of those seeds, smallest margin 0.0105 against 5 SE of about 0.056. It failed a
+    planted oracle on diag(1, 3) on all 200, and one on diag(1, 2.2) on 188; the bound passes both."""
     plan = lk.plan_strong(1, 2, 2, 0.1)
     A = np.diag([1.0, 2.0])
     bound = 4.0 * 2 / 1.0  # 4d/m = 8
@@ -72,6 +76,17 @@ def test_a2_moment_bound_exact_and_empirical():
         margin >= 0.0,
         f"min margin {margin:.4f} over {len(rows)} recorded steps",
     )
+
+    # the bound cannot see a wrong law; the exact law's second moment at each recorded step can
+    def exact_second(diag):
+        return lk.GaussianPath(lk.GaussianLaw(np.zeros(2), np.eye(2)), np.diag(diag)).stats(plan.h, plan.k)[0]
+
+    margin = _oracle_moment_margin(exact_second([1.0, 2.0]), rows)
+    _report("A2 empirical second moment matches the oracle", margin >= 0.0, f"min 5-SE margin {margin:.4f}")
+    planted = exact_second([1.0, 3.0])
+    _report("A2 bound passes a planted diag(1, 3) oracle", planted.max() <= bound, f"max {planted.max():.4f} <= 8")
+    margin = _oracle_moment_margin(planted, rows)
+    _report("A2 oracle check fails a planted diag(1, 3) oracle", margin < 0.0, f"min 5-SE margin {margin:.4f} < 0")
 
 
 def test_a3_w2_contraction_oracle_and_coupled():

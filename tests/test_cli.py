@@ -1116,14 +1116,31 @@ def test_run_missing_file_is_usage_error(capsys):
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_verify_suite_passes(capsys, suite):
-    """The two statistical checks, 5-SE gates on fixed seeds, failed on 0 of 200 seeds (0-199) each at their
-    suites' sizes: moments' empirical_second_moment_le_4d_over_m_5se (smallest margin 6.10) and contraction's
-    coupled_huber_nonincreasing_5se (smallest margin 0.046). Each false-fail rate is at most 1.5% (one-sided
-    95% Clopper-Pearson bound). The suites' other checks are not statistical."""
+    """The three statistical checks, 5-SE gates on fixed seeds, failed on 0 of 200 seeds (0-199) each at their
+    suites' sizes: moments' empirical_second_moment_le_4d_over_m_5se (smallest margin 6.10) and
+    empirical_second_moment_within_5se_of_oracle (smallest margin 0.030, against 5 SE of about 0.125), and
+    contraction's coupled_huber_nonincreasing_5se (smallest margin 0.046). Each false-fail rate is at most 1.5%
+    (one-sided 95% Clopper-Pearson bound). The suites' other checks are not statistical."""
     assert main(["verify", suite, "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "worst margin" in out
+
+
+def test_verify_moments_fails_a_planted_wrong_oracle(monkeypatch, capsys):
+    """An oracle on diag(1, 3) for the sampler's diag(1, 2) passes both 4d/m gates and fails the oracle check.
+
+    Over seeds 0-199 the oracle check failed this oracle on all 200, and one on diag(1, 2.5) on 187. One on
+    diag(1, 2.2) failed on 3 only: a second moment 1.45 where it should be 1.5 is inside 5 SE of 4,000 chains.
+    """
+    real = cli._GaussianTracker
+    wrong = construct_potential("quadratic-diagonal", diag=[1.0, 3.0])
+    monkeypatch.setattr(cli, "_GaussianTracker", lambda pot, init: real(wrong, init))
+    assert main(["verify", "moments", "--seed", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "PASS oracle_second_moment_le_4d_over_m " in out
+    assert "PASS empirical_second_moment_le_4d_over_m_5se " in out
+    assert "FAIL empirical_second_moment_within_5se_of_oracle " in out
 
 
 def test_verify_unknown_suite_lists_choices(capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from langevin_kl import grid_oracle
+from langevin_kl import gaussian_oracle, grid_oracle
 from langevin_kl.chain import GaussianInit, PointInit
 from langevin_kl.gaussian_oracle import GaussianLaw, gaussian_1d, kl_gaussian, target_law, ula_step_law
 from langevin_kl.grid_oracle import (
@@ -27,6 +27,19 @@ from langevin_kl.grid_oracle import (
     w2_grid_1d,
 )
 from langevin_kl.potentials import huber, quadratic_diagonal, u_value
+
+
+def _tail_taps(ndtr, offs, dx, sd):
+    """The noise kernel's taps written out: tap t spans (t -/+ 1/2) dx and takes its mass from its own tail.
+
+    Phi(-|x|) at both edges; a tap below 0 is the upper edge's tail less the lower's, a tap above 0 the mirror of
+    that, and the centre tap 1 less both tails.
+    """
+    lo, hi = ndtr(-np.abs(offs - 0.5 * dx) / sd), ndtr(-np.abs(offs + 0.5 * dx) / sd)
+    taps = np.where(offs < 0, hi - lo, lo - hi)
+    mid = offs == 0
+    taps[mid] = 1.0 - lo[mid] - hi[mid]
+    return taps
 
 
 def _box(pot, init=None, n=None):
@@ -212,7 +225,7 @@ def test_ula_step_grid_memo_is_bit_exact_and_keyed_per_operator():
         pushed += np.bincount(j + 1, weights=p.mass * f, minlength=p.n)
         sd = math.sqrt(2.0 * h)
         offs = np.arange(-math.ceil(8.0 * sd / p.dx), math.ceil(8.0 * sd / p.dx) + 1) * p.dx
-        kern = ndtr((offs + 0.5 * p.dx) / sd) - ndtr((offs - 0.5 * p.dx) / sd)
+        kern = _tail_taps(ndtr, offs, p.dx, sd)
         kern /= kern.sum()
         # the convolution's band built column by column: row i of a block's
         # window of padded cells feeds its output cell r with kern[K - 1 - (i - r)]
@@ -452,8 +465,8 @@ def test_step_kernel_evaluates_the_normal_cdf_once_per_edge(monkeypatch):
         points.append(x.size)
         return ndtr(x)
 
-    ndtr = grid_oracle._ndtr
-    monkeypatch.setattr(grid_oracle, "_ndtr", counted)
+    ndtr = gaussian_oracle._ndtr
+    monkeypatch.setattr(gaussian_oracle, "_ndtr", counted)
     monkeypatch.setattr(grid_oracle, "_STEP_SLOT", None)
     p = discretize_gaussian(0.0, 4.0, -24.0, 24.0, 4096)
     points.clear()
@@ -467,11 +480,12 @@ _SUITE_STEPS = (1e-4, 7.8125e-4, 0.00144, 0.003125, 0.005859375, 0.01, 0.02, 0.0
 
 
 @pytest.mark.parametrize("half, n", [(24.0, 4096), (24.0, 2048), (12.0, 1024), (8.0, 4096)])
-def test_kernel_taps_are_the_two_point_cdf_differences_bit_for_bit(half, n):
-    """On boxes whose cell widths are dyadic, the edge rule's taps are _ndtr((offs +/- dx/2)/sd)'s, bit for bit.
+def test_kernel_taps_are_their_own_tail_differences_and_mirror_bit_for_bit(half, n):
+    """On boxes whose cell widths are dyadic, the edge rule's taps are _tail_taps's, bit for bit, and so is the mirror.
 
-    The kernel reaches _REACH sd, the start's coverage, and comes from the start's own rule: CDF differences at
+    The kernel reaches _REACH sd, the start's coverage, and comes from the start's own rule: tail masses at
     successive edges, (t -/+ 1/2) dx for tap t, so each inner edge is evaluated once for the two taps it bounds.
+    Every tap reads the lower tail, so the kernel is symmetric and has mean 0 bit for bit.
     """
     pot = huber(1.0)
     p = discretize_gaussian(0.0, 1.0, -half, half, n)
@@ -481,11 +495,29 @@ def test_kernel_taps_are_the_two_point_cdf_differences_bit_for_bit(half, n):
         reach = math.ceil(grid_oracle._REACH * sd / dx)
         if 2 * reach + 1 > n:  # a kernel wider than the grid, refused
             continue
-        offs = np.arange(-reach, reach + 1) * dx
-        want = grid_oracle._ndtr((offs + 0.5 * dx) / sd) - grid_oracle._ndtr((offs - 0.5 * dx) / sd)
+        want = _tail_taps(gaussian_oracle._ndtr, np.arange(-reach, reach + 1) * dx, dx, sd)
         edges = (np.arange(-reach, reach + 2) - 0.5) * dx
-        assert np.array_equal(grid_oracle._binned_normal(edges, sd), want), h
-        assert np.array_equal(grid_oracle._step_operator(p, pot, h).kern, want / want.sum()), h
+        assert np.array_equal(gaussian_oracle._binned_normal(edges, sd), want), h
+        kern = grid_oracle._step_operator(p, pot, h).kern
+        assert np.array_equal(kern, want / want.sum()), h
+        assert np.array_equal(kern, kern[::-1]), h
+
+
+def test_gaussian_start_matches_a_90_digit_reference_in_both_tails():
+    """Each cell of N(0, 4) on +/-24 in 4,096 cells (the huber-weak-grid start) is within 1e-12 of the law's, relative.
+
+    The reference bins the CDF at 90 digits: at 40 it loses the right tail itself, where the cells fall to 2e-34
+    against CDF values near 1.
+    """
+    mp = pytest.importorskip("mpmath").mp
+    g = discretize_gaussian(0.0, 4.0, -24.0, 24.0, 4096)
+    edges = -24.0 + np.arange(4097) * g.dx
+    with mp.workdps(90):
+        cdf = [mp.ncdf(mp.mpf(float(e)) / 2) for e in edges]
+        total = cdf[-1] - cdf[0]
+        exact = np.array([float((b - a) / total) for a, b in zip(cdf, cdf[1:])])
+    assert np.all(exact > 0.0)
+    assert np.all(np.abs(g.mass - exact) <= 1e-12 * exact)
 
 
 @pytest.mark.parametrize(
