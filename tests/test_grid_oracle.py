@@ -480,12 +480,13 @@ _SUITE_STEPS = (1e-4, 7.8125e-4, 0.00144, 0.003125, 0.005859375, 0.01, 0.02, 0.0
 
 
 @pytest.mark.parametrize("half, n", [(24.0, 4096), (24.0, 2048), (12.0, 1024), (8.0, 4096)])
-def test_kernel_taps_are_their_own_tail_differences_and_mirror_bit_for_bit(half, n):
+def test_kernel_taps_are_the_two_point_cdf_differences_bit_for_bit(half, n):
     """On boxes whose cell widths are dyadic, the edge rule's taps are _tail_taps's, bit for bit, and so is the mirror.
 
-    The kernel reaches _REACH sd, the start's coverage, and comes from the start's own rule: tail masses at
-    successive edges, (t -/+ 1/2) dx for tap t, so each inner edge is evaluated once for the two taps it bounds.
-    Every tap reads the lower tail, so the kernel is symmetric and has mean 0 bit for bit.
+    The kernel reaches _REACH sd, the start's coverage, and comes from the start's own rule: tap t is the normal
+    CDF's difference between its edges (t -/+ 1/2) dx, each read from the lower tail Phi(-|x|), so each inner edge
+    is evaluated once for the two taps it bounds. Every tap reads the lower tail, so the kernel is symmetric and has
+    mean 0 bit for bit.
     """
     pot = huber(1.0)
     p = discretize_gaussian(0.0, 1.0, -half, half, n)
