@@ -10,7 +10,7 @@ potentials (Huber in particular) the Gaussian oracle cannot represent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -214,6 +214,13 @@ def _band(kern: np.ndarray) -> np.ndarray:
     return sliding_window_view(padded, _BLOCK)[_BLOCK + k - 1 - np.arange(_BLOCK + k - 1)]
 
 
+# the most runs of one cell offset (_StepOperator.runs) that _pusher pushes by
+# slices: on 4,096 cells a run's two slice products cost about 1.5-3 us, the two
+# bincounts 20-33 us in all, and the pushes broke even at 8-10 runs (medians of
+# interleaved calls, 2-core Xeon, numpy 2.4.6: 2 runs 10-16 us against 23-33 us)
+_MAX_RUNS = 8
+
+
 @dataclass(frozen=True)
 class _StepOperator:
     """The parts of one grid ULA step that depend only on (grid, potential, h)."""
@@ -225,6 +232,15 @@ class _StepOperator:
     g: np.ndarray  # 1 - f
     kern: np.ndarray  # N(0, 2h) noise binned over cells, K = 2*half + 1 taps
     band: np.ndarray  # _band(kern), shape (B + K - 1, B)
+    # the bounds of the maximal runs of centers that share one offset j[i] - i,
+    # 0 first and n last: the drift map is monotone, so a run's cells j form one
+    # contiguous slice (derived here, so that dataclasses.replace rederives it)
+    runs: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        offset = self.j - np.arange(self.j.size)
+        bounds = np.flatnonzero(np.diff(offset)) + 1
+        object.__setattr__(self, "runs", np.concatenate([[0], bounds, [self.j.size]]))
 
 
 # the operator of the last (grid, potential, h): every caller steps at one h until
@@ -258,22 +274,68 @@ def _step_operator(p: GridDensity, pot: Potential, h: float) -> _StepOperator:
     return op
 
 
+def _pusher(op: _StepOperator, mass: np.ndarray, pushed: np.ndarray):
+    """The push of a step through the drift map: a function that writes the image of mass into pushed.
+
+    Center i sends g[i] of its mass to cell j[i] and f[i] to cell j[i] + 1.
+    With at most _MAX_RUNS runs (_StepOperator.runs), each run writes its g
+    shares into one slice of a buffer and its f shares into the next cells'
+    slice of a second one, run after run, and pushed is their sum; a run
+    whose first cell is the last run's last adds what that cell held, and
+    the cells no run reaches stay 0. Else two bincounts sum the shares.
+    Either way each cell adds its shares in the order of their centers, so
+    both pushes agree bit for bit.
+    """
+    n = mass.size
+    if op.runs.size - 1 > _MAX_RUNS:
+        weights = np.empty(n)
+
+        def push():
+            np.add(
+                np.bincount(op.j, weights=np.multiply(mass, op.g, out=weights), minlength=n),
+                np.bincount(op.j1, weights=np.multiply(mass, op.f, out=weights), minlength=n),
+                out=pushed,
+            )
+
+        return push
+    left, right = np.zeros(n), np.zeros(n)
+    bounds = op.runs.tolist()
+    runs = [(int(op.j[lo]), lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    writes = [
+        (buf[t + shift : t + shift + hi - lo], mass[lo:hi], share[lo:hi], lo > 0 and op.j[lo] == op.j[lo - 1])
+        for buf, share, shift in ((left, op.g, 0), (right, op.f, 1))
+        for t, lo, hi in runs
+    ]
+
+    def push():
+        for cells, m, share, joined in writes:
+            held = cells[0]  # what the last run wrote, if it ended on this cell
+            np.multiply(m, share, out=cells)
+            if joined:
+                cells[0] += held
+        np.add(left, right, out=pushed)
+
+    return push
+
+
 def ula_step_grid(p: GridDensity, pot: Potential, h: float, k: int = 1) -> GridDensity:
     """The law after k >= 1 ULA steps at (pot, h), a Markov kernel on the grid.
 
     A step pushes the mass through T(x) = x - h U'(x) by conservative linear
     cell splitting (T must be monotone on the grid, which h <= 1/L
-    guarantees), convolves it with the step's N(0, 2h) noise binned over cells
-    and truncated at _REACH standard deviations, and renormalises. The convolution,
+    guarantees; _pusher writes the shares by slices of one cell offset, or
+    by bincount where the offset changes often), convolves it with the
+    step's N(0, 2h) noise binned over cells and truncated at _REACH standard
+    deviations, and renormalises. The convolution,
     np.convolve(pushed, kern, mode="same"), is the product of the blocks'
     windows of the zero-padded cells (stride B, length B + K - 1, copied into a
     column buffer of at most _COLUMN_BYTES a chunk of blocks at a time) with
     the operator's band: each output cell is one dot product of non-negative
     terms, which loses no relative precision. The operator is built once per
-    (grid, potential, h). Between steps the law is a bare mass array; every
-    step still adds its |1 - total| to renorm_drift_abs_sum, raises
-    boundary_mass_max, and fails as GridDensity would on lost mass or on a
-    boundary cell at 1e-9.
+    (grid, potential, h), and the views its steps read and write once per
+    call. Between steps the law is a bare mass array; every step still adds
+    its |1 - total| to renorm_drift_abs_sum, raises boundary_mass_max, and
+    fails as GridDensity would on lost mass or on a boundary cell at 1e-9.
     """
     if pot.d != 1:
         raise ValueError(f"grid oracle is 1-D only, potential has d={pot.d}")
@@ -289,20 +351,18 @@ def ula_step_grid(p: GridDensity, pot: Potential, h: float, k: int = 1) -> GridD
     windows = sliding_window_view(pad, width)[::b]
     chunk = max(1, min(nb, _COLUMN_BYTES // (width * pad.itemsize)))
     columns, mixed = np.empty((chunk, width)), np.empty((nb, b))
+    blocks = [slice(lo, min(nb, lo + chunk)) for lo in range(0, nb, chunk)]
+    products = [(columns[: s.stop - s.start], windows[s], mixed[s]) for s in blocks]
     raw = mixed.reshape(-1)[:n]
-    weights, out, mass = np.empty(n), np.empty(n), p.mass
+    mass = p.mass.copy()  # each step's law, read by the push and overwritten by the renormalisation
+    push = _pusher(op, mass, pushed)
     drift, boundary = p.renorm_drift_abs_sum, p.boundary_mass_max
     for _ in range(k):
-        np.add(
-            np.bincount(op.j, weights=np.multiply(mass, op.g, out=weights), minlength=n),
-            np.bincount(op.j1, weights=np.multiply(mass, op.f, out=weights), minlength=n),
-            out=pushed,
-        )
-        for lo in range(0, nb, chunk):
-            hi = min(nb, lo + chunk)
-            np.copyto(columns[: hi - lo], windows[lo:hi])
-            np.matmul(columns[: hi - lo], op.band, out=mixed[lo:hi])
-        mass, total = _rescaled(raw, out)
+        push()
+        for cols, win, mix in products:
+            np.copyto(cols, win)
+            np.matmul(cols, op.band, out=mix)
+        _, total = _rescaled(raw, mass)
         drift += abs(1.0 - total)
         _check_boundary(mass)
         boundary = max(boundary, mass[0], mass[-1])
@@ -353,14 +413,19 @@ def w2_grid_1d(p: GridDensity, q: GridDensity) -> float:
     cq = np.cumsum(q.mass)
     cp /= cp[-1]
     cq /= cq[-1]
-    # the breaks are np.union1d(cp, cq), from one sort of both CDFs (stable:
-    # it merges the two sorted runs) and no np.unique, which imports numpy.ma;
-    # ip, iq count the entries of each CDF below a break
-    both = np.sort(np.concatenate([cp, cq]), kind="stable")
-    breaks = both[np.concatenate([[True], both[1:] != both[:-1]])]
+    # the breaks are np.union1d(cp, cq), from one merge of the two sorted
+    # CDFs (a stable argsort finds the two runs) and no np.unique, which
+    # imports numpy.ma; the entries before a break's first copy are those
+    # below it, so ip, iq count each CDF's entries among them
+    both = np.concatenate([cp, cq])
+    order = np.argsort(both, kind="stable")
+    both = both[order]
+    first = np.flatnonzero(np.concatenate([[True], both[1:] != both[:-1]]))
+    breaks = both[first]
     seg = np.diff(breaks, prepend=0.0)
-    ip = np.minimum(np.searchsorted(cp, breaks), p.n - 1)
-    iq = np.minimum(np.searchsorted(cq, breaks), p.n - 1)
+    ip = np.concatenate([[0], np.cumsum(order < p.n)])[first]
+    iq = np.minimum(first - ip, p.n - 1)
+    ip = np.minimum(ip, p.n - 1)
     return math.sqrt(float(np.sum(seg * (c[ip] - c[iq]) ** 2)))
 
 

@@ -237,13 +237,18 @@ def test_ula_step_grid_memo_is_bit_exact_and_keyed_per_operator():
         pad = np.zeros(nb * B + K - 1)
         pad[K // 2 : K // 2 + p.n] = pushed
         windows = np.array([pad[b * B : b * B + B + K - 1] for b in range(nb)])
-        mixed = (windows @ band).ravel()[: p.n]
+        # in the step's chunks of blocks (one product in every case but h = 1): BLAS
+        # may round a row differently in a product of another height
+        rows = grid_mod._COLUMN_BYTES // (8 * (B + K - 1))
+        mixed = np.concatenate([windows[b : b + rows] @ band for b in range(0, nb, rows)]).ravel()[: p.n]
         return mixed / mixed.sum()
 
     p = discretize_gaussian(0.5, 2.0, -12.0, 12.0, 1024)
+    start = discretize_gaussian(0.0, 4.0, -24.0, 24.0, 4096)  # the huber-weak-grid run's start
     hub, other = huber(1.0), huber(0.5)
-    for pot, h in [(hub, 0.1), (other, 0.1), (hub, 0.05), (hub, 0.1)]:
-        q = p
+    # the last two: the run's own operator (2 runs, pushed by slices) and h = 1/L (172 runs, by bincount)
+    cases = [(p, hub, 0.1), (p, other, 0.1), (p, hub, 0.05), (p, hub, 0.1), (start, hub, 0.00144), (start, hub, 1.0)]
+    for q, pot, h in cases:
         for _ in range(3):
             expected = fresh_step(q, pot, h)
             q = ula_step_grid(q, pot, h)
@@ -252,6 +257,23 @@ def test_ula_step_grid_memo_is_bit_exact_and_keyed_per_operator():
     last = weakref.ref(grid_mod._step_operator(p, hub, 0.01))
     ula_step_grid(p, hub, 0.02)
     assert last() is None and grid_mod._STEP_SLOT[0] == (p.x_min, p.x_max, p.n, id(hub), 0.02)
+
+
+@pytest.mark.parametrize("h, runs, calls", [(0.00144, 2, 0), (1.0, 172, 2)])
+def test_grid_step_pushes_by_bincount_only_where_the_cell_offset_changes_often(h, runs, calls, monkeypatch):
+    """The huber-weak-grid run's operator (2 runs of one cell offset) calls no bincount; h = 1/L two a step."""
+    pot = huber(1.0)
+    p = discretize_gaussian(0.0, 4.0, -24.0, 24.0, 4096)
+    assert grid_oracle._step_operator(p, pot, h).runs.size - 1 == runs
+    counted, bincount = [], np.bincount
+
+    def counting(*args, **kwargs):
+        counted.append(args)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(grid_oracle.np, "bincount", counting)
+    ula_step_grid(p, pot, h, 3)
+    assert len(counted) == 3 * calls
 
 
 @pytest.mark.parametrize(
