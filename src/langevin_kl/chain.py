@@ -197,6 +197,8 @@ def init_ensemble(p: Potential, init, n: int, seed: int) -> Ensemble:
             raise ValueError(f"init dimensions {mean.size}/{var.size} do not match d={p.d}")
         if not np.all(var > 0):
             raise ValueError("init variances must be positive")
+        if not (np.isfinite(mean).all() and np.isfinite(var).all()):
+            raise ValueError("init mean and variances must be finite")
         states = np.empty((n, p.d))
         _normals(seed, _PURPOSE_INIT, 0, 0, states)
         states *= np.sqrt(var)
@@ -205,6 +207,8 @@ def init_ensemble(p: Potential, init, n: int, seed: int) -> Ensemble:
         x = np.atleast_1d(np.asarray(init.x, dtype=float))
         if x.size != p.d:
             raise ValueError(f"init point has {x.size} coordinates, potential d={p.d}")
+        if not np.isfinite(x).all():
+            raise ValueError("init point must be finite")
         states = np.tile(x, (n, 1))
     else:
         raise TypeError(f"unsupported init spec {init!r}")

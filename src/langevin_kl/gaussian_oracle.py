@@ -81,6 +81,8 @@ class GaussianLaw:
             cov = np.diag(cov)
         if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
             raise ValueError(f"shape mismatch: mean {mean.shape}, cov {cov.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance must be finite")
         if not _symmetric(cov):
             raise ValueError("covariance must be symmetric")
         cov = 0.5 * (cov + cov.T)

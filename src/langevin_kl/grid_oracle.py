@@ -9,6 +9,7 @@ potentials (Huber in particular) the Gaussian oracle cannot represent.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -69,11 +70,11 @@ class GridDensity:
         mass = np.asarray(self.mass, dtype=float)
         if mass.shape != (self.n,):
             raise ValueError(f"mass shape {mass.shape} does not match n={self.n}")
-        if mass.min() < -1e-12:
+        if not mass.min() >= -1e-12:  # a NaN cell fails here too
             raise ValueError(f"negative cell mass {mass.min()}")
         mass = np.clip(mass, 0.0, None)
         total = float(mass.sum())
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:
             raise ValueError(f"total mass {total} is not 1 within 1e-6")
         _check_boundary(mass)
         object.__setattr__(self, "x_min", float(self.x_min))
@@ -214,7 +215,7 @@ def _band(kern: np.ndarray) -> np.ndarray:
     return sliding_window_view(padded, _BLOCK)[_BLOCK + k - 1 - np.arange(_BLOCK + k - 1)]
 
 
-# the most runs of one cell offset (_StepOperator.runs) that _pusher pushes by
+# the most runs of one cell offset (_StepOperator.runs) that _grid_steps pushes by
 # slices: on 4,096 cells a run's two slice products cost about 1.5-3 us, the two
 # bincounts 20-33 us in all, and the pushes broke even at 8-10 runs (medians of
 # interleaved calls, 2-core Xeon, numpy 2.4.6: 2 runs 10-16 us against 23-33 us)
@@ -243,14 +244,14 @@ class _StepOperator:
         object.__setattr__(self, "runs", np.concatenate([[0], bounds, [self.j.size]]))
 
 
-# the operator of the last (grid, potential, h): every caller steps at one h until
-# it moves on (a stationary law, a stepsize search, a run stage), so one slot
-# builds no more operators than a memo would, and frees those left behind
+# the operator of the last (grid, potential, h), looked up once per pass of _grid_steps:
+# every caller steps at one h until it moves on (a stepsize search, a run stage), so one
+# slot builds no more operators than a memo would, and frees those left behind
 _STEP_SLOT: tuple[tuple, _StepOperator] | None = None
 
 
 def _step_operator(p: GridDensity, pot: Potential, h: float) -> _StepOperator:
-    """The operator of ula_step_grid on p's grid for (pot, h), built unless it is in the slot."""
+    """The operator of a grid step on p's grid for (pot, h), built unless it is in the slot."""
     global _STEP_SLOT
     key = (p.x_min, p.x_max, p.n, id(pot), h)
     slot = _STEP_SLOT  # read once: another thread may replace it meanwhile
@@ -274,75 +275,35 @@ def _step_operator(p: GridDensity, pot: Potential, h: float) -> _StepOperator:
     return op
 
 
-def _pusher(op: _StepOperator, mass: np.ndarray, pushed: np.ndarray):
-    """The push of a step through the drift map: a function that writes the image of mass into pushed.
-
-    Center i sends g[i] of its mass to cell j[i] and f[i] to cell j[i] + 1.
-    With at most _MAX_RUNS runs (_StepOperator.runs), each run writes its g
-    shares into one slice of a buffer and its f shares into the next cells'
-    slice of a second one, run after run, and pushed is their sum; a run
-    whose first cell is the last run's last adds what that cell held, and
-    the cells no run reaches stay 0. Else two bincounts sum the shares.
-    Either way each cell adds its shares in the order of their centers, so
-    both pushes agree bit for bit.
-    """
-    n = mass.size
-    if op.runs.size - 1 > _MAX_RUNS:
-        weights = np.empty(n)
-
-        def push():
-            np.add(
-                np.bincount(op.j, weights=np.multiply(mass, op.g, out=weights), minlength=n),
-                np.bincount(op.j1, weights=np.multiply(mass, op.f, out=weights), minlength=n),
-                out=pushed,
-            )
-
-        return push
-    left, right = np.zeros(n), np.zeros(n)
-    bounds = op.runs.tolist()
-    runs = [(int(op.j[lo]), lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    writes = [
-        (buf[t + shift : t + shift + hi - lo], mass[lo:hi], share[lo:hi], lo > 0 and op.j[lo] == op.j[lo - 1])
-        for buf, share, shift in ((left, op.g, 0), (right, op.f, 1))
-        for t, lo, hi in runs
-    ]
-
-    def push():
-        for cells, m, share, joined in writes:
-            held = cells[0]  # what the last run wrote, if it ended on this cell
-            np.multiply(m, share, out=cells)
-            if joined:
-                cells[0] += held
-        np.add(left, right, out=pushed)
-
-    return push
-
-
-def ula_step_grid(p: GridDensity, pot: Potential, h: float, k: int = 1) -> GridDensity:
-    """The law after k >= 1 ULA steps at (pot, h), a Markov kernel on the grid.
-
-    A step pushes the mass through T(x) = x - h U'(x) by conservative linear
-    cell splitting (T must be monotone on the grid, which h <= 1/L
-    guarantees; _pusher writes the shares by slices of one cell offset, or
-    by bincount where the offset changes often), convolves it with the
-    step's N(0, 2h) noise binned over cells and truncated at _REACH standard
-    deviations, and renormalises. The convolution,
-    np.convolve(pushed, kern, mode="same"), is the product of the blocks'
-    windows of the zero-padded cells (stride B, length B + K - 1, copied into a
-    column buffer of at most _COLUMN_BYTES a chunk of blocks at a time) with
-    the operator's band: each output cell is one dot product of non-negative
-    terms, which loses no relative precision. The operator is built once per
-    (grid, potential, h), and the views its steps read and write once per
-    call. Between steps the law is a bare mass array; every step still adds
-    its |1 - total| to renorm_drift_abs_sum, raises boundary_mass_max, and
-    fails as GridDensity would on lost mass or on a boundary cell at 1e-9.
-    """
+def _check_grid_step(pot: Potential, h: float) -> None:
+    """Fails unless pot is 1-D and h positive and finite, as every grid step needs."""
     if pot.d != 1:
         raise ValueError(f"grid oracle is 1-D only, potential has d={pot.d}")
     if not (h > 0 and math.isfinite(h)):
         raise ValueError(f"step size must be positive and finite, got {h}")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValueError(f"step count must be a positive integer, got {k!r}")
+
+
+def _grid_steps(p: GridDensity, pot: Potential, h: float):
+    """The ULA steps at (pot, h) from p, the only loop that steps a grid law.
+
+    Yields after each step the bare mass array (one buffer, which the next
+    step overwrites), renorm_drift_abs_sum and boundary_mass_max so far. A
+    step pushes the mass through T(x) = x - h U'(x) (monotone on the grid
+    for h <= 1/L): center i sends g[i] of its mass to cell j[i] and f[i] to
+    j[i] + 1. With at most _MAX_RUNS runs (_StepOperator.runs), each run
+    writes its g and f shares into one slice each of two buffers, and the push
+    is their sum; a run that starts on the last run's last cell adds what it
+    held, and cells no run reaches stay 0. Else two bincounts sum the shares.
+    Each cell adds its shares in the order of their centers either way, so
+    both pushes agree bit for bit. The push is convolved with the N(0, 2h)
+    noise binned over cells to _REACH sd: np.convolve(pushed, kern, "same")
+    as the product of the blocks' windows of the zero-padded cells (stride B,
+    length B + K - 1, copied into a column buffer of at most _COLUMN_BYTES a
+    chunk of blocks at a time) with the band, so each cell is one dot product
+    of non-negative terms. Then it renormalises, and fails as GridDensity
+    would on lost mass or a boundary cell at 1e-9. A pass looks the operator
+    up and builds its buffers, views and push once.
+    """
     op = _step_operator(p, pot, float(h))
     n, (width, b) = p.n, op.band.shape
     nb = -(-n // b)
@@ -355,10 +316,33 @@ def ula_step_grid(p: GridDensity, pot: Potential, h: float, k: int = 1) -> GridD
     products = [(columns[: s.stop - s.start], windows[s], mixed[s]) for s in blocks]
     raw = mixed.reshape(-1)[:n]
     mass = p.mass.copy()  # each step's law, read by the push and overwritten by the renormalisation
-    push = _pusher(op, mass, pushed)
+    bounds = op.runs.tolist()
+    by_runs = len(bounds) - 1 <= _MAX_RUNS
+    if by_runs:
+        left, right = np.zeros(n), np.zeros(n)
+        runs = [(int(op.j[lo]), lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        writes = [
+            (buf[t + shift : t + shift + hi - lo], mass[lo:hi], share[lo:hi], lo > 0 and op.j[lo] == op.j[lo - 1])
+            for buf, share, shift in ((left, op.g, 0), (right, op.f, 1))
+            for t, lo, hi in runs
+        ]
+    else:
+        weights = np.empty(n)
     drift, boundary = p.renorm_drift_abs_sum, p.boundary_mass_max
-    for _ in range(k):
-        push()
+    while True:
+        if by_runs:
+            for cells, m, share, joined in writes:
+                held = cells[0]  # what the last run wrote, if it ended on this cell
+                np.multiply(m, share, out=cells)
+                if joined:
+                    cells[0] += held
+            np.add(left, right, out=pushed)
+        else:
+            np.add(
+                np.bincount(op.j, weights=np.multiply(mass, op.g, out=weights), minlength=n),
+                np.bincount(op.j1, weights=np.multiply(mass, op.f, out=weights), minlength=n),
+                out=pushed,
+            )
         for cols, win, mix in products:
             np.copyto(cols, win)
             np.matmul(cols, op.band, out=mix)
@@ -366,7 +350,19 @@ def ula_step_grid(p: GridDensity, pot: Potential, h: float, k: int = 1) -> GridD
         drift += abs(1.0 - total)
         _check_boundary(mass)
         boundary = max(boundary, mass[0], mass[-1])
-    return GridDensity(p.x_min, p.x_max, n, mass, renorm_drift_abs_sum=drift, boundary_mass_max=boundary)
+        yield mass, drift, boundary
+
+
+def ula_step_grid(p: GridDensity, pot: Potential, h: float, k: int = 1) -> GridDensity:
+    """The law after k >= 1 ULA steps at (pot, h), a Markov kernel on the grid.
+
+    Step k of one pass of _grid_steps: bit for bit the law, budget and failure of k single calls.
+    """
+    _check_grid_step(pot, h)
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise ValueError(f"step count must be a positive integer, got {k!r}")
+    mass, drift, boundary = next(itertools.islice(_grid_steps(p, pot, h), k - 1, None))
+    return GridDensity(p.x_min, p.x_max, p.n, mass, renorm_drift_abs_sum=drift, boundary_mass_max=boundary)
 
 
 def target_density_grid(pot: Potential, x_min: float, x_max: float, n: int) -> GridDensity:
@@ -436,19 +432,21 @@ def second_moment_grid(p: GridDensity) -> float:
 
 
 def stationary_grid(pot: Potential, h: float, target: GridDensity) -> GridDensity:
-    """Fixed point of ula_step_grid from target, iterated until successive TV < 1e-10.
+    """Fixed point of the grid step from target, stepped until successive TV < 1e-10.
 
     target is pot's target_density_grid; the fixed point lives on its grid.
+    One pass of _grid_steps: the TV gap 0.5 * sum |mass - last| is read on
+    the bare masses after each step, and the law is built once, at the end.
     An empirical estimate: nothing beyond the stopping rule certifies it.
     """
-    q = target
+    _check_grid_step(pot, h)
+    last = target.mass.copy()
     gap = math.inf
-    for _ in range(_STATIONARY_MAX_STEPS):
-        q2 = ula_step_grid(q, pot, h)
-        gap = tv_grid(q2, q)
-        q = q2
+    for _, (mass, drift, boundary) in zip(range(_STATIONARY_MAX_STEPS), _grid_steps(target, pot, h)):
+        gap = 0.5 * float(np.sum(np.abs(mass - last)))
         if gap < _STATIONARY_TOL:
-            return q
+            return GridDensity(target.x_min, target.x_max, target.n, mass, drift, boundary)
+        np.copyto(last, mass)
     raise RuntimeError(f"no fixed point within {_STATIONARY_MAX_STEPS} steps (last TV gap {gap:.3g})")
 
 

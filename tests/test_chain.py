@@ -505,13 +505,31 @@ def test_coupled_run_requires_small_step():
             "init variances must be positive",
         ),
         (lambda: init_ensemble(huber(1.0), PointInit(np.zeros(2)), 4, 0), "init point has 2 coordinates"),
+        (
+            lambda: init_ensemble(huber(1.0), GaussianInit(mean=np.full(1, np.nan), cov_diag=np.ones(1)), 4, 0),
+            "init mean and variances must be finite",
+        ),
+        (
+            lambda: init_ensemble(huber(1.0), GaussianInit(mean=np.zeros(1), cov_diag=np.full(1, np.inf)), 4, 0),
+            "init mean and variances must be finite",
+        ),
+        (lambda: init_ensemble(huber(1.0), PointInit(np.full(1, np.nan)), 4, 0), "init point must be finite"),
         (lambda: init_ensemble(huber(1.0), "gaussian", 4, 0), "unsupported init spec"),
         (
             lambda: coupled_run(huber(1.0), PointInit(np.zeros(1)), PointInit(np.ones(1)), h=0.5, k=0, n=2, seed=0),
             "need at least one step",
         ),
     ],
-    ids=["no-chains", "zero-variance", "point-length", "unsupported-init", "coupled-no-steps"],
+    ids=[
+        "no-chains",
+        "zero-variance",
+        "point-length",
+        "gaussian-mean-nan",
+        "gaussian-variance-inf",
+        "point-nan",
+        "unsupported-init",
+        "coupled-no-steps",
+    ],
 )
 def test_chain_inputs_are_checked(call, message):
     with pytest.raises((ValueError, TypeError), match=message):

@@ -629,6 +629,8 @@ _LAW2 = GaussianLaw(np.zeros(2), np.eye(2))
         (lambda: kl_gaussian(_LAW1, _LAW2), "dimension mismatch: 1 vs 2"),
         (lambda: w2_gaussian(_LAW1, _LAW2), "dimension mismatch: 1 vs 2"),
         (lambda: fisher_info_relative(_LAW1, np.eye(2)), "dimension mismatch: law d=1"),
+        (lambda: GaussianLaw([math.nan], [[1.0]]), "mean and covariance must be finite"),
+        (lambda: GaussianLaw([0.0], [[math.inf]]), "mean and covariance must be finite"),
     ],
     ids=[
         "not-square",
@@ -642,6 +644,8 @@ _LAW2 = GaussianLaw(np.zeros(2), np.eye(2))
         "kl-dimension",
         "w2-dimension",
         "fisher-dimension",
+        "law-mean-nan",
+        "law-cov-inf",
     ],
 )
 def test_gaussian_oracle_inputs_are_checked(call, message):

@@ -583,6 +583,8 @@ _BAD_BOXES = {
         (lambda: GridDensity(-1.0, 1.0, 8, np.full(9, 1 / 9)), "does not match n=8"),
         (lambda: GridDensity(-1.0, 1.0, 8, [0.0, 0.5, 0.6, -0.1, 0.0, 0.0, 0.0, 0.0]), "negative cell mass"),
         (lambda: GridDensity(-1.0, 1.0, 8, [0.0, 0.5, 0.6, 0.0, 0.0, 0.0, 0.0, 0.0]), "is not 1 within"),
+        (lambda: GridDensity(-1.0, 1.0, 8, [0.0, 0.5, 0.5, math.nan, 0.0, 0.0, 0.0, 0.0]), "negative cell mass nan"),
+        (lambda: GridDensity(-1.0, 1.0, 8, np.full(8, math.nan)), "negative cell mass nan"),
         (lambda: grid_oracle._rescaled(np.zeros(8)), "density lost all mass"),
         (lambda: discretize_gaussian(0.0, 0.0, -8.0, 8.0, 64), "variance must be positive"),
         (lambda: discretize_law(GaussianInit(mean=np.zeros(2), cov_diag=np.ones(2)), -8, 8, 64), "1-D only"),
@@ -599,6 +601,8 @@ _BAD_BOXES = {
         "density-mass-shape",
         "density-negative-mass",
         "density-total-not-1",
+        "density-nan-cell",
+        "density-all-nan",
         "target-lost-all-mass",
         "gaussian-zero-variance",
         "law-gaussian-2d",
@@ -655,6 +659,36 @@ def test_stationary_grid_matches_closed_form_variance():
     pot = quadratic_diagonal([1.0])
     st = stationary_grid(pot, 0.25, target_density_grid(pot, -8.0, 8.0, 2048))
     assert second_moment_grid(st) == pytest.approx(8.0 / 7.0, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "n, h, runs",
+    [(4096, 1.0, 172), (1024, 0.1, 6)],
+    ids=["h-1-bincount-push", "h-0.1-run-push"],
+)
+def test_stationary_grid_is_the_single_step_loop_bit_for_bit(n, h, runs):
+    """One pass of steps stops at the law, budget and gap of one ula_step_grid call per step with tv_grid between."""
+    pot = huber(1.0)
+    target = target_density_grid(pot, -24.0, 24.0, n)
+    assert grid_oracle._step_operator(target, pot, h).runs.size - 1 == runs
+    q, gap, steps = target, math.inf, 0
+    while not gap < 1e-10:
+        q2 = ula_step_grid(q, pot, h)
+        gap, q, steps = tv_grid(q2, q), q2, steps + 1
+    st = stationary_grid(pot, h, target)
+    assert np.array_equal(st.mass, q.mass)
+    assert st.renorm_drift_abs_sum == q.renorm_drift_abs_sum
+    assert st.boundary_mass_max == q.boundary_mass_max
+    assert steps > 10
+
+
+def test_stationary_grid_looks_up_its_step_operator_once(monkeypatch):
+    """A stationary law is one pass of steps: one operator lookup, where one-step calls made one a step (59 at h = 1)."""
+    looked_up, lookup = [], grid_oracle._step_operator
+    monkeypatch.setattr(grid_oracle, "_step_operator", lambda *args: looked_up.append(args) or lookup(*args))
+    pot = huber(1.0)
+    stationary_grid(pot, 1.0, target_density_grid(pot, -24.0, 24.0, 4096))
+    assert len(looked_up) == 1
 
 
 def test_huber_kl_decreases_and_moment_bound_holds():
