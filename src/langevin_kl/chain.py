@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import SFC64, Generator, Philox
@@ -220,8 +220,7 @@ def step(e: Ensemble, h: float, workers: int = 1, out: np.ndarray | None = None)
 
     The per-chain noise slot is (seed, step_index). The new states are written
     into out if given: a C-contiguous float64 array of e.states' shape that
-    shares no memory with it. A loop that alternates two such buffers stops
-    the allocator from handing back, and faulting in, fresh pages every step.
+    shares no memory with it.
 
     Steps are serial. workers must be a positive integer and has no other
     effect: it is kept only because perfbench/run.py still times
@@ -279,22 +278,36 @@ def trace_row(e: Ensemble) -> TraceRow:
     )
 
 
-def run(e: Ensemble, plan: StepPlan, record_every: int = 1) -> tuple[Ensemble, list[TraceRow]]:
-    """Execute plan.k steps at plan.h, recording summary rows.
+def _ensemble_steps(e: Ensemble, stages, record_every: int, take=step):
+    """Step e through each (h, k) stage by take: the only loop that steps an ensemble.
 
-    Rows are recorded at step 0, at every record_every-th step, and at the
-    final step.
+    Lazily yields (h, n, ensemble) at each multiple of record_every on e's own
+    step index and at each stage's end, n steps after the last such point.
+    e's states and one spare take the steps in turn (no fresh pages a step),
+    so a yielded ensemble holds only until the generator resumes.
+    """
+    spare = np.empty_like(e.states, order="C")
+    for h, k in stages:
+        end = e.step_index + k
+        while e.step_index < end:
+            n = min(end, (e.step_index // record_every + 1) * record_every) - e.step_index
+            for _ in range(n):
+                e, spare = take(e, h, out=spare), e.states
+            yield h, n, e
+
+
+def run(e: Ensemble, plan: StepPlan, record_every: int = 1) -> tuple[Ensemble, list[TraceRow]]:
+    """Execute plan.k steps at plan.h, recording summary rows; e itself is left as it is.
+
+    Rows are recorded at e's own step, at every record_every-th step, and at
+    the final step.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     rows = [trace_row(e)]
-    cur = e
-    bufs = (np.empty_like(e.states, order="C"), np.empty_like(e.states, order="C"))
-    for i in range(plan.k):
-        cur = step(cur, plan.h, out=bufs[i % 2])
-        if cur.step_index % record_every == 0 or i == plan.k - 1:
-            rows.append(trace_row(cur))
-    return cur, rows
+    for _, _, e in _ensemble_steps(replace(e, states=e.states.copy()), [(plan.h, plan.k)], record_every):
+        rows.append(trace_row(e))
+    return e, rows
 
 
 def trace_csv(rows: list[TraceRow]) -> str:
@@ -334,12 +347,7 @@ def coupled_run(p: Potential, init_a, init_b, h: float, k: int, n: int, seed: in
         raise ValueError(f"coupled run requires h <= 1/L = {1.0 / p.L}, got h={h}")
     ea = init_ensemble(p, init_a, n, seed)
     eb = init_ensemble(p, init_b, n, seed)
-    rms = np.empty(k + 1)
-    se = np.empty(k + 1)
-    rms[0], se[0] = _coupled_stats(ea, eb)
-    spare_a, spare_b = np.empty_like(ea.states), np.empty_like(eb.states)  # each alternates with its states
-    for i in range(k):
-        ea, spare_a = step(ea, h, out=spare_a), ea.states
-        eb, spare_b = step(eb, h, out=spare_b), eb.states
-        rms[i + 1], se[i + 1] = _coupled_stats(ea, eb)
+    pairs = zip(_ensemble_steps(ea, [(h, k)], 1), _ensemble_steps(eb, [(h, k)], 1))
+    stats = [_coupled_stats(ea, eb)] + [_coupled_stats(a, b) for (_, _, a), (_, _, b) in pairs]
+    rms, se = np.array(stats).T
     return CoupledTrace(rms=rms, se=se)

@@ -29,6 +29,7 @@ from .chain import (
     GAUSSIAN_1_OVER_M,
     GaussianInit,
     PointInit,
+    _ensemble_steps,
     check_seed,
     coupled_run,
     init_ensemble,
@@ -407,9 +408,8 @@ def _oracle_moment_margin(second, rows) -> float:
 
 # A tracker follows one exact oracle law alongside the chain: it holds the
 # law, its worst per-step margins and its recorded rows, and judges its own
-# claims at the end. The oracles never read the chain, so between two record
-# points the chain takes its n steps and then each tracker advances n steps;
-# every object runs the same sequence of operations as in lockstep.
+# claims at the end. The oracles never read the chain, so at each record point
+# each tracker advances the n steps the chain took since the last one.
 
 
 class _GaussianTracker:
@@ -646,24 +646,16 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
         raise ConfigError(f"[run] out_dir: {exc}") from exc
 
     chain_rows = [trace_row(ens)]
-    spare = np.empty_like(ens.states)  # the loop alternates it with the states it steps from
-    done = 0
     started = time.perf_counter()
-    for plan in plans:
-        end = done + plan.k
-        while done < end:
-            # up to the next multiple of record_every, or to the end of the stage
-            n = min(end, (done // cfg.record_every + 1) * cfg.record_every) - done
-            for _ in range(n):
-                ens, spare = step(ens, plan.h, out=spare), ens.states
-            for t in trackers:
-                t.advance(plan.h, n)
-            done += n
-            chain_rows.append(trace_row(ens))
-            for t in trackers:
-                t.row(done)
-            if len(chain_rows) == 2:  # the first record point
-                _print_eta((time.perf_counter() - started) / done, steps - done)
+    stages = [(plan.h, plan.k) for plan in plans]
+    # each step looks cli.step up, where the benchmark hooks and times it
+    for h, n, ens in _ensemble_steps(ens, stages, cfg.record_every, lambda *a, **kw: step(*a, **kw)):
+        chain_rows.append(trace_row(ens))
+        for t in trackers:
+            t.advance(h, n)
+            t.row(ens.step_index)
+        if len(chain_rows) == 2:  # the first record point
+            _print_eta((time.perf_counter() - started) / ens.step_index, steps - ens.step_index)
 
     verdicts = [v for t in trackers for v in t.verdicts(cfg, plans, resolved, chain_rows, ens)]
 

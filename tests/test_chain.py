@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import warnings
@@ -424,6 +425,60 @@ def test_run_rejects_bad_record_every():
     plan = StepPlan(h=0.1, k=3, epsilon=0.5, regime="strong")
     with pytest.raises(ValueError, match="record_every"):
         run(e, plan, record_every=0)
+
+
+@pytest.mark.parametrize("k, record_every", [(7, 1), (100, 3), (120, 50)])
+def test_run_leaves_its_input_and_matches_single_steps_bit_for_bit(k, record_every):
+    """run steps a copy of e, so e.states stay bit-identical; its rows and final states are those of single
+    step calls into fresh arrays, recorded at each multiple of record_every and at the last step, bit for bit."""
+    pot, h = quadratic_diagonal([1.0, 2.0]), 0.05
+    e = init_ensemble(pot, GAUSSIAN_1_OVER_M, 300, seed=21)
+    before = e.states.copy()
+    final, rows = run(e, StepPlan(h=h, k=k, epsilon=0.5, regime="strong"), record_every)
+    assert e.states.tobytes() == before.tobytes() and e.step_index == 0
+    cur, expected = e, [chain_mod.trace_row(e)]
+    for _ in range(k):
+        cur = step(cur, h)
+        if cur.step_index % record_every == 0 or cur.step_index == k:
+            expected.append(chain_mod.trace_row(cur))
+    assert [repr(r) for r in rows] == [repr(r) for r in expected]  # a float's repr round-trips its bits
+    assert final.step_index == k and final.states.tobytes() == cur.states.tobytes()
+
+
+def test_run_records_on_the_ensembles_own_step_index():
+    """From step 130, record_every = 50 and k = 100 record steps 130, 150, 200 and 230: each multiple of
+    record_every on the ensemble's own step index and the end of each stage, the rule langevin-kl run shares."""
+    pot = quadratic_diagonal([1.0])
+    e = dataclasses.replace(init_ensemble(pot, PointInit(np.ones(1)), 4, seed=2), step_index=130)
+    final, rows = run(e, StepPlan(h=0.1, k=100, epsilon=0.5, regime="strong"), record_every=50)
+    assert [r.step for r in rows] == [130, 150, 200, 230] and final.step_index == 230
+    # a second stage records its own end too; each yield carries its stage's h and the steps since the last
+    points = chain_mod._ensemble_steps(dataclasses.replace(e, states=e.states.copy()), [(0.1, 100), (0.05, 75)], 50)
+    assert [(h, n, cur.step_index) for h, n, cur in points] == [
+        (0.1, 20, 150), (0.1, 50, 200), (0.1, 30, 230), (0.05, 20, 250), (0.05, 50, 300), (0.05, 5, 305)
+    ]
+
+
+@pytest.mark.parametrize(
+    "states", [np.full((3, 1), 1e70), np.array([[1e60], [1e70], [-1e69]])], ids=["one-point", "chain-1-first"]
+)
+def test_run_raises_the_divergence_of_single_steps(states):
+    """A chain that overflows between two record points stops run with the DivergedError that single step calls
+    raise: the same chain index, step index and last finite state. At h = 1e10 each step multiplies a state by
+    about -1e10, so a start at 1e70 is near 1e300 at step 23 and overflows in the step from there. The only
+    record point it passes, step 0, squares |x|^2 in its standard error, so the start stays below 1e77."""
+    pot, h = quadratic_diagonal([1.0]), 1e10
+    e = dataclasses.replace(init_ensemble(pot, PointInit(np.zeros(1)), 3, seed=5), states=states)
+    cur = e
+    with pytest.raises(DivergedError) as single:
+        for _ in range(50):
+            cur = step(cur, h)
+    with pytest.raises(DivergedError) as info:
+        run(e, StepPlan(h=h, k=50, epsilon=0.5, regime="strong"), record_every=50)
+    assert 0 < single.value.step_index < 50 and abs(single.value.state[0]) > 1e299
+    assert (info.value.chain_index, info.value.step_index) == (single.value.chain_index, single.value.step_index)
+    assert info.value.state.tobytes() == single.value.state.tobytes()
+    assert str(info.value) == str(single.value)
 
 
 def test_trace_csv_format():

@@ -9,6 +9,7 @@ import platform
 import re
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -1270,8 +1271,10 @@ def test_src_imports_are_used_or_wrapped_by_the_benchmark():
     assert unused == {("cli", "stationary_law")}  # imported only for the probe (ROADMAP item 1)
 
 
-def test_run_steps_through_the_cli_step_name(tmp_path, monkeypatch, capsys):
-    """Every ULA step of a run goes through cli.step, where the benchmark times it."""
+@pytest.mark.parametrize("ini", ["STRONG_INI", "HALVING_INI", "WEAK_INI"])
+def test_run_steps_through_the_cli_step_name(ini, tmp_path, monkeypatch, capsys):
+    """Every ULA step of a run goes through cli.step, where the benchmark times it: one stage, four stages,
+    and a grid-oracle run."""
     calls = []
     original = cli.step
 
@@ -1280,12 +1283,40 @@ def test_run_steps_through_the_cli_step_name(tmp_path, monkeypatch, capsys):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, "step", counting_step)
-    cfg = tmp_path / "strong.ini"
+    cfg = tmp_path / "run.ini"
     out = tmp_path / "out"
-    cfg.write_text(STRONG_INI.format(out=out))
+    cfg.write_text(globals()[ini].format(out=out))
     assert main(["run", str(cfg)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert len(calls) == sum(p["k"] for p in report["plan"])
+
+
+def test_benchmark_first_step_hook_stamps_once_and_puts_cli_step_back(tmp_path, monkeypatch, capsys):
+    """The untraced probe's one-shot hook on cli.step takes one stamp in a four-stage run and puts cli.step
+    back, and every planned step still goes through cli.step. A run loop that captured cli.step once would
+    call the hook at every step, and the last step would set the stamp."""
+    probe = _perfbench("probe")
+    reads = []
+    monkeypatch.setattr(probe, "time", types.SimpleNamespace(monotonic_ns=lambda: reads.append(1) or len(reads)))
+    calls = []
+    original = cli.step
+
+    def counting_step(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "step", counting_step)
+    stamp = {"first_step_ns": None}
+    probe._first_step_hook(cli, stamp)
+    cfg = tmp_path / "halving.ini"
+    out = tmp_path / "out"
+    cfg.write_text(HALVING_INI.format(out=out))
+    assert main(["run", str(cfg)]) == 0
+    plan = json.loads((out / "report.json").read_text())["plan"]
+    assert len(plan) == 4  # stages of 45, 89, 178 and 355 steps: none ends on a multiple of record_every = 25
+    assert stamp == {"first_step_ns": 1} and len(reads) == 1
+    assert cli.step is counting_step
+    assert len(calls) == sum(p["k"] for p in plan)
 
 
 def test_run_advances_the_grid_oracle_through_the_cli_name(tmp_path, monkeypatch, capsys):
