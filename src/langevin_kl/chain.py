@@ -310,11 +310,16 @@ def run(e: Ensemble, plan: StepPlan, record_every: int = 1) -> tuple[Ensemble, l
     return e, rows
 
 
+def _csv_text(columns: tuple[str, ...], rows) -> str:
+    """A header of the columns, then a line a row of its fields of those names: floats by repr, others by str."""
+    cells = [columns, *([getattr(r, c) for c in columns] for r in rows)]
+    lines = (",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in line) for line in cells)
+    return "".join(line + "\n" for line in lines)
+
+
 def trace_csv(rows: list[TraceRow]) -> str:
     """Serialize trace rows to CSV: step,second_moment,mean_norm."""
-    lines = ["step,second_moment,mean_norm"]
-    lines += [f"{r.step},{r.second_moment!r},{r.mean_norm!r}" for r in rows]
-    return "\n".join(lines) + "\n"
+    return _csv_text(("step", "second_moment", "mean_norm"), rows)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import math
 import platform
 import sys
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import accumulate
@@ -29,6 +30,7 @@ from .chain import (
     GAUSSIAN_1_OVER_M,
     GaussianInit,
     PointInit,
+    _csv_text,
     _ensemble_steps,
     check_seed,
     coupled_run,
@@ -314,6 +316,15 @@ def load_config(path: str) -> RunConfig:
         check_seed(cfg.seed)
     except ValueError as exc:
         raise ConfigError(f"run.{exc}") from exc
+    # a key the run would not read is refused, where report.json's config would echo it as if used
+    for section in ("weak", "halving"):
+        if cfg.regime != section and cfg.raw.get(section):
+            raise ConfigError(
+                f"[{section}] sets {', '.join(cfg.raw[section])}, read only under regime = {section}; "
+                f"this config has regime = {cfg.regime}"
+            )
+    if cfg.grid_n is not None and not cfg.grid_oracle:
+        raise ConfigError("[oracles] grid_n is read only with grid = true, and the grid oracle is off")
     return cfg
 
 
@@ -375,11 +386,6 @@ def _verdict(name: str, margin: float, tol: float = MARGIN_TOL) -> Verdict:
     return Verdict(name=name, claim=_CLAIMS[name], margin=float(margin), passed=bool(margin >= tol))
 
 
-def _csv_text(header: str, rows) -> str:
-    lines = [header] + [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in r) for r in rows]
-    return "".join(line + "\n" for line in lines)
-
-
 def _json_safe(obj):
     """Replace non-finite floats (h_prime=inf, trivial margins) for strict JSON."""
     if isinstance(obj, dict):
@@ -423,7 +429,8 @@ class _GaussianTracker:
     the row's KL and W2 to the target come from a pass over step j+n alone.
     """
 
-    csv = ("gaussian_csv", "gaussian.csv", "step,kl,w2,fisher,second_moment")
+    Row = namedtuple("Row", "step kl w2 fisher second_moment")
+    csv = ("gaussian_csv", "gaussian.csv")
 
     def __init__(self, pot, init):
         if pot.kind == "quadratic-diagonal":
@@ -482,20 +489,20 @@ class _GaussianTracker:
         kl, w2 = (float(s[0]) for s in self.start.target_stats(self.h, self.j, first=self.j))
         # relative Fisher information does not depend on the basis
         fisher = fisher_info_relative(GaussianLaw(self.path.mean, self.path.cov), self.basis_A)
-        self.rows.append((step_idx, kl, w2, fisher, self.second))
+        self.rows.append(self.Row(step_idx, kl, w2, fisher, self.second))
 
     def verdicts(self, cfg, plans, resolved, chain_rows, ens) -> list[Verdict]:
         pot = self.pot
-        _, kl_final, w2_final, _, _ = self.rows[-1]  # the last row is taken at the final law
+        final = self.rows[-1]  # the last row is taken at the final law
         eps = _final_epsilon(cfg, plans)
         verdicts = []
         if isinstance(self.init, str):
-            verdicts.append(_verdict("kl_init_bound", kl_init_bound(pot.m, pot.L, pot.d) - self.rows[0][1]))
+            verdicts.append(_verdict("kl_init_bound", kl_init_bound(pot.m, pot.L, pot.d) - self.rows[0].kl))
         # by regime; a weak one names its oracle, as the grid's weak_kl_final may sit beside it
         name = "weak_gaussian_kl_final" if cfg.regime == "weak" else f"{cfg.regime}_kl_final"
-        verdicts.append(_verdict(name, eps - kl_final))
+        verdicts.append(_verdict(name, eps - final.kl))
         if cfg.regime == "halving" and plans:
-            kl_at = {r[0]: r[1] for r in self.rows}  # each stage ends at a record point
+            kl_at = {r.step: r.kl for r in self.rows}  # each stage ends at a record point
             margins = [p.epsilon - kl_at[end] for p, end in zip(plans, accumulate(p.k for p in plans))]
             verdicts.append(_verdict("halving_stage_targets", min(margins)))
         law = self.law
@@ -504,7 +511,7 @@ class _GaussianTracker:
         zs = z_scores_vs_oracle(summarize(ens), law)
         zmax = max(float(np.max(np.abs(zs["mean"]))), float(np.max(np.abs(zs["cov"]))), abs(zs["second_moment"]))
         return verdicts + [
-            _verdict("w2_target", math.sqrt(2.0 * eps / pot.m) - w2_final),
+            _verdict("w2_target", math.sqrt(2.0 * eps / pot.m) - final.w2),
             _verdict("second_moment_bound", self.sm_worst),
             _verdict("second_moment_bound_empirical", _empirical_margin(self.bound, chain_rows)),
             _verdict("w2_stationary_contraction", self.w2_worst, tol=-1e-12),
@@ -522,7 +529,8 @@ class _GridTracker:
     against the step's noise (2h).
     """
 
-    csv = ("grid_csv", "grid.csv", "step,kl,tv,w2,second_moment")
+    Row = namedtuple("Row", "step kl tv w2 second_moment")
+    csv = ("grid_csv", "grid.csv")
 
     def __init__(self, cfg, pot, init):
         self.target, self.p = default_grid(pot, None if isinstance(init, str) else init, cfg.grid_n)
@@ -554,31 +562,29 @@ class _GridTracker:
 
     def row(self, step_idx: int) -> None:
         p, tgt = self.p, self.target
-        self.rows.append(
-            (step_idx, kl_grid(p, tgt), tv_grid(p, tgt), w2_grid_1d(p, tgt), second_moment_grid(p))
-        )
+        row = self.Row(step_idx, kl_grid(p, tgt), tv_grid(p, tgt), w2_grid_1d(p, tgt), second_moment_grid(p))
+        self.rows.append(row)
 
     def verdicts(self, cfg, plans, resolved, chain_rows, ens) -> list[Verdict]:
-        kls = [r[1] for r in self.rows]
-        diffs = np.diff(kls)
+        diffs = np.diff([r.kl for r in self.rows])
         name = "weak_kl_final" if cfg.regime == "weak" else "grid_kl_final"
         verdicts = [
-            _verdict(name, _final_epsilon(cfg, plans) - kls[-1]),
+            _verdict(name, _final_epsilon(cfg, plans) - self.rows[-1].kl),
             _verdict("kl_decreasing", float(-diffs.max()) if diffs.size else 0.0, tol=-1e-12),
         ]
         if cfg.regime == "weak":
             c1, c2 = resolved["c1"], resolved["c2"]
             cap = 4.0 * (c1 * c1 + c2 * c2)
-            verdicts.append(_verdict("weak_second_moment_bound", min(cap - r[4] for r in self.rows)))
+            verdicts.append(_verdict("weak_second_moment_bound", min(cap - r.second_moment for r in self.rows)))
         return verdicts
 
 
 # how the grid oracle estimates each [weak] input a config leaves to "estimate", in the order they are
 # resolved: f(pot, grid, resolved), where the h' search reads the c1 resolved before it
 _WEAK_ESTIMATES = {
-    "c1": lambda pot, grid, resolved: grid.rows[0][3],  # the w2 of grid.csv's step-0 row
+    "c1": lambda pot, grid, resolved: grid.rows[0].w2,
     "c2": lambda pot, grid, resolved: math.sqrt(second_moment_grid(grid.target)),
-    "kl0": lambda pot, grid, resolved: grid.rows[0][1],  # the kl of grid.csv's step-0 row
+    "kl0": lambda pot, grid, resolved: grid.rows[0].kl,
     "h_prime": lambda pot, grid, resolved: estimate_h_prime(pot, resolved["c1"], grid.target),
 }
 
@@ -661,9 +667,7 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
 
     # (output key, file name, text): each text is built just before its file is written
     files = [("chain_csv", "chain.csv", lambda: trace_csv(chain_rows))]
-    for t in trackers:
-        key, name, header = t.csv
-        files.append((key, name, partial(_csv_text, header, t.rows)))
+    files += [(*t.csv, partial(_csv_text, t.Row._fields, t.rows)) for t in trackers]
     report = {
         "version": __version__,
         "seed": cfg.seed,
@@ -800,7 +804,8 @@ def _suite_contraction(seed: int):
         quad, PointInit(np.array([1.0])), PointInit(np.array([-1.0])), h=0.5, k=8, n=4, seed=seed
     )
     expected = 2.0 * 0.5 ** np.arange(9)
-    checks.append(("coupled_quadratic_exact_halving", 1e-12 - float(np.max(np.abs(trace.rms - expected)))))
+    # the two exact checks' margins already subtract their 1e-12 tolerance, so each is judged at 0
+    checks.append(("coupled_quadratic_exact_halving", 1e-12 - float(np.max(np.abs(trace.rms - expected))), 0.0))
 
     hub = construct_potential("huber", delta=1.0)
     tr = coupled_run(
@@ -817,7 +822,7 @@ def _suite_contraction(seed: int):
 
     gauss = _GaussianTracker(construct_potential("quadratic-diagonal", diag=[1.0, 2.0]), GAUSSIAN_1_OVER_M)
     gauss.advance(0.01, 300)
-    checks.append(("oracle_w2_to_stationary_nonincreasing", gauss.w2_worst + 1e-12))
+    checks.append(("oracle_w2_to_stationary_nonincreasing", gauss.w2_worst + 1e-12, 0.0))
     return checks
 
 
@@ -853,11 +858,11 @@ def cmd_verify(args) -> int:
         return 2
     checks = SUITES[args.suite](args.seed)
     failed = False
-    for name, margin in checks:
-        ok = margin >= MARGIN_TOL
+    for name, margin, *tol in checks:  # a check may carry its own tolerance, as a run verdict does
+        ok = margin >= (tol[0] if tol else MARGIN_TOL)
         failed |= not ok
         print(f"{'PASS' if ok else 'FAIL'} {name} margin={margin:.6g}")
-    worst = min(m for _, m in checks)
+    worst = min(margin for _, margin, *_ in checks)
     print(f"suite {args.suite}: {'FAIL' if failed else 'PASS'} (worst margin {worst:.6g})")
     return 1 if failed else 0
 

@@ -30,9 +30,16 @@ class MomentSummary:
 
 
 def mean_and_se(values: np.ndarray) -> tuple[float, float]:
-    """Mean of a per-chain quantity (1-D) and its standard error, 0 for a single chain."""
-    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-    return float(values.mean()), se
+    """Mean of a per-chain quantity (1-D) and its standard error, 0 for a single chain.
+
+    Both are taken on the values scaled by a power of two near their largest magnitude, and scaled back, so
+    the squared deviations stay finite wherever the values are. A power of two scales exactly: where neither
+    form overflows or underflows, both return the same bits.
+    """
+    e = math.frexp(float(np.abs(values).max()))[1]
+    x = np.ldexp(values, -e)
+    se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+    return math.ldexp(float(x.mean()), e), math.ldexp(se, e)
 
 
 def summarize(e) -> MomentSummary:

@@ -466,7 +466,7 @@ def test_run_raises_the_divergence_of_single_steps(states):
     """A chain that overflows between two record points stops run with the DivergedError that single step calls
     raise: the same chain index, step index and last finite state. At h = 1e10 each step multiplies a state by
     about -1e10, so a start at 1e70 is near 1e300 at step 23 and overflows in the step from there. The only
-    record point it passes, step 0, squares |x|^2 in its standard error, so the start stays below 1e77."""
+    record point it passes, step 0, squares x, so the start stays well below 1e154."""
     pot, h = quadratic_diagonal([1.0]), 1e10
     e = dataclasses.replace(init_ensemble(pot, PointInit(np.zeros(1)), 3, seed=5), states=states)
     cur = e
@@ -479,6 +479,27 @@ def test_run_raises_the_divergence_of_single_steps(states):
     assert (info.value.chain_index, info.value.step_index) == (single.value.chain_index, single.value.step_index)
     assert info.value.state.tobytes() == single.value.state.tobytes()
     assert str(info.value) == str(single.value)
+
+
+def test_run_records_finite_rows_far_from_the_origin():
+    """Chains at 1e140, 1e150 and -1e149 hold |x|^2 up to 1e300, where squaring each |x|^2 in the standard error
+    would overflow: run records finite rows with no warning, each within 1e-14 of a 50-digit reference."""
+    mp = pytest.importorskip("mpmath").mp
+    pot = quadratic_diagonal([1.0])
+    e = dataclasses.replace(
+        init_ensemble(pot, PointInit(np.zeros(1)), 3, seed=5), states=np.array([[1e140], [1e150], [-1e149]])
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        final, rows = run(e, StepPlan(h=0.1, k=2, epsilon=0.5, regime="strong"))
+    assert all(math.isfinite(r.second_moment_se) for r in rows)
+    with mp.workdps(50):
+        for row, states in ((rows[0], e.states), (rows[-1], final.states)):
+            sq = [mp.mpf(float(x)) ** 2 for x in states[:, 0]]
+            mean = mp.fsum(sq) / 3
+            se = mp.sqrt(mp.fsum((s - mean) ** 2 for s in sq) / 2 / 3)
+            assert abs(row.second_moment - mean) <= 1e-14 * mean
+            assert abs(row.second_moment_se - se) <= 1e-14 * se
 
 
 def test_trace_csv_format():

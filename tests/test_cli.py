@@ -806,6 +806,31 @@ def test_benchmark_workloads_keep_their_verdict_names(tmp_path, capsys, workload
             "[potential]\nkind = quadratic-diagonal\ndiag = 1\n[init]\nkind = point\n",
             "[init] kind = point needs x; it takes x",
         ),
+        # a section or key that the regime or oracle switch does not read would be echoed as if it had been used
+        (
+            "[potential]\nkind = quadratic-diagonal\ndiag = 1\n[weak]\nc1 = 1\nkl0 = estimate\n",
+            "[weak] sets c1, kl0, read only under regime = weak; this config has regime = strong",
+        ),
+        (
+            "regime = halving\n[potential]\nkind = quadratic-diagonal\ndiag = 1\n[weak]\nh_prime = inf\n",
+            "[weak] sets h_prime, read only under regime = weak; this config has regime = halving",
+        ),
+        (
+            "[potential]\nkind = quadratic-diagonal\ndiag = 1\n[halving]\nkl0 = 4\n",
+            "[halving] sets kl0, read only under regime = halving; this config has regime = strong",
+        ),
+        (
+            "regime = weak\n[potential]\nkind = huber\ndelta = 1\n[init]\nkind = point\nx = 0\n"
+            "[weak]\nc1 = 1\nc2 = 1\nkl0 = 1\n[halving]\nkl0 = 4\n",
+            "[halving] sets kl0, read only under regime = halving; this config has regime = weak",
+        ),
+        *[
+            (
+                f"[potential]\nkind = quadratic-diagonal\ndiag = 1\n[oracles]\n{switch}grid_n = 64\n",
+                "[oracles] grid_n is read only with grid = true, and the grid oracle is off",
+            )
+            for switch in ("gaussian = true\n", "grid = false\n")
+        ],
     ],
     ids=[
         "no-potential",
@@ -854,6 +879,12 @@ def test_benchmark_workloads_keep_their_verdict_names(tmp_path, capsys, workload
         "huber-without-delta",
         "gaussian-init-without-cov-diag",
         "point-init-without-x",
+        "weak-under-strong",
+        "weak-under-halving",
+        "halving-under-strong",
+        "halving-under-weak",
+        "grid-n-without-grid",
+        "grid-n-with-grid-false",
     ],
 )
 def test_run_bad_config_is_usage_error(tmp_path, capsys, body, message):
@@ -1087,10 +1118,13 @@ def test_run_write_cut_short_by_a_full_disk_removes_the_partial_file(tmp_path, m
     assert list(out_dir.iterdir()) == []
 
 
-def test_readme_config_grammar_shows_the_declared_keys():
-    """Each key README's ini grammar block shows, commented out or not, is declared, and each one declared is shown."""
+def test_readme_config_grammar_shows_the_declared_keys(tmp_path):
+    """Each key README's ini grammar block shows, commented out or not, is declared, and each one declared is shown;
+    the block itself loads."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "grammar.ini").write_text(block)
+    assert cli.load_config(str(tmp_path / "grammar.ini")).regime == "strong"
     shown, section = set(), None
     for line in block.splitlines():
         if m := re.match(r"\[(\w+)\]", line):
@@ -1142,6 +1176,23 @@ def test_verify_moments_fails_a_planted_wrong_oracle(monkeypatch, capsys):
     assert "PASS oracle_second_moment_le_4d_over_m " in out
     assert "PASS empirical_second_moment_le_4d_over_m_5se " in out
     assert "FAIL empirical_second_moment_within_5se_of_oracle " in out
+
+
+def test_verify_contraction_judges_its_exact_check_at_its_own_tolerance(monkeypatch, capsys):
+    """coupled_quadratic_exact_halving holds the coupled rms to 2 * 0.5**t within 1e-12: a planted error of
+    1e-10 fails it, where judged at MARGIN_TOL (-1e-9) on top of its own 1e-12 it passed."""
+    real = cli.coupled_run
+
+    def planted(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        return type(trace)(rms=trace.rms + 1e-10, se=trace.se)
+
+    monkeypatch.setattr(cli, "coupled_run", planted)
+    assert main(["verify", "contraction", "--seed", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL coupled_quadratic_exact_halving margin=-9.9e-11" in out
+    assert "PASS coupled_huber_nonincreasing_5se " in out
+    assert "PASS oracle_w2_to_stationary_nonincreasing " in out
 
 
 def test_verify_unknown_suite_lists_choices(capsys):

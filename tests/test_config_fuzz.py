@@ -168,9 +168,10 @@ def _small_run(draw, out_dir):
         "oracles": {
             "gaussian": str(quadratic and init["kind"] != "point" and draw(st.booleans())).lower(),
             "grid": str(d == 1 and draw(st.booleans())).lower(),
-            "grid_n": "64",
         },
     }
+    if values["oracles"]["grid"] == "true":  # grid_n is read only with the grid oracle on
+        values["oracles"]["grid_n"] = "64"
     if regime == "weak":
         choices = ["estimate", "1", "0.5"] if values["oracles"]["grid"] == "true" else ["1", "0.5"]
         values["weak"] = {key: draw(st.sampled_from(choices)) for key in ("c1", "c2", "h_prime", "kl0")}
