@@ -21,7 +21,7 @@ import numpy as np
 from numpy.random import SFC64, Generator, Philox
 
 from .metrics import mean_and_se
-from .planner import StepPlan
+from .planner import StepPlan, _check_steps
 from .potentials import Potential, grad_u
 
 __all__ = [
@@ -226,8 +226,7 @@ def step(e: Ensemble, h: float, workers: int = 1, out: np.ndarray | None = None)
     effect: it is kept only because perfbench/run.py still times
     step(e, h, workers=1) against workers=2, and can go once it stops.
     """
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError(f"step size must be positive and finite, got {h}")
+    _check_steps(h)
     try:
         count = int(workers)
     except ValueError:
@@ -346,8 +345,7 @@ def coupled_run(p: Potential, init_a, init_b, h: float, k: int, n: int, seed: in
     Requires h <= 1/L, the regime in which a single convex smooth ULA step
     contracts every coupled pair.
     """
-    if k < 1:
-        raise ValueError(f"need at least one step, got k={k}")
+    _check_steps(h, k)
     if h > 1.0 / p.L:
         raise ValueError(f"coupled run requires h <= 1/L = {1.0 / p.L}, got h={h}")
     ea = init_ensemble(p, init_a, n, seed)

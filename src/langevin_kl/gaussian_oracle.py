@@ -15,6 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .planner import _check_steps
+from .potentials import _symmetrized
+
 __all__ = [
     "GaussianLaw",
     "gaussian_1d",
@@ -83,9 +86,7 @@ class GaussianLaw:
             raise ValueError(f"shape mismatch: mean {mean.shape}, cov {cov.shape}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and covariance must be finite")
-        if not _symmetric(cov):
-            raise ValueError("covariance must be symmetric")
-        cov = 0.5 * (cov + cov.T)
+        cov = _symmetrized(cov, "covariance")
         try:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
@@ -107,18 +108,11 @@ def gaussian_1d(mean: float, var: float) -> GaussianLaw:
     return GaussianLaw(np.array([float(mean)]), np.array([[float(var)]]))
 
 
-def _symmetric(M: np.ndarray) -> bool:
-    """|M - M^T| <= 1e-10 * max(1, max|M|) entrywise (False on NaN)."""
-    return bool(np.abs(M - M.T).max() <= 1e-10 * max(1.0, float(np.abs(M).max())))
-
-
 def _spd(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not _symmetric(A):
-        raise ValueError("matrix must be symmetric")
-    return 0.5 * (A + A.T)
+    return _symmetrized(A)
 
 
 def _is_diagonal(M: np.ndarray) -> bool:
@@ -150,9 +144,9 @@ def _eig(A) -> tuple[np.ndarray, np.ndarray | None]:
     return w, Q
 
 
-def _check_step(w: np.ndarray, h: float, unstable: str = "diverges") -> None:
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
+def _check_step(w: np.ndarray, h: float, unstable: str = "diverges", k=1, least: int = 1) -> None:
+    """Fails unless (h, k) passes _check_steps and h * max(w) < 2, past which the law {unstable}."""
+    _check_steps(h, k, least)
     if h * w.max() >= 2.0:
         raise ValueError(f"unstable step: h*L = {h * w.max()} >= 2 {unstable}")
 
@@ -211,9 +205,7 @@ class GaussianPath:
 
     def _stepping(self, h: float, k: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """h w and the stationary variances v = 2/(w (2 - h w)) of stepsize h."""
-        _check_step(self.w, h)
-        if int(k) != k or k < 0:
-            raise ValueError(f"step count must be a nonnegative integer, got {k}")
+        _check_step(self.w, h, k=k, least=0)
         if not 0 <= first <= k:
             raise ValueError(f"need 0 <= first <= k, got first={first}, k={k}")
         a = h * self.w

@@ -18,6 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import GaussianInit, PointInit
 from .gaussian_oracle import _binned_normal
+from .planner import _check_steps
 from .potentials import Potential, grad_u, u_value
 
 __all__ = [
@@ -251,8 +252,10 @@ _STEP_SLOT: tuple[tuple, _StepOperator] | None = None
 
 
 def _step_operator(p: GridDensity, pot: Potential, h: float) -> _StepOperator:
-    """The operator of a grid step on p's grid for (pot, h), built unless it is in the slot."""
+    """The operator of a grid step on p's grid for (pot, h), built unless it is in the slot; pot must be 1-D."""
     global _STEP_SLOT
+    _check_1d(pot)
+    _check_steps(h)
     key = (p.x_min, p.x_max, p.n, id(pot), h)
     slot = _STEP_SLOT  # read once: another thread may replace it meanwhile
     if slot is not None and slot[0] == key:
@@ -275,12 +278,9 @@ def _step_operator(p: GridDensity, pot: Potential, h: float) -> _StepOperator:
     return op
 
 
-def _check_grid_step(pot: Potential, h: float) -> None:
-    """Fails unless pot is 1-D and h positive and finite, as every grid step needs."""
+def _check_1d(pot: Potential) -> None:
     if pot.d != 1:
         raise ValueError(f"grid oracle is 1-D only, potential has d={pot.d}")
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError(f"step size must be positive and finite, got {h}")
 
 
 def _grid_steps(p: GridDensity, pot: Potential, h: float):
@@ -358,9 +358,7 @@ def ula_step_grid(p: GridDensity, pot: Potential, h: float, k: int = 1) -> GridD
 
     Step k of one pass of _grid_steps: bit for bit the law, budget and failure of k single calls.
     """
-    _check_grid_step(pot, h)
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValueError(f"step count must be a positive integer, got {k!r}")
+    _check_steps(h, k)
     mass, drift, boundary = next(itertools.islice(_grid_steps(p, pot, h), k - 1, None))
     return GridDensity(p.x_min, p.x_max, p.n, mass, renorm_drift_abs_sum=drift, boundary_mass_max=boundary)
 
@@ -371,8 +369,7 @@ def target_density_grid(pot: Potential, x_min: float, x_max: float, n: int) -> G
     Fails, as every GridDensity does, if a boundary cell holds a 1e-9
     fraction of the mass, i.e. the tails do not fit.
     """
-    if pot.d != 1:
-        raise ValueError(f"grid oracle is 1-D only, potential has d={pot.d}")
+    _check_1d(pot)
     dx = _cell_width(x_min, x_max, n)
     c = x_min + (np.arange(n) + 0.5) * dx
     u = u_value(pot, c[:, None])
@@ -439,7 +436,6 @@ def stationary_grid(pot: Potential, h: float, target: GridDensity) -> GridDensit
     the bare masses after each step, and the law is built once, at the end.
     An empirical estimate: nothing beyond the stopping rule certifies it.
     """
-    _check_grid_step(pot, h)
     last = target.mass.copy()
     gap = math.inf
     for _, (mass, drift, boundary) in zip(range(_STATIONARY_MAX_STEPS), _grid_steps(target, pot, h)):

@@ -50,8 +50,13 @@ def summarize(e) -> MomentSummary:
     n, d = x.shape
     if n < 2:
         raise ValueError(f"need at least 2 samples for standard errors, got {n}")
-    mean = x.mean(axis=0)
-    xc = x - mean
+    # the moments are taken on x scaled by 2^-e, as in mean_and_se, so that no
+    # product of deviations overflows, and scaled back: exact, where neither
+    # form overflows or underflows
+    e = math.frexp(float(np.abs(x).max()))[1]
+    xs = np.ldexp(x, -e)
+    mean = xs.mean(axis=0)
+    xc = xs - mean
     cov = xc.T @ xc / (n - 1)
     second, second_se = mean_and_se(np.sum(x * x, axis=1))
 
@@ -63,7 +68,13 @@ def summarize(e) -> MomentSummary:
     cov_se = np.sqrt(cov_var / n)
 
     return MomentSummary(
-        mean=mean, cov=cov, second_moment=second, n=n, mean_se=mean_se, cov_se=cov_se, second_moment_se=second_se
+        mean=np.ldexp(mean, e),
+        cov=np.ldexp(cov, 2 * e),
+        second_moment=second,
+        n=n,
+        mean_se=np.ldexp(mean_se, e),
+        cov_se=np.ldexp(cov_se, 2 * e),
+        second_moment_se=second_se,
     )
 
 

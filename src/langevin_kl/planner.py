@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "PlanningError",
     "StepPlan",
@@ -29,6 +31,14 @@ class PlanningError(ValueError):
     """No valid (h, k) schedule exists for the requested target."""
 
 
+def _check_steps(h, k=1, least: int = 1, error=ValueError) -> None:
+    """The rule for every ULA (h, k): h positive and finite, k an int or numpy integer >= least (1, or 0: no steps)."""
+    if not (h > 0 and math.isfinite(h)):
+        raise error(f"step size must be positive and finite, got {h}")
+    if not (isinstance(k, (int, np.integer)) and k >= least):
+        raise error(f"step count must be a {'positive' if least else 'nonnegative'} integer, got {k!r}")
+
+
 @dataclass(frozen=True)
 class StepPlan:
     h: float
@@ -38,10 +48,7 @@ class StepPlan:
     notes: str = ""
 
     def __post_init__(self):
-        if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise PlanningError(f"step size must be positive and finite, got {self.h}")
-        if self.k < 1:
-            raise PlanningError(f"iteration count must be >= 1, got {self.k}")
+        _check_steps(self.h, self.k, error=PlanningError)
         if not self.epsilon > 0.0:
             raise PlanningError(f"target accuracy must be positive, got {self.epsilon}")
 

@@ -48,15 +48,19 @@ def quadratic_diagonal(diag) -> Potential:
     )
 
 
+def _symmetrized(M: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """(M + M^T) / 2, the one symmetry rule: ValueError unless M is finite and |M - M^T| <= 1e-12 * max(1, max|M|)."""
+    if not (np.isfinite(M).all() and np.abs(M - M.T).max() <= 1e-12 * max(1.0, float(np.abs(M).max()))):
+        raise ValueError(f"{name} must be symmetric")
+    return 0.5 * (M + M.T)
+
+
 def quadratic_full(matrix) -> Potential:
     """U(x) = 0.5 * x^T A x for a symmetric positive-definite A."""
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise ValueError("matrix must be square and non-empty")
-    scale = max(1.0, float(np.abs(A).max()))
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * scale):
-        raise ValueError("matrix must be symmetric")
-    A = 0.5 * (A + A.T)
+    A = _symmetrized(A)
     w = np.linalg.eigvalsh(A)
     if not w[0] > 0:
         raise ValueError(f"matrix must be positive definite, got min eigenvalue {w[0]}")

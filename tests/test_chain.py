@@ -201,9 +201,9 @@ def test_step_rejects_a_bad_out():
         step(e_view, 0.1, out=big[1:])
 
 
-@pytest.mark.parametrize("workers", [0, -3, "0"], ids=["zero", "negative", "zero-text"])
+@pytest.mark.parametrize("workers", [0, -3, "0", "x"], ids=["zero", "negative", "zero-text", "not-a-number"])
 def test_explicit_worker_count_below_one_is_rejected(workers):
-    """A count below one is an error, not a quiet single worker."""
+    """A count below one, or no count at all, is an error, not a quiet single worker."""
     pot = quadratic_diagonal([1.0, 2.0])
     e = init_ensemble(pot, GAUSSIAN_1_OVER_M, 10, seed=0)
     with pytest.raises(ValueError, match="workers must be a positive integer"):
@@ -236,6 +236,8 @@ def test_normals_follow_the_block_layout(monkeypatch):
             assert np.array_equal(out, expected[b * per :])
         with pytest.raises(ValueError, match="does not start a block"):
             chain_mod._normals(seed, 1, step_index, 1, np.empty((per, d)))
+    with pytest.raises(ValueError, match="normals are written into C-contiguous rows only"):
+        chain_mod._normals(seed, 1, step_index, 0, np.empty((2, 4)).T)
 
 
 def test_reused_generator_reads_the_words_of_a_fresh_one(monkeypatch):
@@ -593,7 +595,7 @@ def test_coupled_run_requires_small_step():
         (lambda: init_ensemble(huber(1.0), "gaussian", 4, 0), "unsupported init spec"),
         (
             lambda: coupled_run(huber(1.0), PointInit(np.zeros(1)), PointInit(np.ones(1)), h=0.5, k=0, n=2, seed=0),
-            "need at least one step",
+            "step count must be a positive integer",
         ),
     ],
     ids=[

@@ -719,6 +719,13 @@ def test_estimate_h_prime_is_usable():
     assert w2_grid_1d(pi_h, tgt) <= c1
 
 
+@pytest.mark.parametrize("c1", [0.0, -1.0, math.nan])
+def test_estimate_h_prime_needs_a_positive_radius(c1):
+    pot = huber(1.0)
+    with pytest.raises(ValueError, match="c1 must be positive"):
+        estimate_h_prime(pot, c1, target_density_grid(pot, -24.0, 24.0, 1024))
+
+
 def test_stationary_grid_without_a_fixed_point_raises(monkeypatch):
     """A law still moving when the step budget runs out is no fixed point (a budget of 3 steps here)."""
     monkeypatch.setattr(grid_oracle, "_STATIONARY_MAX_STEPS", 3)

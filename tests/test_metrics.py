@@ -87,3 +87,18 @@ def test_z_scores_dimension_mismatch():
 def test_summarize_needs_an_n_by_d_sample(samples):
     with pytest.raises(ValueError, match=r"expected samples of shape \(n, d\)"):
         summarize(samples)
+
+
+def test_summarize_stays_finite_far_from_the_origin():
+    """Deviations near 1e77 square past float range; the moments are taken on the states scaled by a power of two."""
+    s = summarize(np.array([[1e77], [2e77], [-3e77]]))
+    assert np.isfinite(s.cov_se).all() and np.isfinite(s.mean_se).all()
+    assert s.cov[0, 0] == pytest.approx(7e154, rel=1e-15)
+    # scaling the states by 2^k scales each estimate exactly
+    x = np.array([[1e77, -2e76], [2e77, 5e76], [-3e77, 1e76], [4e76, -7e76]])
+    big, small = summarize(x), summarize(np.ldexp(x, -300))
+    assert np.isfinite(big.cov_se).all() and big.cov_se.max() > 0
+    assert np.array_equal(big.mean, np.ldexp(small.mean, 300))
+    assert np.array_equal(big.cov, np.ldexp(small.cov, 600))
+    assert np.array_equal(big.mean_se, np.ldexp(small.mean_se, 300))
+    assert np.array_equal(big.cov_se, np.ldexp(small.cov_se, 600))

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langevin_kl.gaussian_oracle import GaussianLaw, kl_gaussian, target_law
+from langevin_kl import chain, gaussian_oracle, grid_oracle
+from langevin_kl.chain import GAUSSIAN_1_OVER_M, PointInit, coupled_run, init_ensemble, run, step
+from langevin_kl.gaussian_oracle import (
+    GaussianLaw,
+    GaussianPath,
+    kl_gaussian,
+    stationary_law,
+    target_law,
+    ula_step_law,
+)
+from langevin_kl.grid_oracle import discretize_gaussian, stationary_grid, target_density_grid, ula_step_grid
 from langevin_kl.planner import (
     PlanningError,
     StepPlan,
@@ -18,6 +28,7 @@ from langevin_kl.planner import (
     plan_strong_w2,
     plan_weak,
 )
+from langevin_kl.potentials import quadratic_diagonal
 
 
 def test_plan_strong_reference_case():
@@ -219,6 +230,8 @@ def test_weak_plan_matches_printed_caps(c1, c2, hp, kl0, L, d, eps):
     "call, message",
     [
         (lambda: plan_strong(1.0, 2.0, 2, 0.0), "epsilon must be positive"),
+        (lambda: plan_weak(WeakPlanInputs(1.0, 1.0, math.inf, 1.0), 1.0, 1, -1.0), "epsilon must be positive"),
+        (lambda: plan_halving(1.0, 2.0, 2, 0.0, 1.0), "epsilon must be positive"),
         (lambda: plan_strong_tv(1.0, 2.0, 2, 0.0), "TV target delta must be positive"),
         (lambda: plan_strong_tv(1.0, 2.0, 2, 1e-200), "TV target delta=1e-200 is too small: .* underflows to 0"),
         (lambda: plan_strong_w2(1.0, 2.0, 2, 1e-200), "W2 target delta=1e-200 is too small: .* underflows to 0"),
@@ -230,6 +243,8 @@ def test_weak_plan_matches_printed_caps(c1, c2, hp, kl0, L, d, eps):
     ],
     ids=[
         "strong-epsilon-zero",
+        "weak-epsilon-negative",
+        "halving-epsilon-zero",
         "tv-delta-zero",
         "tv-delta-squared-underflows",
         "w2-delta-squared-underflows",
@@ -242,3 +257,54 @@ def test_weak_plan_matches_printed_caps(c1, c2, hp, kl0, L, d, eps):
 def test_planner_inputs_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+_POT = quadratic_diagonal([1.0])
+_ENSEMBLE = init_ensemble(_POT, GAUSSIAN_1_OVER_M, 4, seed=0)
+_LAW = GaussianLaw([0.5], [1.0])
+_GRID = discretize_gaussian(0.0, 1.0, -8.0, 8.0, 256)
+_TARGET = target_density_grid(_POT, -8.0, 8.0, 256)
+# every entry point that steps: a call at (h, k), and the least k it takes (None: it takes no k)
+_STEPPERS = {
+    "StepPlan": (lambda h, k: StepPlan(h=h, k=k, epsilon=0.5, regime="strong"), 1),
+    "step": (lambda h, k: step(_ENSEMBLE, h), None),
+    "run": (lambda h, k: run(_ENSEMBLE, StepPlan(h=h, k=k, epsilon=0.5, regime="strong")), 1),
+    "coupled_run": (lambda h, k: coupled_run(_POT, PointInit([0.0]), PointInit([1.0]), h, k, 2, 0), 1),
+    "ula_step_law": (lambda h, k: ula_step_law(_LAW, np.eye(1), h, k), 0),
+    "GaussianPath.jump": (lambda h, k: GaussianPath(_LAW, np.eye(1)).jump(h, k), 0),
+    "GaussianPath.stats": (lambda h, k: GaussianPath(_LAW, np.eye(1)).stats(h, k), 0),
+    "stationary_law": (lambda h, k: stationary_law(np.eye(1), h), None),
+    "ula_step_grid": (lambda h, k: ula_step_grid(_GRID, _POT, h, k), 1),
+    "stationary_grid": (lambda h, k: stationary_grid(_POT, h, _TARGET), None),
+}
+
+
+def _bad_steps():
+    for name, (_, least) in _STEPPERS.items():
+        for h in (0.0, -1.0, math.nan, math.inf):
+            yield pytest.param(name, h, 3, "step size must be positive and finite", id=f"{name}-h={h}")
+        if least is not None:
+            word = "positive" if least else "nonnegative"
+            for k in (2.5, math.nan, math.inf, *([0] if least else [])):
+                yield pytest.param(name, 0.1, k, f"step count must be a {word} integer", id=f"{name}-k={k}")
+
+
+@pytest.mark.parametrize("name, h, k, message", _bad_steps())
+def test_every_stepper_refuses_a_bad_h_or_k_by_one_rule_before_any_work(name, h, k, message, monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("an ensemble was drawn or a law stepped before (h, k) was checked")
+
+    # drawing an ensemble, a chain step's noise, a Gaussian law's steps, a grid step's drift map
+    work_sites = [(chain, "init_ensemble"), (chain, "_normals"), (gaussian_oracle, "_decay"), (grid_oracle, "grad_u")]
+    for module, attr in work_sites:
+        monkeypatch.setattr(module, attr, work)
+    expected = PlanningError if name in ("StepPlan", "run") else ValueError
+    with pytest.raises(expected, match=message) as info:
+        _STEPPERS[name][0](h, k)
+    assert type(info.value) is expected
+
+
+def test_a_numpy_integer_is_a_step_count():
+    assert StepPlan(h=0.1, k=np.int64(3), epsilon=0.5, regime="strong").k == 3
+    assert ula_step_law(_LAW, np.eye(1), 0.1, np.int64(0)) is _LAW
+    assert ula_step_grid(_GRID, _POT, 0.1, np.int64(2)).n == _GRID.n

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from langevin_kl import cli, potentials
+from langevin_kl.gaussian_oracle import target_law
 from langevin_kl.potentials import (
     construct_potential,
     grad_u,
@@ -224,3 +225,26 @@ def test_potential_inputs_are_checked(call, message):
 
 def test_huber_dim_may_be_a_numpy_integer():
     assert huber(1.0, dim=np.int64(3)).d == 3
+
+
+def test_a_0d_point_is_one_coordinate():
+    """A bare number is the one coordinate of a point of a 1-D potential."""
+    pot = quadratic_diagonal([2.0])
+    assert u_value(pot, 3.0) == 9.0
+    assert np.array_equal(grad_u(pot, np.float64(3.0)), [6.0])
+    assert np.array_equal(grad_u(huber(1.0), 3.0), [1.0])
+
+
+@pytest.mark.parametrize("gap, symmetric", [(1e-13, True), (1e-11, False)])
+def test_the_potential_and_the_oracle_judge_symmetry_alike(gap, symmetric):
+    """One tolerance, 1e-12 * max(1, max|A|), for a potential's matrix and the Gaussian oracle's."""
+    A = np.array([[2.0, 0.5 + gap], [0.5, 1.0]])
+    verdicts = []
+    for build in (quadratic_full, target_law):
+        try:
+            build(A)
+            verdicts.append(True)
+        except ValueError as exc:
+            assert str(exc) == "matrix must be symmetric"
+            verdicts.append(False)
+    assert verdicts == [symmetric, symmetric]
