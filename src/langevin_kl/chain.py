@@ -21,7 +21,7 @@ import numpy as np
 from numpy.random import SFC64, Generator, Philox
 
 from .metrics import mean_and_se
-from .planner import StepPlan, _check_steps
+from .planner import StepPlan, _check_count, _check_positive, _check_steps
 from .potentials import Potential, grad_u
 
 __all__ = [
@@ -150,10 +150,10 @@ class _BlockStream:
 _STREAMS = threading.local()  # each thread's _BlockStream, built for its first block
 
 
-def _normals(seed: int, purpose: int, step: int, lo: int, out: np.ndarray) -> None:
-    """Write the standard normals of chains [lo, lo + len(out)) into out, shape (chains, d).
+def _normals(seed: int, purpose: int, step: int, out: np.ndarray) -> None:
+    """Write the standard normals of the slot's chains 0, ..., len(out) - 1 into out, shape (chains, d).
 
-    lo starts a block. Block b of the (seed, purpose, step) slot is numpy's
+    Block b of the (seed, purpose, step) slot is numpy's
     ziggurat on an SFC64 seeded by the first three words of Philox key
     (seed, 0) from counter (0, b, step, purpose): the counter-based Philox
     hashes the address, the cheaper SFC64 draws the bulk. A block cut short by
@@ -162,13 +162,11 @@ def _normals(seed: int, purpose: int, step: int, lo: int, out: np.ndarray) -> No
     if not out.flags.c_contiguous:
         raise ValueError("normals are written into C-contiguous rows only")
     per = -(-_BLOCK_NORMALS // out.shape[1])  # chains per block
-    if lo % per:
-        raise ValueError(f"chain {lo} does not start a block of {per} chains")
     stream = getattr(_STREAMS, "stream", None)
     if stream is None:
         stream = _STREAMS.stream = _BlockStream()
     for a in range(0, out.shape[0], per):
-        stream.at(seed, purpose, step, (lo + a) // per).standard_normal(out=out[a : a + per])
+        stream.at(seed, purpose, step, a // per).standard_normal(out=out[a : a + per])
 
 
 def init_ensemble(p: Potential, init, n: int, seed: int) -> Ensemble:
@@ -178,8 +176,7 @@ def init_ensemble(p: Potential, init, n: int, seed: int) -> Ensemble:
     or a PointInit. Draws come from the (chain, step 0) init stream. seed is
     an integer in [0, 2**64).
     """
-    if n < 1:
-        raise ValueError(f"need at least one chain, got {n}")
+    _check_count(n, "chain count")
     seed = check_seed(seed)
     if isinstance(init, str) and init == GAUSSIAN_1_OVER_M:
         if not p.m > 0:
@@ -188,7 +185,7 @@ def init_ensemble(p: Potential, init, n: int, seed: int) -> Ensemble:
                 "GaussianInit or PointInit"
             )
         states = np.empty((n, p.d))
-        _normals(seed, _PURPOSE_INIT, 0, 0, states)
+        _normals(seed, _PURPOSE_INIT, 0, states)
         states /= math.sqrt(p.m)
     elif isinstance(init, GaussianInit):
         mean = np.atleast_1d(np.asarray(init.mean, dtype=float))
@@ -200,7 +197,7 @@ def init_ensemble(p: Potential, init, n: int, seed: int) -> Ensemble:
         if not (np.isfinite(mean).all() and np.isfinite(var).all()):
             raise ValueError("init mean and variances must be finite")
         states = np.empty((n, p.d))
-        _normals(seed, _PURPOSE_INIT, 0, 0, states)
+        _normals(seed, _PURPOSE_INIT, 0, states)
         states *= np.sqrt(var)
         states += mean
     elif isinstance(init, PointInit):
@@ -226,7 +223,7 @@ def step(e: Ensemble, h: float, workers: int = 1, out: np.ndarray | None = None)
     effect: it is kept only because perfbench/run.py still times
     step(e, h, workers=1) against workers=2, and can go once it stops.
     """
-    _check_steps(h)
+    _check_positive(h, "step size")
     try:
         count = int(workers)
     except ValueError:
@@ -245,7 +242,7 @@ def step(e: Ensemble, h: float, workers: int = 1, out: np.ndarray | None = None)
     elif np.shares_memory(out, e.states):
         raise ValueError("out overlaps the states it is computed from")
     x = e.states
-    _normals(e.seed, _PURPOSE_STEP, e.step_index, 0, out)
+    _normals(e.seed, _PURPOSE_STEP, e.step_index, out)
     out *= math.sqrt(2.0 * h)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
         # h * grad is a new array, so x - h * grad is written into it
@@ -301,8 +298,7 @@ def run(e: Ensemble, plan: StepPlan, record_every: int = 1) -> tuple[Ensemble, l
     Rows are recorded at e's own step, at every record_every-th step, and at
     the final step.
     """
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    _check_count(record_every, "record_every")
     rows = [trace_row(e)]
     for _, _, e in _ensemble_steps(replace(e, states=e.states.copy()), [(plan.h, plan.k)], record_every):
         rows.append(trace_row(e))
@@ -346,6 +342,7 @@ def coupled_run(p: Potential, init_a, init_b, h: float, k: int, n: int, seed: in
     contracts every coupled pair.
     """
     _check_steps(h, k)
+    _check_count(n, "chain count")
     if h > 1.0 / p.L:
         raise ValueError(f"coupled run requires h <= 1/L = {1.0 / p.L}, got h={h}")
     ea = init_ensemble(p, init_a, n, seed)

@@ -73,6 +73,8 @@ from .planner import (
     PlanningError,
     StepPlan,
     WeakPlanInputs,
+    _check_count,
+    _check_positive,
     kl_init_bound,
     plan_halving,
     plan_strong,
@@ -267,6 +269,8 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"cannot read config file {path}")
         _check_keys(cp)
         run = cp["run"]
+        if "epsilon" not in run:
+            raise ConfigError("[run] needs epsilon")
         regime = run.get("regime", "strong")
         if regime not in ("strong", "weak", "halving"):
             raise ConfigError(f"unknown regime {regime!r}")
@@ -300,18 +304,15 @@ def load_config(path: str) -> RunConfig:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config {path}: {exc}") from exc
-    if cfg.epsilon is None or not cfg.epsilon > 0:
-        raise ConfigError("run.epsilon must be a positive number")
-    if cfg.n_chains < 2:
-        raise ConfigError("run.n_chains must be >= 2")
-    if cfg.record_every < 1:
-        raise ConfigError("run.record_every must be >= 1")
+    _check_positive(cfg.epsilon, "run.epsilon", error=ConfigError)
+    _check_count(cfg.n_chains, "run.n_chains", 2, error=ConfigError)
+    _check_count(cfg.record_every, "run.record_every", error=ConfigError)
     for key, values in cfg.init_params.items():
         what = "sqrt(cov_diag)" if key == "cov_diag" else f"|{key}|"
         if not all((math.sqrt(abs(v)) if key == "cov_diag" else abs(v)) <= _INIT_MAX for v in values):
             raise ConfigError(f"[init] {key}: every {what} must be at most {_INIT_MAX:g}, got {values}")
-    if cfg.halving_kl0 is not None and not 0 < cfg.halving_kl0 < math.inf:
-        raise ConfigError(f"halving.kl0 must be a number in (0, inf), got {cfg.halving_kl0}")
+    if cfg.halving_kl0 is not None:
+        _check_positive(cfg.halving_kl0, "halving.kl0", error=ConfigError)
     try:
         check_seed(cfg.seed)
     except ValueError as exc:
@@ -323,8 +324,10 @@ def load_config(path: str) -> RunConfig:
                 f"[{section}] sets {', '.join(cfg.raw[section])}, read only under regime = {section}; "
                 f"this config has regime = {cfg.regime}"
             )
-    if cfg.grid_n is not None and not cfg.grid_oracle:
-        raise ConfigError("[oracles] grid_n is read only with grid = true, and the grid oracle is off")
+    if cfg.grid_n is not None:
+        if not cfg.grid_oracle:
+            raise ConfigError("[oracles] grid_n is read only with grid = true, and the grid oracle is off")
+        _check_count(cfg.grid_n, "oracles.grid_n", 8, error=ConfigError)
     return cfg
 
 
@@ -344,10 +347,8 @@ def _weak_value(text: str, key: str):
     try:
         x = float(v)
     except ValueError:
-        x = math.nan
-    if not (x > 0 and (x < math.inf or key == "h_prime")):
-        span = "(0, inf]" if key == "h_prime" else "(0, inf)"
-        raise ConfigError(f"weak.{key} must be a number in {span} or estimate, got {v!r}")
+        raise ConfigError(f"weak.{key} must be a number or estimate, got {v!r}") from None
+    _check_positive(x, f"weak.{key}", finite=key != "h_prime", error=ConfigError)
     return x
 
 

@@ -84,8 +84,8 @@ class GaussianLaw:
             cov = np.diag(cov)
         if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
             raise ValueError(f"shape mismatch: mean {mean.shape}, cov {cov.shape}")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValueError("mean and covariance must be finite")
+        if not np.isfinite(mean).all():
+            raise ValueError("mean must be finite")
         cov = _symmetrized(cov, "covariance")
         try:
             np.linalg.cholesky(cov)
@@ -108,13 +108,6 @@ def gaussian_1d(mean: float, var: float) -> GaussianLaw:
     return GaussianLaw(np.array([float(mean)]), np.array([[float(var)]]))
 
 
-def _spd(A) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return _symmetrized(A)
-
-
 def _is_diagonal(M: np.ndarray) -> bool:
     return np.count_nonzero(M) == np.count_nonzero(np.diagonal(M))
 
@@ -134,7 +127,7 @@ _CHUNK_ELEMS = 1 << 17  # floats per (steps x d) or (steps x d x d) block of a p
 
 def _eig(A) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues and eigenvectors of a symmetric positive-definite A (Q None if A is diagonal)."""
-    A = _spd(A)
+    A = _symmetrized(A)
     if _is_diagonal(A):
         w, Q = np.diagonal(A).copy(), None
     else:
@@ -411,7 +404,7 @@ def fisher_info_relative(p: GaussianLaw, A) -> float:
     With M = A - cov^{-1} the closed form is ||A mean||^2 + tr(M cov M); it is
     nonnegative and vanishes exactly when p equals the target.
     """
-    A = _spd(A)
+    A = _symmetrized(A)
     if A.shape[0] != p.d:
         raise ValueError(f"dimension mismatch: law d={p.d}, matrix {A.shape}")
     prec = np.linalg.inv(p.cov)

@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import GaussianInit, PointInit
 from .gaussian_oracle import _binned_normal
-from .planner import _check_steps
+from .planner import _check_count, _check_positive, _check_steps
 from .potentials import Potential, grad_u, u_value
 
 __all__ = [
@@ -88,7 +88,7 @@ class GridDensity:
 
     @property
     def dx(self) -> float:
-        return _cell_width(self.x_min, self.x_max, self.n)
+        return (self.x_max - self.x_min) / self.n
 
     @property
     def centers(self) -> np.ndarray:
@@ -96,11 +96,10 @@ class GridDensity:
 
 
 def _cell_width(x_min: float, x_max: float, n: int) -> float:
-    """The cell width of the box [x_min, x_max] cut into n cells; fails on a box no law can live on."""
-    if not x_max > x_min:
-        raise ValueError(f"need x_max > x_min, got [{x_min}, {x_max}]")
-    if n < 8:
-        raise ValueError(f"need at least 8 cells, got {n}")
+    """The grid-box rule: the cell width of [x_min, x_max], finite and x_min < x_max, cut into n >= 8 cells."""
+    if not -math.inf < x_min < x_max < math.inf:
+        raise ValueError(f"need x_max > x_min, both finite, got [{x_min}, {x_max}]")
+    _check_count(n, "cell count", 8)
     return (x_max - x_min) / n
 
 
@@ -152,8 +151,7 @@ def discretize_gaussian(mean: float, var: float, x_min: float, x_max: float, n: 
     The grid must cover mean +/- _REACH (8) standard deviations.
     """
     dx = _cell_width(x_min, x_max, n)
-    if not var > 0:
-        raise ValueError(f"variance must be positive, got {var}")
+    _check_positive(var, "variance")
     sd = math.sqrt(var)
     lo, hi = mean - _REACH * sd, mean + _REACH * sd
     if x_min > lo or x_max < hi:
@@ -454,8 +452,7 @@ def estimate_h_prime(pot: Potential, c1: float, target: GridDensity) -> float:
     monotone-drift limit of the grid kernel, and halves until the stationary
     estimate fits the radius. Empirical, not certified.
     """
-    if not c1 > 0:
-        raise ValueError(f"c1 must be positive, got {c1}")
+    _check_positive(c1, "c1")
     h = 1.0 / pot.L
     for _ in range(24):
         pi_h = stationary_grid(pot, h, target)

@@ -31,12 +31,23 @@ class PlanningError(ValueError):
     """No valid (h, k) schedule exists for the requested target."""
 
 
+def _check_positive(x, what: str, finite: bool = True, error=ValueError) -> None:
+    """The rule for every positive number: x > 0, and finite unless inf has a meaning there (finite=False)."""
+    if not (x > 0 and (x < math.inf or not finite)):
+        raise error(f"{what} must be positive{' and finite' if finite else ''}, got {x}")
+
+
+def _check_count(n, what: str, least: int = 1, most: int | None = None, error=ValueError) -> None:
+    """The rule for every count: an int or numpy integer, never a bool, in [least, most] (no bound if most is None)."""
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and least <= n and (most is None or n <= most)):
+        words = {0: "a nonnegative integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
+        raise error(f"{what} must be {words if most is None else f'an integer in [{least}, {most}]'}, got {n!r}")
+
+
 def _check_steps(h, k=1, least: int = 1, error=ValueError) -> None:
-    """The rule for every ULA (h, k): h positive and finite, k an int or numpy integer >= least (1, or 0: no steps)."""
-    if not (h > 0 and math.isfinite(h)):
-        raise error(f"step size must be positive and finite, got {h}")
-    if not (isinstance(k, (int, np.integer)) and k >= least):
-        raise error(f"step count must be a {'positive' if least else 'nonnegative'} integer, got {k!r}")
+    """The rule for every ULA (h, k): h a positive finite step size, k a step count >= least (1, or 0: no steps)."""
+    _check_positive(h, "step size", error=error)
+    _check_count(k, "step count", least, error=error)
 
 
 @dataclass(frozen=True)
@@ -49,15 +60,19 @@ class StepPlan:
 
     def __post_init__(self):
         _check_steps(self.h, self.k, error=PlanningError)
-        if not self.epsilon > 0.0:
-            raise PlanningError(f"target accuracy must be positive, got {self.epsilon}")
+        _check_positive(self.epsilon, "epsilon", error=PlanningError)
 
 
-def _check_mld(m: float, L: float, d: int) -> None:
-    if not (0 < m <= L):
-        raise PlanningError(f"need 0 < m <= L, got m={m}, L={L}")
-    if not 1 <= d <= 2**53:  # a float holds d exactly
-        raise PlanningError(f"dimension must be in [1, 2**53], got {d}")
+def _check_problem(m: float | None, L: float, d: int, epsilon: float | None = None) -> None:
+    """A planner's inputs: L, m (None: a convex target has none) and epsilon positive and finite, m <= L, d <= 2**53."""
+    _check_positive(L, "L", error=PlanningError)
+    if m is not None:
+        _check_positive(m, "m", error=PlanningError)
+        if m > L:
+            raise PlanningError(f"need m <= L, got m={m}, L={L}")
+    _check_count(d, "dimension", 1, 2**53, error=PlanningError)  # a float holds d exactly
+    if epsilon is not None:
+        _check_positive(epsilon, "epsilon", error=PlanningError)
 
 
 def _quotient(a: float, b: float) -> float:
@@ -96,9 +111,7 @@ def plan_strong(m: float, L: float, d: int, epsilon: float) -> StepPlan:
     only while d*L/(m*eps) > 1, so the log factor is positive; the resulting h
     always satisfies h < 1/(16*L).
     """
-    _check_mld(m, L, d)
-    if not epsilon > 0:
-        raise PlanningError(f"epsilon must be positive, got {epsilon}")
+    _check_problem(m, L, d, epsilon)
     h, k = _strong_schedule(m, L, d, epsilon)
     notes = (
         "h=m*eps/(16*d*L^2); k=ceil(16*(L/m)^2*d*ln(d*L/(m*eps))/eps); "
@@ -109,8 +122,7 @@ def plan_strong(m: float, L: float, d: int, epsilon: float) -> StepPlan:
 
 def plan_strong_tv(m: float, L: float, d: int, delta: float) -> StepPlan:
     """Total-variation target: TV(p_k, p*) <= delta via the KL plan at eps = delta^2."""
-    if not delta > 0:
-        raise PlanningError(f"TV target delta must be positive, got {delta}")
+    _check_positive(delta, "TV target delta", error=PlanningError)
     if not delta * delta > 0:
         raise PlanningError(f"TV target delta={delta} is too small: eps = delta^2 underflows to 0")
     base = plan_strong(m, L, d, delta * delta)
@@ -125,8 +137,7 @@ def plan_strong_w2(m: float, L: float, d: int, delta: float) -> StepPlan:
     convention eps = m*delta^2 leaves a sqrt(2) slack and is recorded in the
     notes only.
     """
-    if not delta > 0:
-        raise PlanningError(f"W2 target delta must be positive, got {delta}")
+    _check_positive(delta, "W2 target delta", error=PlanningError)
     eps = m * delta * delta / 2.0
     if m > 0 and not eps > 0:
         raise PlanningError(f"W2 target delta={delta} is too small: eps = m*delta^2/2 underflows to 0")
@@ -155,9 +166,7 @@ class WeakPlanInputs:
 
     def __post_init__(self):
         for name in ("c1", "c2", "h_prime", "kl0"):
-            v = getattr(self, name)
-            if not v > 0:
-                raise PlanningError(f"{name} must be positive, got {v}")
+            _check_positive(getattr(self, name), name, finite=name != "h_prime", error=PlanningError)
 
 
 def plan_weak(inputs: WeakPlanInputs, L: float, d: int, epsilon: float) -> StepPlan:
@@ -169,12 +178,7 @@ def plan_weak(inputs: WeakPlanInputs, L: float, d: int, epsilon: float) -> StepP
     counts the burn-in spent while the KL gap exceeds 1 and is dropped when
     kl0 <= 1.
     """
-    if not L > 0:
-        raise PlanningError(f"L must be positive, got {L}")
-    if not 1 <= d <= 2**53:
-        raise PlanningError(f"dimension must be in [1, 2**53], got {d}")
-    if not epsilon > 0:
-        raise PlanningError(f"epsilon must be positive, got {epsilon}")
+    _check_problem(None, L, d, epsilon)
     c1, c2 = inputs.c1, inputs.c2
     caps = {
         "eps/(C1*(C1+C2)*L^2)": _quotient(epsilon, c1 * (c1 + c2) * L * L),
@@ -202,11 +206,8 @@ def plan_halving(m: float, L: float, d: int, epsilon: float, kl0: float) -> list
     every target needs d*L/(m*eps_j) > 1, so kl0 must be below 2*d*L/m.
     Returns [] when kl0 <= epsilon (nothing left to do).
     """
-    _check_mld(m, L, d)
-    if not epsilon > 0:
-        raise PlanningError(f"epsilon must be positive, got {epsilon}")
-    if not 0 < kl0 < math.inf:
-        raise PlanningError(f"kl0 must be positive and finite, got {kl0}")
+    _check_problem(m, L, d, epsilon)
+    _check_positive(kl0, "kl0", error=PlanningError)
     plans, eps_j = [], kl0
     while eps_j > epsilon:  # stage j targets kl0/2^(j+1), the last one the first at or below epsilon
         j = len(plans)
@@ -230,5 +231,5 @@ def discretization_error_bound(L: float, h: float, d: int, second_moment: float)
 
 def kl_init_bound(m: float, L: float, d: int) -> float:
     """Upper bound d*L/m on KL(N(0, I/m), p*) for an m-strongly-convex target."""
-    _check_mld(m, L, d)
+    _check_problem(m, L, d)
     return d * L / m

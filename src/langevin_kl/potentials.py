@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .planner import _check_count, _check_positive
+
 __all__ = [
     "Potential",
     "construct_potential",
@@ -48,19 +50,22 @@ def quadratic_diagonal(diag) -> Potential:
     )
 
 
-def _symmetrized(M: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """(M + M^T) / 2, the one symmetry rule: ValueError unless M is finite and |M - M^T| <= 1e-12 * max(1, max|M|)."""
-    if not (np.isfinite(M).all() and np.abs(M - M.T).max() <= 1e-12 * max(1.0, float(np.abs(M).max()))):
+def _symmetrized(M, name: str = "matrix") -> np.ndarray:
+    """(M + M^T) / 2, the one matrix rule: ValueError unless M is square, non-empty, finite and symmetric,
+    |M - M^T| <= 1e-12 * max(1, max|M|) entrywise."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise ValueError(f"{name} must be square and non-empty, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} must be finite")
+    if not np.abs(M - M.T).max() <= 1e-12 * max(1.0, float(np.abs(M).max())):
         raise ValueError(f"{name} must be symmetric")
     return 0.5 * (M + M.T)
 
 
 def quadratic_full(matrix) -> Potential:
     """U(x) = 0.5 * x^T A x for a symmetric positive-definite A."""
-    A = np.asarray(matrix, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
-        raise ValueError("matrix must be square and non-empty")
-    A = _symmetrized(A)
+    A = _symmetrized(matrix)
     w = np.linalg.eigvalsh(A)
     if not w[0] > 0:
         raise ValueError(f"matrix must be positive definite, got min eigenvalue {w[0]}")
@@ -74,10 +79,8 @@ def huber(delta: float, dim: int = 1) -> Potential:
     delta*|x| - delta^2/2 outside, so the potential is convex (m = 0) and
     1-smooth (L = 1) exactly, and separable for the 1-D grid oracle.
     """
-    if not delta > 0:
-        raise ValueError(f"huber threshold delta must be positive, got {delta}")
-    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-        raise ValueError(f"dimension must be an integer >= 1, got {dim!r}")
+    _check_positive(delta, "huber threshold delta")
+    _check_count(dim, "dimension")
     return Potential(kind="huber", m=0.0, L=1.0, d=int(dim), delta=float(delta))
 
 

@@ -55,7 +55,7 @@ def test_init_gaussian_explicit_moments():
 def test_step_drift_only_with_forced_zero_noise(monkeypatch):
     pot = quadratic_diagonal([1.0])
     e = init_ensemble(pot, PointInit(np.array([1.0])), 1, seed=0)
-    monkeypatch.setattr(chain_mod, "_normals", lambda seed, purpose, step, lo, out: out.fill(0.0))
+    monkeypatch.setattr(chain_mod, "_normals", lambda seed, purpose, step, out: out.fill(0.0))
     out = step(e, 0.5)
     assert out.states[0, 0] == 0.5
 
@@ -223,21 +223,20 @@ def test_a_worker_count_leaves_the_step_unchanged(monkeypatch):
 
 def test_normals_follow_the_block_layout(monkeypatch):
     # block b of a slot is the stream of a fresh SFC64 seeded from the Philox
-    # words at the block's address, whichever chunk starts there
+    # words at the block's address, and a block cut short by the end of the
+    # ensemble holds its stream's first normals
     monkeypatch.setattr(chain_mod, "_BLOCK_NORMALS", 12)
     seed, step_index = 2024, 3
     for d in (1, 2, 3, 5):
         per = -(-12 // d)
         n = 3 * per + 1  # three full blocks and one chain of a fourth
         expected = np.concatenate([_fresh_block(seed, 1, step_index, b, (per, d)) for b in range(4)])[:n]
-        for b in range(4):
-            out = np.empty((n - b * per, d))
-            chain_mod._normals(seed, 1, step_index, b * per, out)
-            assert np.array_equal(out, expected[b * per :])
-        with pytest.raises(ValueError, match="does not start a block"):
-            chain_mod._normals(seed, 1, step_index, 1, np.empty((per, d)))
+        for chains in (n, 2 * per + 1, 1):
+            out = np.empty((chains, d))
+            chain_mod._normals(seed, 1, step_index, out)
+            assert np.array_equal(out, expected[:chains])
     with pytest.raises(ValueError, match="normals are written into C-contiguous rows only"):
-        chain_mod._normals(seed, 1, step_index, 0, np.empty((2, 4)).T)
+        chain_mod._normals(seed, 1, step_index, np.empty((2, 4)).T)
 
 
 def test_reused_generator_reads_the_words_of_a_fresh_one(monkeypatch):
@@ -247,6 +246,7 @@ def test_reused_generator_reads_the_words_of_a_fresh_one(monkeypatch):
     # span blocks too). None may reach the normals, and after the call both
     # bit generators hold exactly the state of fresh ones that drew the last block
     monkeypatch.setattr(chain_mod, "_BLOCK_NORMALS", 7)
+    # (seed, purpose, step, lo, shape): an ensemble of lo + shape[0] chains is drawn and its chains from lo on checked
     slots = [(2024, 1, 3, 0, (7, 3)), (5, 0, 0, 4, (3, 2)), (2**64 - 1, 1, 9, 7, (11, 1))]
     slots.append((2024, 1, 3, 3, (7, 3)))  # the first slot from its second block on
 
@@ -262,8 +262,9 @@ def test_reused_generator_reads_the_words_of_a_fresh_one(monkeypatch):
         for seed, purpose, step_index, lo, shape in slots + slots[::-1]:
             if hasattr(chain_mod._STREAMS, "stream"):
                 leave_words_behind(chain_mod._STREAMS.stream)
-            out = np.empty(shape)
-            chain_mod._normals(seed, purpose, step_index, lo, out)
+            whole = np.empty((lo + shape[0], shape[1]))
+            chain_mod._normals(seed, purpose, step_index, whole)
+            out = whole[lo:]
             per = -(-7 // shape[1])
             b0, n_blocks = lo // per, -(-shape[0] // per)
             blocks = [_fresh_block(seed, purpose, step_index, b0 + i, (per, shape[1])) for i in range(n_blocks)]
@@ -291,9 +292,9 @@ def test_neighbouring_addresses_draw_uncorrelated_blocks():
     per = chain_mod._BLOCK_NORMALS
 
     def block(seed, purpose, step_index, b=0):
-        out = np.empty((per, 1))
-        chain_mod._normals(seed, purpose, step_index, b * per, out)
-        return out.ravel()
+        out = np.empty(((b + 1) * per, 1))
+        chain_mod._normals(seed, purpose, step_index, out)
+        return out[b * per :].ravel()
 
     pairs = {
         "steps s and s + 1": (block(seed, 1, s), block(seed, 1, s + 1)),
@@ -312,7 +313,7 @@ def test_blocks_of_one_step_are_distinct_and_standard_normal(monkeypatch):
     # N(0, 1) to within 5 SE
     monkeypatch.setattr(chain_mod, "_BLOCK_NORMALS", 30)
     out = np.empty((20_000, 3))
-    chain_mod._normals(41, 1, 6, 0, out)
+    chain_mod._normals(41, 1, 6, out)
     firsts = out[::10]
     assert firsts.shape == (2_000, 3) and np.unique(firsts, axis=0).shape == firsts.shape
     assert np.unique(out).size == out.size
@@ -367,7 +368,7 @@ PINNED_NORMALS = [
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_normal_stream_is_pinned(d):
     out = np.empty((5, d))
-    chain_mod._normals(7, 1, 0, 0, out)
+    chain_mod._normals(7, 1, 0, out)
     assert out.ravel()[:5].tolist() == PINNED_NORMALS
 
 
@@ -577,7 +578,7 @@ def test_coupled_run_requires_small_step():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: init_ensemble(huber(1.0), PointInit(np.zeros(1)), 0, 0), "need at least one chain"),
+        (lambda: init_ensemble(huber(1.0), PointInit(np.zeros(1)), 0, 0), "chain count must be a positive integer"),
         (
             lambda: init_ensemble(huber(1.0), GaussianInit(mean=np.zeros(1), cov_diag=np.zeros(1)), 4, 0),
             "init variances must be positive",

@@ -673,7 +673,10 @@ def test_benchmark_workloads_keep_their_verdict_names(tmp_path, capsys, workload
             "[init]\nkind = gaussian\nmean = 0, 0, 0\ncov_diag = 1, 1\n",
             "do not match d=2",
         ),
-        ("[potential]\nkind = quadratic-diagonal\ndiag = 1\n[oracles]\ngrid = true\ngrid_n = 4\n", "8 cells"),
+        (
+            "[potential]\nkind = quadratic-diagonal\ndiag = 1\n[oracles]\ngrid = true\ngrid_n = 4\n",
+            "oracles.grid_n must be an integer >= 8, got 4",
+        ),
         # the box is the grid oracle's own: a config that still sets a bound is refused, not obeyed
         (
             "[potential]\nkind = quadratic-diagonal\ndiag = 1\n"
@@ -689,7 +692,7 @@ def test_benchmark_workloads_keep_their_verdict_names(tmp_path, capsys, workload
             (
                 "[potential]\nkind = quadratic-diagonal\ndiag = 1\n"
                 f"[oracles]\ngrid = true\ngrid_n = {n}\n",
-                "8 cells",
+                "oracles.grid_n must be an integer >= 8",
             )
             for n in (0, -5, 3)
         ],
@@ -700,7 +703,7 @@ def test_benchmark_workloads_keep_their_verdict_names(tmp_path, capsys, workload
         *[
             (
                 f"[potential]\nkind = huber\ndelta = 1\n[init]\nkind = point\nx = 0\n[weak]\n{key} = {v}\n",
-                f"weak.{key} must be a number in (0, inf",
+                f"weak.{key} must be positive",
             )
             for key, v in (("c1", "-1"), ("kl0", "nan"), ("c2", "inf"), ("h_prime", "0"))
         ],
@@ -761,7 +764,7 @@ def test_benchmark_workloads_keep_their_verdict_names(tmp_path, capsys, workload
             "[oracles]\ngaussian = true\n",
             "point laws are degenerate",
         ),
-        ("record_every = 0\n[potential]\nkind = quadratic-diagonal\ndiag = 1\n", "run.record_every must be >= 1"),
+        ("record_every = 0\n[potential]\nkind = quadratic-diagonal\ndiag = 1\n", "run.record_every must be a positive integer, got 0"),
         # a key the chosen kind does not read would be echoed in report.json as if it had been used
         (
             "[potential]\nkind = quadratic-diagonal\ndiag = 1\ndelta = 5.0\n",

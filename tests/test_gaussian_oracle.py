@@ -617,7 +617,7 @@ _LAW2 = GaussianLaw(np.zeros(2), np.eye(2))
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: target_law(np.ones((2, 3))), "expected a square matrix"),
+        (lambda: target_law(np.ones((2, 3))), "matrix must be square and non-empty, got shape"),
         (lambda: target_law(np.array([[1.0, 0.5], [0.0, 1.0]])), "matrix must be symmetric"),
         (lambda: ula_step_law(_LAW1, np.eye(1), 0.0), "step size must be positive"),
         (lambda: GaussianPath(_LAW2, np.eye(1)), "dimension mismatch: law d=2"),
@@ -629,8 +629,8 @@ _LAW2 = GaussianLaw(np.zeros(2), np.eye(2))
         (lambda: kl_gaussian(_LAW1, _LAW2), "dimension mismatch: 1 vs 2"),
         (lambda: w2_gaussian(_LAW1, _LAW2), "dimension mismatch: 1 vs 2"),
         (lambda: fisher_info_relative(_LAW1, np.eye(2)), "dimension mismatch: law d=1"),
-        (lambda: GaussianLaw([math.nan], [[1.0]]), "mean and covariance must be finite"),
-        (lambda: GaussianLaw([0.0], [[math.inf]]), "mean and covariance must be finite"),
+        (lambda: GaussianLaw([math.nan], [[1.0]]), "mean must be finite"),
+        (lambda: GaussianLaw([0.0], [[math.inf]]), "covariance must be finite"),
     ],
     ids=[
         "not-square",

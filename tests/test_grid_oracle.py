@@ -564,8 +564,8 @@ _CONSTRUCTORS = {
     "point": lambda lo, hi, n: discretize_point(0.0, lo, hi, n),
 }
 _BAD_BOXES = {
-    "n0": (-24.0, 24.0, 0, "need at least 8 cells"),
-    "n4": (-24.0, 24.0, 4, "need at least 8 cells"),
+    "n0": (-24.0, 24.0, 0, "cell count must be an integer >= 8, got 0"),
+    "n4": (-24.0, 24.0, 4, "cell count must be an integer >= 8, got 4"),
     "inverted-box": (24.0, -24.0, 64, "need x_max > x_min"),
 }
 
@@ -579,7 +579,7 @@ _BAD_BOXES = {
             for lo, hi, n, message in _BAD_BOXES.values()
         ],
         (lambda: GridDensity(1.0, 1.0, 8, np.full(8, 0.125)), "need x_max > x_min"),
-        (lambda: GridDensity(-1.0, 1.0, 7, np.full(7, 1 / 7)), "need at least 8 cells"),
+        (lambda: GridDensity(-1.0, 1.0, 7, np.full(7, 1 / 7)), "cell count must be an integer >= 8"),
         (lambda: GridDensity(-1.0, 1.0, 8, np.full(9, 1 / 9)), "does not match n=8"),
         (lambda: GridDensity(-1.0, 1.0, 8, [0.0, 0.5, 0.6, -0.1, 0.0, 0.0, 0.0, 0.0]), "negative cell mass"),
         (lambda: GridDensity(-1.0, 1.0, 8, [0.0, 0.5, 0.6, 0.0, 0.0, 0.0, 0.0, 0.0]), "is not 1 within"),

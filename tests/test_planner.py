@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from langevin_kl import chain, gaussian_oracle, grid_oracle
 from langevin_kl.chain import GAUSSIAN_1_OVER_M, PointInit, coupled_run, init_ensemble, run, step
+from langevin_kl.cli import ConfigError, load_config
 from langevin_kl.gaussian_oracle import (
     GaussianLaw,
     GaussianPath,
@@ -28,7 +29,7 @@ from langevin_kl.planner import (
     plan_strong_w2,
     plan_weak,
 )
-from langevin_kl.potentials import quadratic_diagonal
+from langevin_kl.potentials import huber, quadratic_diagonal
 
 
 def test_plan_strong_reference_case():
@@ -289,18 +290,120 @@ def _bad_steps():
                 yield pytest.param(name, 0.1, k, f"step count must be a {word} integer", id=f"{name}-k={k}")
 
 
-@pytest.mark.parametrize("name, h, k, message", _bad_steps())
-def test_every_stepper_refuses_a_bad_h_or_k_by_one_rule_before_any_work(name, h, k, message, monkeypatch):
-    def work(*args, **kwargs):
-        raise AssertionError("an ensemble was drawn or a law stepped before (h, k) was checked")
+@pytest.fixture
+def no_work(monkeypatch):
+    """Drawing an ensemble, a chain step's noise, a Gaussian law's steps or a grid law's drift map or density fails."""
 
-    # drawing an ensemble, a chain step's noise, a Gaussian law's steps, a grid step's drift map
-    work_sites = [(chain, "init_ensemble"), (chain, "_normals"), (gaussian_oracle, "_decay"), (grid_oracle, "grad_u")]
+    def work(*args, **kwargs):
+        raise AssertionError("an ensemble was drawn or a law stepped before the inputs were checked")
+
+    work_sites = [
+        (chain, "init_ensemble"),
+        (chain, "_normals"),
+        (gaussian_oracle, "_decay"),
+        (grid_oracle, "grad_u"),
+        (grid_oracle, "u_value"),
+    ]
     for module, attr in work_sites:
         monkeypatch.setattr(module, attr, work)
+
+
+@pytest.mark.parametrize("name, h, k, message", _bad_steps())
+def test_every_stepper_refuses_a_bad_h_or_k_by_one_rule_before_any_work(name, h, k, message, no_work):
     expected = PlanningError if name in ("StepPlan", "run") else ValueError
     with pytest.raises(expected, match=message) as info:
         _STEPPERS[name][0](h, k)
+    assert type(info.value) is expected
+
+
+_PLAN = StepPlan(h=0.1, k=3, epsilon=0.5, regime="strong")
+_WEAK = WeakPlanInputs(1.0, 1.0, math.inf, 2.0)
+_CONFIG = "[run]\n{}\n[potential]\nkind = quadratic-diagonal\ndiag = 1\n"
+_DIMENSION = rf"dimension must be an integer in \[1, {2**53}\], got 2.5"
+
+
+# each input, the rule's message, and the error it raises: a count, a positive number, a matrix, a grid box
+_RULE_CASES = {
+    "StepPlan-k-True": (
+        lambda: StepPlan(h=0.1, k=True, epsilon=0.5, regime="strong"),
+        "step count must be a positive integer, got True",
+    ),
+    **{
+        f"init_ensemble-n={n}": (
+            lambda n=n: init_ensemble(_POT, GAUSSIAN_1_OVER_M, n, 0),
+            f"chain count must be a positive integer, got {n!r}",
+        )
+        for n in (2.5, math.nan, True)
+    },
+    **{
+        f"run-record_every={r}": (
+            lambda r=r: run(_ENSEMBLE, _PLAN, record_every=r),
+            f"record_every must be a positive integer, got {r!r}",
+        )
+        for r in (math.nan, 2.5)
+    },
+    "coupled_run-n=2.5": (
+        lambda: coupled_run(_POT, PointInit([0.0]), PointInit([1.0]), 0.1, 3, 2.5, 0),
+        "chain count must be a positive integer, got 2.5",
+    ),
+    "huber-dim-True": (lambda: huber(1.0, dim=True), "dimension must be a positive integer, got True"),
+    "huber-delta-inf": (lambda: huber(math.inf), "huber threshold delta must be positive and finite, got inf"),
+    "plan_strong-d=2.5": (lambda: plan_strong(1.0, 2.0, 2.5, 0.1), _DIMENSION),
+    "plan_weak-d=2.5": (lambda: plan_weak(_WEAK, 1.0, 2.5, 0.1), _DIMENSION),
+    "kl_init_bound-d=2.5": (lambda: kl_init_bound(1.0, 2.0, 2.5), _DIMENSION),
+    "plan_weak-epsilon-inf": (
+        lambda: plan_weak(_WEAK, 1.0, 1, math.inf),
+        "epsilon must be positive and finite, got inf",
+    ),
+    "WeakPlanInputs-c1-inf": (
+        lambda: WeakPlanInputs(math.inf, 1.0, 1.0, 2.0),
+        "c1 must be positive and finite, got inf",
+    ),
+    "target_density_grid-n=8.5": (
+        lambda: target_density_grid(_POT, -24.0, 24.0, 8.5),
+        "cell count must be an integer >= 8, got 8.5",
+    ),
+    "target_density_grid-x_max-inf": (
+        lambda: target_density_grid(_POT, -24.0, math.inf, 64),
+        r"need x_max > x_min, both finite, got \[-24.0, inf\]",
+    ),
+    "target_law-0x0": (
+        lambda: target_law(np.zeros((0, 0))),
+        r"matrix must be square and non-empty, got shape \(0, 0\)",
+    ),
+    "GaussianLaw-0x0": (
+        lambda: GaussianLaw(np.zeros(0), np.zeros((0, 0))),
+        r"covariance must be square and non-empty, got shape \(0, 0\)",
+    ),
+}
+# load_config checks its counts and positive numbers by the same rules: ConfigError, which `run` exits 2 on
+_CONFIG_CASES = {
+    "epsilon = 0.1\nn_chains = 1": "run.n_chains must be an integer >= 2, got 1",
+    "epsilon = 0.1\nrecord_every = 0": "run.record_every must be a positive integer, got 0",
+    "epsilon = inf": "run.epsilon must be positive and finite, got inf",
+    "epsilon = 0.1\n[oracles]\ngrid = true\ngrid_n = 4": "oracles.grid_n must be an integer >= 8, got 4",
+    "regime = halving\nepsilon = 0.1\n[halving]\nkl0 = inf": "halving.kl0 must be positive and finite, got inf",
+}
+_PLANNERS = ("StepPlan", "plan_strong", "plan_weak", "kl_init_bound", "WeakPlanInputs")
+
+
+def _rule_cases():
+    for name, (call, message) in _RULE_CASES.items():
+        yield pytest.param(call, PlanningError if name.startswith(_PLANNERS) else ValueError, message, id=name)
+    for text, message in _CONFIG_CASES.items():
+        yield pytest.param(_CONFIG.format(text), ConfigError, message, id=f"config-{text.splitlines()[-1]}")
+
+
+@pytest.mark.parametrize("call, expected, message", _rule_cases())
+def test_every_count_positive_number_matrix_and_box_is_refused_by_its_rule_before_any_work(
+    call, expected, message, no_work, tmp_path
+):
+    if isinstance(call, str):  # a run config's text
+        path = tmp_path / "bad.ini"
+        path.write_text(call)
+        call = lambda: load_config(str(path))  # noqa: E731
+    with pytest.raises(expected, match=message) as info:
+        call()
     assert type(info.value) is expected
 
 

@@ -212,9 +212,9 @@ def test_huber_gradient_is_np_clip_bit_for_bit(delta):
     [
         (lambda: quadratic_full([[1.0, 0.0]]), "matrix must be square and non-empty"),
         (lambda: quadratic_full(np.zeros((0, 0))), "matrix must be square and non-empty"),
-        (lambda: huber(1.0, dim=0), "dimension must be an integer >= 1, got 0"),
-        (lambda: huber(1.0, dim=2.5), "dimension must be an integer >= 1, got 2.5"),
-        (lambda: huber(1.0, dim=2.0), "dimension must be an integer >= 1, got 2.0"),
+        (lambda: huber(1.0, dim=0), "dimension must be a positive integer, got 0"),
+        (lambda: huber(1.0, dim=2.5), "dimension must be a positive integer, got 2.5"),
+        (lambda: huber(1.0, dim=2.0), "dimension must be a positive integer, got 2.0"),
     ],
     ids=["full-not-square", "full-empty", "huber-dim-0", "huber-dim-2.5", "huber-dim-float"],
 )
