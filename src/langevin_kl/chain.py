@@ -13,7 +13,6 @@ synchronous coupling the contraction experiments need.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from dataclasses import dataclass, replace
 
@@ -92,12 +91,13 @@ class Ensemble:
         return self.states.shape[1]
 
 
-def check_seed(seed) -> int:
-    """The seed as an int, or ValueError unless it is an integer in [0, 2**64), a Philox key."""
-    seed = operator.index(seed)
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
-    return seed
+def check_seed(seed, what: str = "seed", error=ValueError) -> int:
+    """The seed as an int, or error unless it is a count (planner._check_count) in [0, 2**64), a Philox key."""
+    try:
+        _check_count(seed, what, 0, (1 << 64) - 1)
+    except ValueError:  # the count rule's bound would read 18446744073709551615
+        raise error(f"{what} must be an integer in [0, 2**64), got {seed}") from None
+    return int(seed)
 
 
 class _BlockStream:
@@ -179,10 +179,10 @@ def init_ensemble(p: Potential, init, n: int, seed: int) -> Ensemble:
     _check_count(n, "chain count")
     seed = check_seed(seed)
     if isinstance(init, str) and init == GAUSSIAN_1_OVER_M:
-        if not p.m > 0:
+        if not p.m > 0:  # worded for a run config's [init] too, where this is the default
             raise ValueError(
-                "gaussian_1_over_m needs m > 0; for a weakly convex target pass an explicit "
-                "GaussianInit or PointInit"
+                f"the default {GAUSSIAN_1_OVER_M} init needs m > 0 and {p.kind} has m = {p.m}; "
+                "set an explicit [init] (kind = gaussian or point)"
             )
         states = np.empty((n, p.d))
         _normals(seed, _PURPOSE_INIT, 0, states)
@@ -192,10 +192,10 @@ def init_ensemble(p: Potential, init, n: int, seed: int) -> Ensemble:
         var = np.atleast_1d(np.asarray(init.cov_diag, dtype=float))
         if mean.size != p.d or var.size != p.d:
             raise ValueError(f"init dimensions {mean.size}/{var.size} do not match d={p.d}")
-        if not np.all(var > 0):
-            raise ValueError("init variances must be positive")
-        if not (np.isfinite(mean).all() and np.isfinite(var).all()):
-            raise ValueError("init mean and variances must be finite")
+        for bound in (var.min(), var.max()):  # every variance lies between them, and a NaN one makes both NaN
+            _check_positive(bound, "init variances")
+        if not np.isfinite(mean).all():
+            raise ValueError("init mean must be finite")
         states = np.empty((n, p.d))
         _normals(seed, _PURPOSE_INIT, 0, states)
         states *= np.sqrt(var)
@@ -219,17 +219,12 @@ def step(e: Ensemble, h: float, workers: int = 1, out: np.ndarray | None = None)
     into out if given: a C-contiguous float64 array of e.states' shape that
     shares no memory with it.
 
-    Steps are serial. workers must be a positive integer and has no other
-    effect: it is kept only because perfbench/run.py still times
+    Steps are serial. workers is a positive count by the count rule and has
+    no other effect: it is kept only because perfbench/run.py still times
     step(e, h, workers=1) against workers=2, and can go once it stops.
     """
     _check_positive(h, "step size")
-    try:
-        count = int(workers)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    _check_count(workers, "workers")
     if out is None:
         out = np.empty_like(e.states, order="C")
     elif (

@@ -75,6 +75,7 @@ from .planner import (
     WeakPlanInputs,
     _check_count,
     _check_positive,
+    _check_weak_input,
     kl_init_bound,
     plan_halving,
     plan_strong,
@@ -85,9 +86,8 @@ from .planner import (
 from .potentials import construct_potential
 
 MARGIN_TOL = -1e-9
-# the largest |mean|, |x| and sqrt(cov_diag) of an [init]: the standard error
-# of the ensemble second moment squares each chain's |x|^2 again, so this
-# bounds |x|^4 (about 1e240 a coordinate) well inside the float range
+# the largest |mean|, |x| and sqrt(cov_diag) of an [init]: |x|^2, about 1e120 a coordinate, is the largest power
+# of a state formed (metrics.mean_and_se scales by a power of two before it squares), well inside the float range
 _INIT_MAX = 1e60
 # the largest max/min of an [init] cov_diag on a non-diagonal A: rotated into its eigenbasis,
 # the smallest variance moves by about 3e-16 * max/min of itself (d <= 100), at 1e16 below 0
@@ -313,10 +313,7 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"[init] {key}: every {what} must be at most {_INIT_MAX:g}, got {values}")
     if cfg.halving_kl0 is not None:
         _check_positive(cfg.halving_kl0, "halving.kl0", error=ConfigError)
-    try:
-        check_seed(cfg.seed)
-    except ValueError as exc:
-        raise ConfigError(f"run.{exc}") from exc
+    check_seed(cfg.seed, "run.seed", ConfigError)
     # a key the run would not read is refused, where report.json's config would echo it as if used
     for section in ("weak", "halving"):
         if cfg.regime != section and cfg.raw.get(section):
@@ -340,15 +337,14 @@ def _build_init(cfg: RunConfig):
 
 
 def _weak_value(text: str, key: str):
-    """A [weak] input: "estimate" or a positive number; only h_prime may be inf."""
-    v = text.strip()
-    if v == "estimate":
-        return "estimate"
+    """A [weak] input: "estimate", or a number by the weak-input rule (planner._check_weak_input)."""
+    if (v := text.strip()) == "estimate":
+        return v
     try:
         x = float(v)
     except ValueError:
         raise ConfigError(f"weak.{key} must be a number or estimate, got {v!r}") from None
-    _check_positive(x, f"weak.{key}", finite=key != "h_prime", error=ConfigError)
+    _check_weak_input(key, x, f"weak.{key}", ConfigError)
     return x
 
 
@@ -401,6 +397,11 @@ def _json_safe(obj):
 def _final_epsilon(cfg, plans) -> float:
     """The KL the schedule promises at its end, the target of every final-KL verdict: the last stage's."""
     return plans[-1].epsilon if plans else cfg.epsilon  # [run] epsilon for a halving run with no stage
+
+
+def _kl_final(cfg, plans, rows, weak_name: str, name: str) -> Verdict:
+    """A tracker's final-KL verdict: the last stage's epsilon - its last row's KL, named weak_name if regime = weak."""
+    return _verdict(weak_name if cfg.regime == "weak" else name, _final_epsilon(cfg, plans) - rows[-1].kl)
 
 
 def _empirical_margin(bound: float, rows) -> float:
@@ -494,14 +495,12 @@ class _GaussianTracker:
 
     def verdicts(self, cfg, plans, resolved, chain_rows, ens) -> list[Verdict]:
         pot = self.pot
-        final = self.rows[-1]  # the last row is taken at the final law
         eps = _final_epsilon(cfg, plans)
         verdicts = []
         if isinstance(self.init, str):
             verdicts.append(_verdict("kl_init_bound", kl_init_bound(pot.m, pot.L, pot.d) - self.rows[0].kl))
-        # by regime; a weak one names its oracle, as the grid's weak_kl_final may sit beside it
-        name = "weak_gaussian_kl_final" if cfg.regime == "weak" else f"{cfg.regime}_kl_final"
-        verdicts.append(_verdict(name, eps - final.kl))
+        # a weak one names its oracle, as the grid's weak_kl_final may sit beside it
+        verdicts.append(_kl_final(cfg, plans, self.rows, "weak_gaussian_kl_final", f"{cfg.regime}_kl_final"))
         if cfg.regime == "halving" and plans:
             kl_at = {r.step: r.kl for r in self.rows}  # each stage ends at a record point
             margins = [p.epsilon - kl_at[end] for p, end in zip(plans, accumulate(p.k for p in plans))]
@@ -512,7 +511,7 @@ class _GaussianTracker:
         zs = z_scores_vs_oracle(summarize(ens), law)
         zmax = max(float(np.max(np.abs(zs["mean"]))), float(np.max(np.abs(zs["cov"]))), abs(zs["second_moment"]))
         return verdicts + [
-            _verdict("w2_target", math.sqrt(2.0 * eps / pot.m) - final.w2),
+            _verdict("w2_target", math.sqrt(2.0 * eps / pot.m) - self.rows[-1].w2),  # the last row is at the final law
             _verdict("second_moment_bound", self.sm_worst),
             _verdict("second_moment_bound_empirical", _empirical_margin(self.bound, chain_rows)),
             _verdict("w2_stationary_contraction", self.w2_worst, tol=-1e-12),
@@ -568,9 +567,8 @@ class _GridTracker:
 
     def verdicts(self, cfg, plans, resolved, chain_rows, ens) -> list[Verdict]:
         diffs = np.diff([r.kl for r in self.rows])
-        name = "weak_kl_final" if cfg.regime == "weak" else "grid_kl_final"
         verdicts = [
-            _verdict(name, _final_epsilon(cfg, plans) - self.rows[-1].kl),
+            _kl_final(cfg, plans, self.rows, "weak_kl_final", "grid_kl_final"),
             _verdict("kl_decreasing", float(-diffs.max()) if diffs.size else 0.0, tol=-1e-12),
         ]
         if cfg.regime == "weak":
@@ -622,11 +620,6 @@ def execute_run(cfg: RunConfig) -> tuple[dict, bool]:
         pot = construct_potential(cfg.potential_kind, **cfg.potential_params)
         init = _build_init(cfg)
         trackers = [_GaussianTracker(pot, init)] if cfg.gaussian_oracle else []
-        if isinstance(init, str) and not pot.m > 0:
-            raise ConfigError(
-                f"the default {GAUSSIAN_1_OVER_M} init needs m > 0 and {pot.kind} has m = {pot.m}; "
-                "set an explicit [init] (kind = gaussian or point)"
-            )
         ens = init_ensemble(pot, init, cfg.n_chains, cfg.seed)
         grid = _GridTracker(cfg, pot, init) if cfg.grid_oracle else None
     except (TypeError, ValueError) as exc:
@@ -853,9 +846,9 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     try:
-        check_seed(args.seed)
+        check_seed(args.seed, "--seed")
     except ValueError as exc:
-        print(f"error: --{exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     checks = SUITES[args.suite](args.seed)
     failed = False

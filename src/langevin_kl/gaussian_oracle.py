@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planner import _check_steps
-from .potentials import _symmetrized
+from .planner import _check_count, _check_steps
+from .potentials import _check_positive_definite, _symmetrized
 
 __all__ = [
     "GaussianLaw",
@@ -87,10 +87,12 @@ class GaussianLaw:
         if not np.isfinite(mean).all():
             raise ValueError("mean must be finite")
         cov = _symmetrized(cov, "covariance")
+        least = math.inf  # Cholesky decides: where it fails, cov's least eigenvalue is <= 0 to working precision
         try:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
-            raise ValueError("covariance must be positive definite") from None
+            least = min(float(np.linalg.eigvalsh(cov)[0]), 0.0)
+        _check_positive_definite(least, "covariance")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -132,8 +134,7 @@ def _eig(A) -> tuple[np.ndarray, np.ndarray | None]:
         w, Q = np.diagonal(A).copy(), None
     else:
         w, Q = np.linalg.eigh(A)
-    if not w.min() > 0:
-        raise ValueError(f"matrix must be positive definite, min eigenvalue {w.min()}")
+    _check_positive_definite(w.min())
     return w, Q
 
 
@@ -199,8 +200,7 @@ class GaussianPath:
     def _stepping(self, h: float, k: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """h w and the stationary variances v = 2/(w (2 - h w)) of stepsize h."""
         _check_step(self.w, h, k=k, least=0)
-        if not 0 <= first <= k:
-            raise ValueError(f"need 0 <= first <= k, got first={first}, k={k}")
+        _check_count(first, "first step", 0, k)
         a = h * self.w
         return a, 2.0 / (self.w * (2.0 - a))
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian_oracle import GaussianLaw
+from .planner import _check_count
 
 __all__ = ["MomentSummary", "summarize", "z_scores_vs_oracle"]
 
@@ -48,8 +49,7 @@ def summarize(e) -> MomentSummary:
     if x.ndim != 2:
         raise ValueError(f"expected samples of shape (n, d), got {x.shape}")
     n, d = x.shape
-    if n < 2:
-        raise ValueError(f"need at least 2 samples for standard errors, got {n}")
+    _check_count(n, "sample count", 2)  # a standard error needs two samples
     # the moments are taken on x scaled by 2^-e, as in mean_and_se, so that no
     # product of deviations overflows, and scaled back: exact, where neither
     # form overflows or underflows

@@ -166,7 +166,12 @@ class WeakPlanInputs:
 
     def __post_init__(self):
         for name in ("c1", "c2", "h_prime", "kl0"):
-            _check_positive(getattr(self, name), name, finite=name != "h_prime", error=PlanningError)
+            _check_weak_input(name, getattr(self, name))
+
+
+def _check_weak_input(name: str, x, what: str | None = None, error=PlanningError) -> None:
+    """The rule for every weak input, named what (name by default): positive and finite, but h_prime may be inf."""
+    _check_positive(x, what or name, finite=name != "h_prime", error=error)
 
 
 def plan_weak(inputs: WeakPlanInputs, L: float, d: int, epsilon: float) -> StepPlan:
@@ -222,10 +227,11 @@ def discretization_error_bound(L: float, h: float, d: int, second_moment: float)
     """Multiplier of the dual-norm gradient in the one-step discretization error.
 
     Returns 2*L^2*h*sqrt(second_moment) + 2*L*sqrt(h*d), where second_moment
-    bounds E||x||^2 at the step boundary.
+    bounds E||x||^2 at the step boundary. d is a count, 0 allowed; h may be 0.
     """
-    if not (L >= 0 and h >= 0 and d >= 0 and second_moment >= 0):  # NaN fails too
-        raise ValueError("all inputs must be nonnegative")
+    if not all(0 <= x < math.inf for x in (L, h, second_moment)):  # NaN fails too
+        raise ValueError(f"all inputs must be nonnegative and finite, got {L, h, second_moment}")
+    _check_count(d, "dimension", 0)
     return 2.0 * L * L * h * math.sqrt(second_moment) + 2.0 * L * math.sqrt(h * d)
 
 

@@ -43,11 +43,10 @@ def quadratic_diagonal(diag) -> Potential:
     a = np.atleast_1d(np.asarray(diag, dtype=float))
     if a.ndim != 1 or a.size == 0:
         raise ValueError("diagonal must be a non-empty 1-D array of Hessian entries")
-    if not np.all(a > 0):
-        raise ValueError(f"diagonal entries must be positive, got min {a.min()}")
-    return Potential(
-        kind="quadratic-diagonal", m=float(a.min()), L=float(a.max()), d=int(a.size), diag=a
-    )
+    m, L = float(a.min()), float(a.max())
+    for bound in (m, L):  # every entry lies between them, and a NaN entry makes both NaN
+        _check_positive(bound, "diagonal entries")
+    return Potential(kind="quadratic-diagonal", m=m, L=L, d=int(a.size), diag=a)
 
 
 def _symmetrized(M, name: str = "matrix") -> np.ndarray:
@@ -63,12 +62,17 @@ def _symmetrized(M, name: str = "matrix") -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def _check_positive_definite(least: float, name: str = "matrix") -> None:
+    """The positive-definite rule: least, a symmetric matrix's least eigenvalue by its caller's decomposition, > 0."""
+    if not least > 0:
+        raise ValueError(f"{name} must be positive definite, got min eigenvalue {least}")
+
+
 def quadratic_full(matrix) -> Potential:
     """U(x) = 0.5 * x^T A x for a symmetric positive-definite A."""
     A = _symmetrized(matrix)
     w = np.linalg.eigvalsh(A)
-    if not w[0] > 0:
-        raise ValueError(f"matrix must be positive definite, got min eigenvalue {w[0]}")
+    _check_positive_definite(w[0])
     return Potential(kind="quadratic-full", m=float(w[0]), L=float(w[-1]), d=A.shape[0], matrix=A)
 
 

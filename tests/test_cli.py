@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from langevin_kl import cli, grid_oracle
-from langevin_kl.chain import GAUSSIAN_1_OVER_M, GaussianInit
+from langevin_kl.chain import GAUSSIAN_1_OVER_M, GaussianInit, check_seed, init_ensemble, step
 from langevin_kl.cli import SUITES, main
-from langevin_kl.gaussian_oracle import GaussianLaw, GaussianPath, stationary_law, w2_gaussian
-from langevin_kl.potentials import construct_potential
+from langevin_kl.gaussian_oracle import GaussianLaw, GaussianPath, stationary_law, target_law, w2_gaussian
+from langevin_kl.planner import discretization_error_bound
+from langevin_kl.potentials import construct_potential, quadratic_diagonal, quadratic_full
 
 STRONG_INI = """
 [run]
@@ -703,9 +704,14 @@ def test_benchmark_workloads_keep_their_verdict_names(tmp_path, capsys, workload
         *[
             (
                 f"[potential]\nkind = huber\ndelta = 1\n[init]\nkind = point\nx = 0\n[weak]\n{key} = {v}\n",
-                f"weak.{key} must be positive",
+                f"config error: weak.{key} must be positive{finite}, got {float(v)}\n",
             )
-            for key, v in (("c1", "-1"), ("kl0", "nan"), ("c2", "inf"), ("h_prime", "0"))
+            for key, v, finite in (
+                ("c1", "-1", " and finite"),
+                ("kl0", "nan", " and finite"),
+                ("c2", "inf", " and finite"),
+                ("h_prime", "0", ""),  # only h_prime may be inf
+            )
         ],
         *[
             (f"[potential]\nkind = quadratic-diagonal\ndiag = 1\n[halving]\nkl0 = {v}\n", "halving.kl0 must be")
@@ -898,6 +904,105 @@ def test_run_bad_config_is_usage_error(tmp_path, capsys, body, message):
     assert "config error" in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()  # rejected before anything is written
+
+
+def _refused(*calls):
+    """A case of library calls: each must raise ValueError, and the case returns their messages."""
+
+    def case(tmp_path, capsys):
+        messages = []
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            messages.append(str(exc.value))
+        return messages
+
+    return case
+
+
+def _config_refused(body):
+    """A case of one run config: it must exit 2 having written nothing, and the case returns its stderr."""
+
+    def case(tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[run]\nepsilon = 0.5\nn_chains = 20\nout_dir = {tmp_path / 'o'}\n" + body)
+        assert main(["run", str(cfg)]) == 2
+        assert not (tmp_path / "o").exists()
+        return [capsys.readouterr().err]
+
+    return case
+
+
+def _ensemble():
+    return init_ensemble(quadratic_diagonal([1.0, 2.0]), GAUSSIAN_1_OVER_M, 10, seed=0)
+
+
+def _path():
+    return GaussianPath(GaussianLaw(np.zeros(1), np.eye(1)), np.eye(1))
+
+
+_INDEFINITE = [[1.0, 2.0], [2.0, 1.0]]  # eigenvalues -1 and 3
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (
+            _refused(lambda: quadratic_diagonal([1.0, math.inf])),
+            r"diagonal entries must be positive and finite, got inf",
+        ),
+        *[
+            (
+                _config_refused(f"[potential]\nkind = quadratic-diagonal\ndiag = 1.0, inf\n{oracles}"),
+                r"config error: diagonal entries must be positive and finite, got inf\n",
+            )
+            for oracles in ("", "[oracles]\ngaussian = true\n")
+        ],
+        (_refused(lambda: check_seed(True)), re.escape("seed must be an integer in [0, 2**64), got True")),
+        (
+            _refused(lambda: step(_ensemble(), 0.1, workers=2.5), lambda: step(_ensemble(), 0.1, workers="3")),
+            r"workers must be a positive integer, got (2\.5|'3')",
+        ),
+        (
+            _refused(*[lambda first=first: _path().stats(0.1, 3, first=first) for first in (2.5, True)]),
+            r"first step must be an integer in \[0, 3\], got (2\.5|True)",
+        ),
+        (
+            _refused(
+                lambda: discretization_error_bound(1.0, math.inf, 2.5, 1.0),
+                lambda: discretization_error_bound(math.inf, 0.0, 2, 1.0),
+                lambda: discretization_error_bound(1.0, 0.1, 2.5, 1.0),
+            ),
+            r"all inputs must be nonnegative and finite, got \((1\.0, inf|inf, 0\.0), 1\.0\)"
+            r"|dimension must be a nonnegative integer, got 2\.5",
+        ),
+        (
+            _refused(
+                lambda: quadratic_full(_INDEFINITE),
+                lambda: GaussianLaw(np.zeros(2), _INDEFINITE),
+                lambda: target_law(_INDEFINITE),
+            ),
+            r"(matrix|covariance) must be positive definite, got min eigenvalue -1\.0",
+        ),
+    ],
+    ids=[
+        "diagonal-inf",
+        "config-diagonal-inf",
+        "config-diagonal-inf-gaussian-oracle",
+        "seed-bool",
+        "workers-not-a-count",
+        "first-step-not-a-count",
+        "discretization-bound-not-finite-d-fraction",
+        "positive-definite-one-wording",
+    ],
+)
+def test_each_input_is_refused_by_the_rule_of_its_kind(tmp_path, capsys, case, message):
+    """An infinite Hessian entry, a bool seed, a fractional or text worker count, a fractional or bool first step of
+    the Gaussian oracle's stats, an infinite h or L or a fractional d in the discretization bound: each is refused
+    by the one rule for its kind of input, and a matrix that is not positive-definite is refused in one wording
+    wherever it enters."""
+    for text in case(tmp_path, capsys):
+        assert re.fullmatch(message, text), text
 
 
 @pytest.mark.parametrize(
@@ -1213,9 +1318,10 @@ def test_run_huber_grid_default_init_is_config_error(tmp_path, capsys):
         "[weak]\nc1 = 0.6\nc2 = 1.5\nh_prime = inf\nkl0 = 0.13\n"
     )
     assert main(["run", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "explicit [init]" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == (
+        "config error: the default gaussian_1_over_m init needs m > 0 and huber has m = 0.0; "
+        "set an explicit [init] (kind = gaussian or point)\n"
+    )
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -621,7 +621,10 @@ _LAW2 = GaussianLaw(np.zeros(2), np.eye(2))
         (lambda: target_law(np.array([[1.0, 0.5], [0.0, 1.0]])), "matrix must be symmetric"),
         (lambda: ula_step_law(_LAW1, np.eye(1), 0.0), "step size must be positive"),
         (lambda: GaussianPath(_LAW2, np.eye(1)), "dimension mismatch: law d=2"),
-        (lambda: GaussianPath(_LAW1, np.eye(1)).stats(0.1, 2, first=3), "need 0 <= first <= k"),
+        (
+            lambda: GaussianPath(_LAW1, np.eye(1)).stats(0.1, 2, first=3),
+            r"first step must be an integer in \[0, 2\], got 3",
+        ),
         *[
             (lambda t=t: exact_flow_law(np.eye(1), _LAW1, t), "time must be finite and nonnegative")
             for t in (-1.0, math.nan, math.inf)

@@ -16,7 +16,7 @@ def test_summarize_identical_points():
 
 
 def test_summarize_requires_two_samples():
-    with pytest.raises(ValueError, match="at least 2"):
+    with pytest.raises(ValueError, match=r"^sample count must be an integer >= 2, got 1$"):
         summarize(np.zeros((1, 3)))
 
 
