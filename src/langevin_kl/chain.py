@@ -20,7 +20,7 @@ import numpy as np
 from numpy.random import SFC64, Generator, Philox
 
 from .metrics import mean_and_se
-from .planner import StepPlan, _check_count, _check_positive, _check_steps
+from .planner import StepPlan, _check_count, _check_dimension, _check_finite, _check_positive, _check_steps
 from .potentials import Potential, grad_u
 
 __all__ = [
@@ -60,17 +60,32 @@ GAUSSIAN_1_OVER_M = "gaussian_1_over_m"
 
 @dataclass(frozen=True)
 class GaussianInit:
-    """Independent Gaussian start N(mean, diag(cov_diag))."""
+    """Independent Gaussian start N(mean, diag(cov_diag)): a finite mean, a positive finite variance per coordinate."""
 
     mean: np.ndarray
     cov_diag: np.ndarray
 
+    def __post_init__(self):
+        mean, var = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (self.mean, self.cov_diag))
+        _check_dimension(mean.size, var.size, "init mean", "init variances")
+        _check_count(var.size, "init dimension")  # an empty start has no least variance
+        for bound in (var.min(), var.max()):  # every variance lies between them, and a NaN one makes both NaN
+            _check_positive(bound, "init variances")
+        _check_finite(mean, "init mean")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov_diag", var)
+
 
 @dataclass(frozen=True)
 class PointInit:
-    """Every chain starts at the same point x."""
+    """Every chain starts at the same finite point x."""
 
     x: np.ndarray
+
+    def __post_init__(self):
+        x = np.atleast_1d(np.asarray(self.x, dtype=float))
+        _check_finite(x, "init point")
+        object.__setattr__(self, "x", x)
 
 
 @dataclass(frozen=True)
@@ -188,25 +203,14 @@ def init_ensemble(p: Potential, init, n: int, seed: int) -> Ensemble:
         _normals(seed, _PURPOSE_INIT, 0, states)
         states /= math.sqrt(p.m)
     elif isinstance(init, GaussianInit):
-        mean = np.atleast_1d(np.asarray(init.mean, dtype=float))
-        var = np.atleast_1d(np.asarray(init.cov_diag, dtype=float))
-        if mean.size != p.d or var.size != p.d:
-            raise ValueError(f"init dimensions {mean.size}/{var.size} do not match d={p.d}")
-        for bound in (var.min(), var.max()):  # every variance lies between them, and a NaN one makes both NaN
-            _check_positive(bound, "init variances")
-        if not np.isfinite(mean).all():
-            raise ValueError("init mean must be finite")
+        _check_dimension(init.mean.size, p.d, "init", "potential")
         states = np.empty((n, p.d))
         _normals(seed, _PURPOSE_INIT, 0, states)
-        states *= np.sqrt(var)
-        states += mean
+        states *= np.sqrt(init.cov_diag)
+        states += init.mean
     elif isinstance(init, PointInit):
-        x = np.atleast_1d(np.asarray(init.x, dtype=float))
-        if x.size != p.d:
-            raise ValueError(f"init point has {x.size} coordinates, potential d={p.d}")
-        if not np.isfinite(x).all():
-            raise ValueError("init point must be finite")
-        states = np.tile(x, (n, 1))
+        _check_dimension(init.x.size, p.d, "init", "potential")
+        states = np.tile(init.x, (n, 1))
     else:
         raise TypeError(f"unsupported init spec {init!r}")
     return Ensemble(states, 0, seed, p)

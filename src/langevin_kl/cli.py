@@ -74,6 +74,7 @@ from .planner import (
     StepPlan,
     WeakPlanInputs,
     _check_count,
+    _check_finite,
     _check_positive,
     _check_weak_input,
     kl_init_bound,
@@ -308,6 +309,7 @@ def load_config(path: str) -> RunConfig:
     _check_count(cfg.n_chains, "run.n_chains", 2, error=ConfigError)
     _check_count(cfg.record_every, "run.record_every", error=ConfigError)
     for key, values in cfg.init_params.items():
+        _check_finite(values, f"[init] {key}", ConfigError)
         what = "sqrt(cov_diag)" if key == "cov_diag" else f"|{key}|"
         if not all((math.sqrt(abs(v)) if key == "cov_diag" else abs(v)) <= _INIT_MAX for v in values):
             raise ConfigError(f"[init] {key}: every {what} must be at most {_INIT_MAX:g}, got {values}")
@@ -332,8 +334,7 @@ def _build_init(cfg: RunConfig):
     """The init's name, or its law with each field set from the [init] key of the same name."""
     if cfg.init_kind == GAUSSIAN_1_OVER_M:
         return GAUSSIAN_1_OVER_M
-    law = GaussianInit if cfg.init_kind == "gaussian" else PointInit
-    return law(**{key: np.asarray(values, dtype=float) for key, values in cfg.init_params.items()})
+    return (GaussianInit if cfg.init_kind == "gaussian" else PointInit)(**cfg.init_params)
 
 
 def _weak_value(text: str, key: str):
@@ -778,7 +779,7 @@ def _suite_oracle_equivalence(seed: int):
     A = np.diag(pot.diag)
     lo, hi, n = -8.0, 8.0, 4096
     tgt_grid = target_density_grid(pot, lo, hi, n)
-    grid = discretize_law(GaussianInit(mean=np.zeros(1), cov_diag=np.ones(1)), lo, hi, n)
+    grid = discretize_law(GaussianInit(0.0, 1.0), lo, hi, n)
     law = GaussianLaw(np.zeros(1), np.eye(1))
     tgt_law = target_law(A)
     h = 0.1
@@ -794,23 +795,13 @@ def _suite_oracle_equivalence(seed: int):
 def _suite_contraction(seed: int):
     checks = []
     quad = construct_potential("quadratic-diagonal", diag=[1.0])
-    trace = coupled_run(
-        quad, PointInit(np.array([1.0])), PointInit(np.array([-1.0])), h=0.5, k=8, n=4, seed=seed
-    )
+    trace = coupled_run(quad, PointInit(1.0), PointInit(-1.0), h=0.5, k=8, n=4, seed=seed)
     expected = 2.0 * 0.5 ** np.arange(9)
     # the two exact checks' margins already subtract their 1e-12 tolerance, so each is judged at 0
     checks.append(("coupled_quadratic_exact_halving", 1e-12 - float(np.max(np.abs(trace.rms - expected))), 0.0))
 
     hub = construct_potential("huber", delta=1.0)
-    tr = coupled_run(
-        hub,
-        GaussianInit(mean=np.zeros(1), cov_diag=np.full(1, 4.0)),
-        GaussianInit(mean=np.full(1, 2.0), cov_diag=np.full(1, 1.0)),
-        h=0.1,
-        k=100,
-        n=4000,
-        seed=seed,
-    )
+    tr = coupled_run(hub, GaussianInit(0.0, 4.0), GaussianInit(2.0, 1.0), h=0.1, k=100, n=4000, seed=seed)
     margins = tr.rms[:-1] + 5.0 * tr.se[:-1] - tr.rms[1:]
     checks.append(("coupled_huber_nonincreasing_5se", float(margins.min())))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planner import _check_count, _check_steps
+from .planner import _check_1d, _check_count, _check_dimension, _check_finite, _check_nonnegative, _check_steps
 from .potentials import _check_positive_definite, _symmetrized
 
 __all__ = [
@@ -80,13 +80,11 @@ class GaussianLaw:
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.asarray(self.cov, dtype=float)
-        if cov.ndim == 1:
-            cov = np.diag(cov)
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-            raise ValueError(f"shape mismatch: mean {mean.shape}, cov {cov.shape}")
-        if not np.isfinite(mean).all():
-            raise ValueError("mean must be finite")
-        cov = _symmetrized(cov, "covariance")
+        cov = _symmetrized(np.diag(cov) if cov.ndim == 1 else cov, "covariance")
+        _check_dimension(mean.size, cov.shape[0], "mean", "covariance")
+        if mean.ndim != 1:
+            raise ValueError(f"mean must be a vector, got shape {mean.shape}")
+        _check_finite(mean, "mean")
         least = math.inf  # Cholesky decides: where it fails, cov's least eigenvalue is <= 0 to working precision
         try:
             np.linalg.cholesky(cov)
@@ -188,8 +186,7 @@ class GaussianPath:
 
     def __init__(self, law: GaussianLaw, A):
         self.w, self.Q = _eig(A)
-        if self.w.size != law.d:
-            raise ValueError(f"dimension mismatch: law d={law.d}, matrix {(self.w.size, self.w.size)}")
+        _check_dimension(law.d, self.w.size, "law", "matrix")
         self.mean, self.cov = _to_basis(law, self.Q)
 
     @property
@@ -321,8 +318,7 @@ def exact_flow_law(A, init: GaussianLaw, t: float) -> GaussianLaw:
     e^(-w t) mean_0 and the covariance e^(-(w_i + w_l) t) C_0[i, l]
     + delta_il (1 - e^(-2 w_i t)) / w_i.
     """
-    if not (t >= 0 and math.isfinite(t)):
-        raise ValueError(f"time must be finite and nonnegative, got {t}")
+    _check_nonnegative(t, "time")
     p = GaussianPath(init, A)
     e = np.exp(-p.w * t)
     C = np.outer(e, e) * p.cov
@@ -338,8 +334,7 @@ def kl_gaussian(p: GaussianLaw, q: GaussianLaw) -> float:
     of R^-1 (p.cov - q.cov) R^-T, so no term cancels as p approaches q, where
     tr - d plus a log-det difference would.
     """
-    if p.d != q.d:
-        raise ValueError(f"dimension mismatch: {p.d} vs {q.d}")
+    _check_dimension(p.d, q.d, "p", "q")
     R = np.linalg.cholesky(q.cov)
     z = np.linalg.solve(R, p.mean - q.mean)
     x = np.linalg.eigvalsh(np.linalg.solve(R, np.linalg.solve(R, p.cov - q.cov).T))
@@ -352,8 +347,7 @@ def w2_gaussian(p: GaussianLaw, q: GaussianLaw) -> float:
     sqrt(||mean_p - mean_q||^2 + tr(cov_p + cov_q - 2 (cov_q^{1/2} cov_p cov_q^{1/2})^{1/2})),
     reducing to sqrt(||dmean||^2 + sum_i (sd_p,i - sd_q,i)^2) for diagonal pairs.
     """
-    if p.d != q.d:
-        raise ValueError(f"dimension mismatch: {p.d} vs {q.d}")
+    _check_dimension(p.d, q.d, "p", "q")
     dm = p.mean - q.mean
     if _is_diagonal(p.cov) and _is_diagonal(q.cov):
         sp = np.sqrt(np.diagonal(p.cov))
@@ -377,8 +371,8 @@ def tv_gaussian_1d(p: GaussianLaw, q: GaussianLaw) -> float:
     nonnegative terms and each root comes from a form that does not cancel;
     an error in a crossing moves TV to second order only, since p = q there.
     """
-    if p.d != 1 or q.d != 1:
-        raise ValueError("total variation evaluation supports d = 1 only")
+    for name, law in (("p", p), ("q", q)):
+        _check_1d(law.d, "total variation", name)
     mp, vp = float(p.mean[0]), float(p.cov[0, 0])
     mq, vq = float(q.mean[0]), float(q.cov[0, 0])
     if mp == mq and vp == vq:
@@ -405,8 +399,7 @@ def fisher_info_relative(p: GaussianLaw, A) -> float:
     nonnegative and vanishes exactly when p equals the target.
     """
     A = _symmetrized(A)
-    if A.shape[0] != p.d:
-        raise ValueError(f"dimension mismatch: law d={p.d}, matrix {A.shape}")
+    _check_dimension(p.d, A.shape[0], "law", "matrix")
     prec = np.linalg.inv(p.cov)
     M = A - prec
     amu = A @ p.mean

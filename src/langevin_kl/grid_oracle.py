@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import GaussianInit, PointInit
 from .gaussian_oracle import _binned_normal
-from .planner import _check_count, _check_positive, _check_steps
+from .planner import _check_1d, _check_count, _check_finite, _check_positive, _check_steps
 from .potentials import Potential, grad_u, u_value
 
 __all__ = [
@@ -151,6 +151,7 @@ def discretize_gaussian(mean: float, var: float, x_min: float, x_max: float, n: 
     The grid must cover mean +/- _REACH (8) standard deviations.
     """
     dx = _cell_width(x_min, x_max, n)
+    _check_finite(mean, "mean")
     _check_positive(var, "variance")
     sd = math.sqrt(var)
     lo, hi = mean - _REACH * sd, mean + _REACH * sd
@@ -167,6 +168,7 @@ def discretize_point(x: float, x_min: float, x_max: float, n: int) -> GridDensit
     a center occupies a single cell.
     """
     dx = _cell_width(x_min, x_max, n)
+    _check_finite(x, "point")
     if not (x_min < x < x_max):
         raise GridCoverageError(f"point {x} outside the grid [{x_min}, {x_max}]")
     (j,), (f,) = _split(np.array([float(x)]), x_min, dx, n)
@@ -177,18 +179,12 @@ def discretize_point(x: float, x_min: float, x_max: float, n: int) -> GridDensit
 def discretize_law(init, x_min: float, x_max: float, n: int) -> GridDensity:
     """Dispatch a 1-D GaussianInit or PointInit onto the grid."""
     if isinstance(init, GaussianInit):
-        return discretize_gaussian(_coordinate(init.mean), _coordinate(init.cov_diag), x_min, x_max, n)
+        _check_1d(init.mean.size, "grid oracle", "init")
+        return discretize_gaussian(init.mean.item(), init.cov_diag.item(), x_min, x_max, n)
     if isinstance(init, PointInit):
-        return discretize_point(_coordinate(init.x), x_min, x_max, n)
+        _check_1d(init.x.size, "grid oracle", "init")
+        return discretize_point(init.x.item(), x_min, x_max, n)
     raise TypeError(f"unsupported init spec {init!r}")
-
-
-def _coordinate(values) -> float:
-    """The one number of a 1-D law's field."""
-    v = np.atleast_1d(np.asarray(values, dtype=float))
-    if v.size != 1:
-        raise ValueError("grid densities are 1-D only")
-    return float(v[0])
 
 
 # side B of the output blocks the noise convolution is cut into: each block's
@@ -252,7 +248,7 @@ _STEP_SLOT: tuple[tuple, _StepOperator] | None = None
 def _step_operator(p: GridDensity, pot: Potential, h: float) -> _StepOperator:
     """The operator of a grid step on p's grid for (pot, h), built unless it is in the slot; pot must be 1-D."""
     global _STEP_SLOT
-    _check_1d(pot)
+    _check_1d(pot.d, "grid oracle", "potential")
     _check_steps(h)
     key = (p.x_min, p.x_max, p.n, id(pot), h)
     slot = _STEP_SLOT  # read once: another thread may replace it meanwhile
@@ -274,11 +270,6 @@ def _step_operator(p: GridDensity, pot: Potential, h: float) -> _StepOperator:
     op = _StepOperator(pot, j, j + 1, f, 1.0 - f, kern, _band(kern))
     _STEP_SLOT = (key, op)
     return op
-
-
-def _check_1d(pot: Potential) -> None:
-    if pot.d != 1:
-        raise ValueError(f"grid oracle is 1-D only, potential has d={pot.d}")
 
 
 def _grid_steps(p: GridDensity, pot: Potential, h: float):
@@ -367,7 +358,7 @@ def target_density_grid(pot: Potential, x_min: float, x_max: float, n: int) -> G
     Fails, as every GridDensity does, if a boundary cell holds a 1e-9
     fraction of the mass, i.e. the tails do not fit.
     """
-    _check_1d(pot)
+    _check_1d(pot.d, "grid oracle", "potential")
     dx = _cell_width(x_min, x_max, n)
     c = x_min + (np.arange(n) + 0.5) * dx
     u = u_value(pot, c[:, None])

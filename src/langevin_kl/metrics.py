@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian_oracle import GaussianLaw
-from .planner import _check_count
+from .planner import _check_count, _check_dimension
 
 __all__ = ["MomentSummary", "summarize", "z_scores_vs_oracle"]
 
@@ -30,15 +30,19 @@ class MomentSummary:
     second_moment_se: float
 
 
-def mean_and_se(values: np.ndarray) -> tuple[float, float]:
-    """Mean of a per-chain quantity (1-D) and its standard error, 0 for a single chain.
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """x * 2^-e and e, the binary exponent of x's largest magnitude, so that products of deviations stay finite.
 
-    Both are taken on the values scaled by a power of two near their largest magnitude, and scaled back, so
-    the squared deviations stay finite wherever the values are. A power of two scales exactly: where neither
-    form overflows or underflows, both return the same bits.
+    A power of two scales exactly: a moment scaled back by 2^e (2^2e for a product) has the bits of the
+    unscaled form's wherever neither overflows or underflows.
     """
-    e = math.frexp(float(np.abs(values).max()))[1]
-    x = np.ldexp(values, -e)
+    e = math.frexp(float(np.abs(x).max()))[1]
+    return np.ldexp(x, -e), e
+
+
+def mean_and_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean of a per-chain quantity (1-D) and its standard error, 0 for a single chain, both taken _scaled."""
+    x, e = _scaled(values)
     se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
     return math.ldexp(float(x.mean()), e), math.ldexp(se, e)
 
@@ -50,11 +54,7 @@ def summarize(e) -> MomentSummary:
         raise ValueError(f"expected samples of shape (n, d), got {x.shape}")
     n, d = x.shape
     _check_count(n, "sample count", 2)  # a standard error needs two samples
-    # the moments are taken on x scaled by 2^-e, as in mean_and_se, so that no
-    # product of deviations overflows, and scaled back: exact, where neither
-    # form overflows or underflows
-    e = math.frexp(float(np.abs(x).max()))[1]
-    xs = np.ldexp(x, -e)
+    xs, e = _scaled(x)
     mean = xs.mean(axis=0)
     xc = xs - mean
     cov = xc.T @ xc / (n - 1)
@@ -89,8 +89,7 @@ def _safe_z(diff: np.ndarray, se: np.ndarray) -> np.ndarray:
 
 def z_scores_vs_oracle(s: MomentSummary, law: GaussianLaw) -> dict:
     """(estimate - oracle)/SE for mean, covariance and second moment."""
-    if s.mean.size != law.d:
-        raise ValueError(f"dimension mismatch: summary d={s.mean.size}, law d={law.d}")
+    _check_dimension(s.mean.size, law.d, "summary", "law")
     return {
         "mean": _safe_z(s.mean - law.mean, s.mean_se),
         "cov": _safe_z(s.cov - law.cov, s.cov_se),

@@ -37,6 +37,30 @@ def _check_positive(x, what: str, finite: bool = True, error=ValueError) -> None
         raise error(f"{what} must be positive{' and finite' if finite else ''}, got {x}")
 
 
+def _check_nonnegative(x, what: str) -> None:
+    """The rule for every nonnegative number: 0 <= x < inf (a NaN fails)."""
+    if not 0 <= x < math.inf:
+        raise ValueError(f"{what} must be nonnegative and finite, got {x}")
+
+
+def _check_finite(x, what: str, error=ValueError) -> None:
+    """The rule for every vector, matrix or number whose entries are finite: no inf, no NaN."""
+    if not np.isfinite(x).all():
+        raise error(f"{what} must be finite")
+
+
+def _check_dimension(d: int, e: int, what: str, other: str) -> None:
+    """The rule for every two dimensions that must match: what's d and other's e."""
+    if d != e:
+        raise ValueError(f"dimension mismatch: {what} d={d}, {other} d={e}")
+
+
+def _check_1d(d: int, what: str, of: str) -> None:
+    """The rule for every law or potential that must be one-dimensional: of's d is 1."""
+    if d != 1:
+        raise ValueError(f"{what} is 1-D only, {of} has d={d}")
+
+
 def _check_count(n, what: str, least: int = 1, most: int | None = None, error=ValueError) -> None:
     """The rule for every count: an int or numpy integer, never a bool, in [least, most] (no bound if most is None)."""
     if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and least <= n and (most is None or n <= most)):
@@ -229,8 +253,8 @@ def discretization_error_bound(L: float, h: float, d: int, second_moment: float)
     Returns 2*L^2*h*sqrt(second_moment) + 2*L*sqrt(h*d), where second_moment
     bounds E||x||^2 at the step boundary. d is a count, 0 allowed; h may be 0.
     """
-    if not all(0 <= x < math.inf for x in (L, h, second_moment)):  # NaN fails too
-        raise ValueError(f"all inputs must be nonnegative and finite, got {L, h, second_moment}")
+    for name, x in (("L", L), ("h", h), ("second_moment", second_moment)):
+        _check_nonnegative(x, name)
     _check_count(d, "dimension", 0)
     return 2.0 * L * L * h * math.sqrt(second_moment) + 2.0 * L * math.sqrt(h * d)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planner import _check_count, _check_positive
+from .planner import _check_count, _check_dimension, _check_finite, _check_positive
 
 __all__ = [
     "Potential",
@@ -55,8 +55,7 @@ def _symmetrized(M, name: str = "matrix") -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
         raise ValueError(f"{name} must be square and non-empty, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValueError(f"{name} must be finite")
+    _check_finite(M, name)
     if not np.abs(M - M.T).max() <= 1e-12 * max(1.0, float(np.abs(M).max())):
         raise ValueError(f"{name} must be symmetric")
     return 0.5 * (M + M.T)
@@ -103,8 +102,7 @@ def _as_points(p: Potential, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         x = x.reshape(1)
-    if x.shape[-1] != p.d:
-        raise ValueError(f"dimension mismatch: potential has d={p.d}, point has {x.shape[-1]}")
+    _check_dimension(x.shape[-1], p.d, "point", "potential")
     return x
 
 

@@ -583,7 +583,10 @@ def test_coupled_run_requires_small_step():
             lambda: init_ensemble(huber(1.0), GaussianInit(mean=np.zeros(1), cov_diag=np.zeros(1)), 4, 0),
             r"init variances must be positive and finite, got 0\.0",
         ),
-        (lambda: init_ensemble(huber(1.0), PointInit(np.zeros(2)), 4, 0), "init point has 2 coordinates"),
+        (
+            lambda: init_ensemble(huber(1.0), PointInit(np.zeros(2)), 4, 0),
+            "dimension mismatch: init d=2, potential d=1",
+        ),
         (
             lambda: init_ensemble(huber(1.0), GaussianInit(mean=np.full(1, np.nan), cov_diag=np.ones(1)), 4, 0),
             "init mean must be finite",

@@ -17,11 +17,23 @@ import numpy as np
 import pytest
 
 from langevin_kl import cli, grid_oracle
-from langevin_kl.chain import GAUSSIAN_1_OVER_M, GaussianInit, check_seed, init_ensemble, step
+from langevin_kl.chain import GAUSSIAN_1_OVER_M, GaussianInit, PointInit, check_seed, init_ensemble, step
 from langevin_kl.cli import SUITES, main
-from langevin_kl.gaussian_oracle import GaussianLaw, GaussianPath, stationary_law, target_law, w2_gaussian
+from langevin_kl.gaussian_oracle import (
+    GaussianLaw,
+    GaussianPath,
+    exact_flow_law,
+    fisher_info_relative,
+    kl_gaussian,
+    stationary_law,
+    target_law,
+    tv_gaussian_1d,
+    w2_gaussian,
+)
+from langevin_kl.grid_oracle import discretize_gaussian, discretize_law, discretize_point
+from langevin_kl.metrics import summarize, z_scores_vs_oracle
 from langevin_kl.planner import discretization_error_bound
-from langevin_kl.potentials import construct_potential, quadratic_diagonal, quadratic_full
+from langevin_kl.potentials import construct_potential, grad_u, quadratic_diagonal, quadratic_full
 
 STRONG_INI = """
 [run]
@@ -672,7 +684,7 @@ def test_benchmark_workloads_keep_their_verdict_names(tmp_path, capsys, workload
         (
             "[potential]\nkind = quadratic-diagonal\ndiag = 1, 2\n"
             "[init]\nkind = gaussian\nmean = 0, 0, 0\ncov_diag = 1, 1\n",
-            "do not match d=2",
+            "config error: dimension mismatch: init mean d=3, init variances d=2\n",
         ),
         (
             "[potential]\nkind = quadratic-diagonal\ndiag = 1\n[oracles]\ngrid = true\ngrid_n = 4\n",
@@ -973,7 +985,7 @@ _INDEFINITE = [[1.0, 2.0], [2.0, 1.0]]  # eigenvalues -1 and 3
                 lambda: discretization_error_bound(math.inf, 0.0, 2, 1.0),
                 lambda: discretization_error_bound(1.0, 0.1, 2.5, 1.0),
             ),
-            r"all inputs must be nonnegative and finite, got \((1\.0, inf|inf, 0\.0), 1\.0\)"
+            r"(h|L) must be nonnegative and finite, got inf"
             r"|dimension must be a nonnegative integer, got 2\.5",
         ),
         (
@@ -1001,6 +1013,94 @@ def test_each_input_is_refused_by_the_rule_of_its_kind(tmp_path, capsys, case, m
     the Gaussian oracle's stats, an infinite h or L or a fractional d in the discretization bound: each is refused
     by the one rule for its kind of input, and a matrix that is not positive-definite is refused in one wording
     wherever it enters."""
+    for text in case(tmp_path, capsys):
+        assert re.fullmatch(message, text), text
+
+
+def _config_refused_either_oracle(init):
+    """A case of one [init] on a 2-D quadratic, run without and with the Gaussian oracle: both stderrs."""
+    body = f"[potential]\nkind = quadratic-diagonal\ndiag = 1, 2\n[init]\n{init}"
+    without, with_oracle = _config_refused(body), _config_refused(body + "[oracles]\ngaussian = true\n")
+    return lambda tmp_path, capsys: without(tmp_path, capsys) + with_oracle(tmp_path, capsys)
+
+
+_LAW_1D, _LAW_2D = GaussianLaw([0.0], [1.0]), GaussianLaw(np.zeros(2), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (
+            _config_refused_either_oracle(f"kind = gaussian\nmean = 0, 0\ncov_diag = {v}, 1\n"),
+            rf"config error: init variances must be positive and finite, got {re.escape(v)}\.0\n",
+        )
+        for v in ("0", "-1")
+    ]
+    + [
+        (
+            _config_refused_either_oracle(f"kind = gaussian\n{init}"),
+            rf"config error: \[init\] {key} must be finite\n",
+        )
+        for key, init in (
+            ("mean", "mean = nan, 0\ncov_diag = 1, 1\n"),
+            ("cov_diag", "mean = 0, 0\ncov_diag = inf, 1\n"),
+        )
+    ]
+    + [
+        (
+            _refused(
+                lambda: GaussianInit(mean=[math.nan], cov_diag=[1.0]),
+                lambda: PointInit([math.inf]),
+                lambda: discretize_gaussian(math.inf, 1.0, -8.0, 8.0, 64),
+                lambda: discretize_gaussian(math.nan, 1.0, -8.0, 8.0, 64),
+                lambda: discretize_point(math.nan, -8.0, 8.0, 64),
+            ),
+            r"(init mean|init point|mean|point) must be finite",
+        ),
+        (
+            _refused(lambda: GaussianInit(mean=[0.0], cov_diag=[1.0, 1.0])),
+            r"dimension mismatch: init mean d=1, init variances d=2",
+        ),
+        (
+            _refused(
+                lambda: exact_flow_law(np.eye(1), _LAW_1D, -1.0),
+                lambda: discretization_error_bound(math.inf, 0.1, 1, 1.0),
+            ),
+            r"(time|L) must be nonnegative and finite, got (-1\.0|inf)",
+        ),
+        (
+            _refused(
+                lambda: kl_gaussian(_LAW_1D, _LAW_2D),
+                lambda: fisher_info_relative(_LAW_1D, np.eye(2)),
+                lambda: z_scores_vs_oracle(summarize(np.eye(2)), _LAW_1D),
+                lambda: grad_u(quadratic_diagonal([1.0, 2.0]), [1.0]),
+            ),
+            r"dimension mismatch: (p d=1, q d=2|law d=1, matrix d=2|summary d=2, law d=1|point d=1, potential d=2)",
+        ),
+        (
+            _refused(
+                lambda: tv_gaussian_1d(_LAW_2D, _LAW_1D),
+                lambda: discretize_law(PointInit([0.0, 0.0]), -8.0, 8.0, 64),
+            ),
+            r"(total variation|grid oracle) is 1-D only, (p|init) has d=2",
+        ),
+    ],
+    ids=[
+        "config-zero-variance",
+        "config-negative-variance",
+        "config-mean-nan",
+        "config-cov-diag-inf",
+        "finite-rule",
+        "init-mean-variances-size",
+        "nonnegative-rule",
+        "dimension-rule",
+        "one-d-rule",
+    ],
+)
+def test_each_value_is_refused_once_where_it_is_built(tmp_path, capsys, case, message):
+    """A bad start is refused by GaussianInit or PointInit, or by load_config's finite rule, so a run prints one
+    line with the Gaussian oracle on or off; a non-finite mean or point, a negative or infinite time or bound
+    input, two dimensions that differ and a law that is not 1-D are each refused by one rule, in one wording."""
     for text in case(tmp_path, capsys):
         assert re.fullmatch(message, text), text
 

@@ -67,7 +67,7 @@ def test_law_validation():
         GaussianLaw(np.zeros(2), np.array([[1.0, 0.5], [0.2, 1.0]]))
     with pytest.raises(ValueError, match="positive definite"):
         GaussianLaw(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(ValueError, match="dimension mismatch: mean d=2, covariance d=3"):
         GaussianLaw(np.zeros(2), np.eye(3))
 
 
@@ -265,7 +265,7 @@ def test_tv_gaussian_1d_basics():
     shifted = tv_gaussian_1d(p, gaussian_1d(1.0, 1.0))
     assert shifted == pytest.approx(2.0 * ndtr(0.5) - 1.0, abs=1e-8)
     assert shifted == pytest.approx(0.38292, abs=1e-5)
-    with pytest.raises(ValueError, match="d = 1"):
+    with pytest.raises(ValueError, match="total variation is 1-D only, p has d=2"):
         tv_gaussian_1d(GaussianLaw(np.zeros(2), np.eye(2)), GaussianLaw(np.zeros(2), np.eye(2)))
 
 
@@ -626,11 +626,11 @@ _LAW2 = GaussianLaw(np.zeros(2), np.eye(2))
             r"first step must be an integer in \[0, 2\], got 3",
         ),
         *[
-            (lambda t=t: exact_flow_law(np.eye(1), _LAW1, t), "time must be finite and nonnegative")
+            (lambda t=t: exact_flow_law(np.eye(1), _LAW1, t), "time must be nonnegative and finite, got")
             for t in (-1.0, math.nan, math.inf)
         ],
-        (lambda: kl_gaussian(_LAW1, _LAW2), "dimension mismatch: 1 vs 2"),
-        (lambda: w2_gaussian(_LAW1, _LAW2), "dimension mismatch: 1 vs 2"),
+        (lambda: kl_gaussian(_LAW1, _LAW2), "dimension mismatch: p d=1, q d=2"),
+        (lambda: w2_gaussian(_LAW1, _LAW2), "dimension mismatch: p d=1, q d=2"),
         (lambda: fisher_info_relative(_LAW1, np.eye(2)), "dimension mismatch: law d=1"),
         (lambda: GaussianLaw([math.nan], [[1.0]]), "mean must be finite"),
         (lambda: GaussianLaw([0.0], [[math.inf]]), "covariance must be finite"),

@@ -236,10 +236,14 @@ def test_weak_plan_matches_printed_caps(c1, c2, hp, kl0, L, d, eps):
         (lambda: plan_strong_tv(1.0, 2.0, 2, 0.0), "TV target delta must be positive"),
         (lambda: plan_strong_tv(1.0, 2.0, 2, 1e-200), "TV target delta=1e-200 is too small: .* underflows to 0"),
         (lambda: plan_strong_w2(1.0, 2.0, 2, 1e-200), "W2 target delta=1e-200 is too small: .* underflows to 0"),
-        (lambda: discretization_error_bound(-1.0, 0.1, 1, 1.0), "all inputs must be nonnegative"),
+        (lambda: discretization_error_bound(-1.0, 0.1, 1, 1.0), r"L must be nonnegative and finite, got -1\.0"),
         *[
-            (lambda args=args: discretization_error_bound(*args), "all inputs must be nonnegative")
-            for args in ((math.nan, 0.1, 1, 1.0), (1.0, math.nan, 1, 1.0), (1.0, 0.1, 1, math.nan))
+            (lambda args=args: discretization_error_bound(*args), f"{name} must be nonnegative and finite, got nan")
+            for name, args in (
+                ("L", (math.nan, 0.1, 1, 1.0)),
+                ("h", (1.0, math.nan, 1, 1.0)),
+                ("second_moment", (1.0, 0.1, 1, math.nan)),
+            )
         ],
     ],
     ids=[
